@@ -58,10 +58,13 @@ def cmd_serve(args) -> int:
     def _stop(_sig, _frame):
         stop.set()
 
+    def _ready(addr):
+        # the teacher is trained and the port bound: clients may connect now
+        print(f"serving teacher on {addr[0]}:{addr[1]} ({cfg.scenario})", flush=True)
+
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
-    print(f"serving teacher on {cfg.endpoint[0]}:{cfg.endpoint[1]} ({cfg.scenario})")
-    serve_experiment(cfg, stop_event=stop)
+    serve_experiment(cfg, stop_event=stop, ready=_ready)
     print("transcript flushed")
     return EXIT_OK
 

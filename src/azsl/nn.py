@@ -7,7 +7,6 @@ differences (see grad_check).
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -338,7 +337,3 @@ def params_allclose(a: MlpParams, b: MlpParams, rtol: float = 0.0, atol: float =
         np.allclose(x, y, rtol=rtol, atol=atol)
         for x, y in zip(_param_views(a), _param_views(b))
     )
-
-
-def deep_copy_params(params: MlpParams) -> MlpParams:
-    return copy.deepcopy(params)

@@ -3,7 +3,10 @@
 Both kinds compare generated rows against statistics of the real features,
 per conditioning class, and return an analytic gradient w.r.t. the batch.
 Real rows themselves never leave this module: KL keeps only mean/variance,
-MMD keeps a reference subsample that is used server-side only.
+MMD keeps a reference subsample plus its precomputed self-kernel mean
+(mean k(ref, ref)), both used server-side only. That term does not depend on
+the uploaded batch, so it is computed once per reference set when the state is
+built, not on every request.
 """
 from __future__ import annotations
 
@@ -38,6 +41,14 @@ class RegularizerState:
     class_refs: dict[int, np.ndarray] = field(default_factory=dict)
     global_ref: np.ndarray | None = None
     bandwidth_sq: float = 1.0
+    # mean k(ref, ref) of each reference set above, filled by __post_init__
+    class_ref_kmeans: dict[int, float] = field(init=False, repr=False, compare=False)
+    global_ref_kmean: float | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h2 = self.bandwidth_sq
+        self.class_ref_kmeans = {c: _self_kernel_mean(ref, h2) for c, ref in self.class_refs.items()}
+        self.global_ref_kmean = None if self.global_ref is None else _self_kernel_mean(self.global_ref, h2)
 
 
 def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: float) -> RegularizerState:
@@ -46,9 +57,8 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
         raise ValueError(f"unknown regularizer kind {kind!r}")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    state = RegularizerState(kind=kind, alpha=alpha)
     if kind == REG_NONE:
-        return state
+        return RegularizerState(kind=kind, alpha=alpha)
     rows = split.teacher_train
     if rows.size == 0:
         raise ValueError("empty teacher training set")
@@ -56,6 +66,7 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
     labels = dataset.labels[rows]
 
     if kind == REG_KL:
+        state = RegularizerState(kind=kind, alpha=alpha)
         state.global_mean = feats.mean(axis=0)
         state.global_var = np.maximum(feats.var(axis=0), VAR_FLOOR)
         for c in np.unique(labels):
@@ -66,18 +77,19 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
             state.class_vars[int(c)] = np.maximum(cls.var(axis=0), VAR_FLOOR)
         return state
 
-    # mmd: teacher_train row order is already a seeded shuffle, take heads
-    state.global_ref = feats[:MMD_REF_CAP].copy()
-    pool = []
-    for c in np.unique(labels):
-        ref = feats[labels == c][:MMD_REF_CAP].copy()
-        state.class_refs[int(c)] = ref
-        pool.append(ref)
-    pooled = np.concatenate(pool)[:MMD_POOL_CAP]
+    # mmd: teacher_train row order is already a seeded shuffle, take heads.
+    # Refs and bandwidth are final before the state (and its cache) is built.
+    class_refs = {int(c): feats[labels == c][:MMD_REF_CAP].copy() for c in np.unique(labels)}
+    pooled = np.concatenate(list(class_refs.values()))[:MMD_POOL_CAP]
     sq = _pairwise_sq_dists(pooled, pooled)
     off_diag = sq[~np.eye(len(pooled), dtype=bool)]
-    state.bandwidth_sq = float(max(np.median(off_diag), 1e-12)) if off_diag.size else 1.0
-    return state
+    return RegularizerState(
+        kind=kind,
+        alpha=alpha,
+        class_refs=class_refs,
+        global_ref=feats[:MMD_REF_CAP].copy(),
+        bandwidth_sq=float(max(np.median(off_diag), 1e-12)) if off_diag.size else 1.0,
+    )
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,13 +112,20 @@ def _kl_class(rows: np.ndarray, mu: np.ndarray, var: np.ndarray) -> tuple[float,
     return float(value), grad
 
 
-def _mmd_class(rows: np.ndarray, ref: np.ndarray, h2: float) -> tuple[float, np.ndarray]:
-    """Biased (V-statistic) squared MMD with k(x,y)=exp(-||x-y||^2/h2); always >= 0."""
+def _self_kernel_mean(ref: np.ndarray, h2: float) -> float:
+    """mean k(ref, ref): the MMD term that depends on the reference rows only."""
+    return np.exp(-_pairwise_sq_dists(ref, ref) / h2).mean()
+
+
+def _mmd_class(rows: np.ndarray, ref: np.ndarray, h2: float, k_yy_mean: float) -> tuple[float, np.ndarray]:
+    """Biased (V-statistic) squared MMD with k(x,y)=exp(-||x-y||^2/h2); always >= 0.
+
+    k_yy_mean is _self_kernel_mean(ref, h2), precomputed by RegularizerState.
+    """
     n, m = len(rows), len(ref)
     k_xx = np.exp(-_pairwise_sq_dists(rows, rows) / h2)
-    k_yy = np.exp(-_pairwise_sq_dists(ref, ref) / h2)
     k_xy = np.exp(-_pairwise_sq_dists(rows, ref) / h2)
-    value = k_xx.mean() + k_yy.mean() - 2.0 * k_xy.mean()
+    value = k_xx.mean() + k_yy_mean - 2.0 * k_xy.mean()
 
     # d/dx_i of sum_ab k(x_a,x_b): both index slots hit row i, so
     # grad_i = -4/h2 [ (sum_j k_ij) x_i - (K rows)_i ] / n^2, likewise for K_xy
@@ -139,10 +158,13 @@ def reg_value_grad(
                 raise ValueError(f"no statistics for class {c} and no global fallback")
             value_c, grad_c = _kl_class(rows, mu, var)
         else:
-            ref = state.class_refs.get(int(c), state.global_ref)
-            if ref is None:
+            if int(c) in state.class_refs:
+                ref, k_yy_mean = state.class_refs[int(c)], state.class_ref_kmeans[int(c)]
+            elif state.global_ref is not None:
+                ref, k_yy_mean = state.global_ref, state.global_ref_kmean
+            else:
                 raise ValueError(f"no reference rows for class {c} and no global fallback")
-            value_c, grad_c = _mmd_class(rows, ref, state.bandwidth_sq)
+            value_c, grad_c = _mmd_class(rows, ref, state.bandwidth_sq, k_yy_mean)
         total += value_c
         grad[mask] = grad_c
     k = len(classes)

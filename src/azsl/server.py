@@ -96,10 +96,9 @@ def feedback(
     teacher: TeacherModel,
     reg_state: RegularizerState,
     request: wire.FeedbackRequest,
-    log: audit.RiskLog | None = None,
     allowed_scenario: str | None = None,
 ) -> wire.FeedbackResponse:
-    """Answer one uploaded batch; logs the disclosure (the downstream message)."""
+    """Answer one uploaded batch; the caller encodes and logs the disclosure."""
     if allowed_scenario == wire.SCENARIO_BLACK and request.scenario == wire.SCENARIO_WHITE:
         raise wire.ProtocolError("white-box feedback refused: server is black-box only")
     if request.batch.shape[1] != teacher.params.in_dim:
@@ -119,18 +118,13 @@ def feedback(
         ce_value, grad_logits = nn.loss_ce(probs, head_labels)
         _, ce_grad = nn.mlp_backward(teacher.params, cache, grad_logits)
 
-    resp = wire.FeedbackResponse(
+    return wire.FeedbackResponse(
         softmax=probs if request.want_softmax else None,
         reg_value=reg_value,
         reg_grad=reg_grad,
         ce_value=ce_value,
         ce_grad=ce_grad,
     )
-    if log is not None:
-        payload = wire.encode_feedback_response(resp)
-        kind = audit.KIND_CE_GRAD if ce_grad is not None else audit.KIND_FEEDBACK_RESPONSE
-        log.append(kind, len(payload), resp.risk, request.scenario, audit.DOWN, payload)
-    return resp
 
 
 def export_weights(
@@ -173,11 +167,13 @@ class TeacherServer:
                     audit.KIND_FEEDBACK_REQUEST, len(payload), wire.RISK_LOW,
                     request.scenario, audit.UP, payload,
                 )
-                resp = feedback(
-                    self.teacher, self.reg_state, request,
-                    log=self.log, allowed_scenario=self.scenario,
+                resp = feedback(self.teacher, self.reg_state, request, allowed_scenario=self.scenario)
+                out = wire.encode_feedback_response(resp)
+                self.log.append(
+                    audit.KIND_CE_GRAD if resp.ce_grad is not None else audit.KIND_FEEDBACK_RESPONSE,
+                    len(out), resp.risk, request.scenario, audit.DOWN, out,
                 )
-                return wire.KIND_FEEDBACK_RESPONSE, wire.encode_feedback_response(resp)
+                return wire.KIND_FEEDBACK_RESPONSE, out
             if kind == wire.KIND_WEIGHT_REQUEST:
                 scenario = wire.decode_weight_request(payload)
                 self.log.append(

@@ -259,6 +259,38 @@ class TestServeCli:
                 proc.kill()
         assert (tmp_path / "srv" / "server_transcript.json").exists()
 
+    def test_ready_line_means_port_accepts(self, tmp_path):
+        import os
+        import re
+        import select
+        import signal
+        import subprocess
+        import sys
+
+        cfg = tiny_config(endpoint=("127.0.0.1", 0), out=str(tmp_path / "srv"))
+        path = write_config(tmp_path, cfg, "srv.azsl")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "azsl.cli", "serve", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        )
+        try:
+            readable, _, _ = select.select([proc.stdout], [], [], 120)
+            assert readable, "no ready line within 120 s"
+            line = proc.stdout.readline().decode()
+            match = re.fullmatch(r"serving teacher on 127\.0\.0\.1:(\d+) \(white\)\n", line)
+            if not match:
+                stderr = proc.stderr.read().decode() if proc.poll() is not None else ""
+                raise AssertionError(f"unexpected first line {line!r}; stderr: {stderr}")
+            port = int(match.group(1))
+            assert port != 0  # the bound port, not the configured 0
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()  # once, no retry
+            os.kill(proc.pid, signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
     def test_serve_then_remote_run_matches_local(self, tmp_path):
         local_cfg = tiny_config(out=str(tmp_path / "local"))
         run_experiment(local_cfg, outdir=local_cfg.out)

@@ -1,0 +1,57 @@
+"""Golden digests: bit-exactness oracle for refactors and speed-ups.
+
+Pins ArtifactBundle.digest() and the SHA-256 of report_gzsl.txt for two TINY
+runs. Floating-point results depend on the numpy and BLAS build, so the pins
+hold only for the build named below; on any other build the test skips and
+names both, instead of re-pinning. A change that moves these values on purpose
+changes the numerics and must say so.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from azsl.experiment import run_experiment
+from conftest import tiny_config
+
+PINNED_NUMPY = "2.4.6"
+PINNED_OPENBLAS = "0.3.31"
+
+GOLDEN = {
+    "white-kl": (
+        {},
+        "eea6cd38786659e6bae82f2ad7d5431c37596dbfc3101d9b8cc6d2c5ab6b8e9c",
+        "292b407bbf1793573956c21f0b18627bec50346d0abe17561986d2d96ccc0c4b",
+    ),
+    "black-mmd": (
+        {"scenario": "black", "regularizer": "mmd"},
+        "f4a7743f6bcb4a8392735462d59a19a78b286505783c6ddb2ccf7cd3fc86a062",
+        "c5be85f5fe07bdd01d630fe5cb88209ad4bf7f45d3809d56962cdd4dec817e70",
+    ),
+}
+
+
+def _blas() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
+def _require_pinned_build():
+    # numpy first: show_config(mode=...) does not exist before numpy 1.26
+    found = _blas() if np.__version__ == PINNED_NUMPY else "not checked"
+    if "openblas" not in found or not found.split()[-1].startswith(PINNED_OPENBLAS):
+        pytest.skip(
+            f"golden digests are pinned for numpy {PINNED_NUMPY} with OpenBLAS {PINNED_OPENBLAS}; "
+            f"this build has numpy {np.__version__} with BLAS {found}"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest_and_report(name, tmp_path):
+    _require_pinned_build()
+    overrides, digest, report_sha = GOLDEN[name]
+    cfg = tiny_config(out=str(tmp_path / name), **overrides)
+    result = run_experiment(cfg, outdir=cfg.out)
+    report = (result.outdir / "report_gzsl.txt").read_bytes()
+    assert result.bundle.digest() == digest
+    assert hashlib.sha256(report).hexdigest() == report_sha, report.decode()

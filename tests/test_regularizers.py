@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from azsl import regularizers
 from azsl.data import Dataset, SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import (
     MMD_REF_CAP,
     VAR_FLOOR,
     RegularizerState,
+    _pairwise_sq_dists,
     fit_regularizer,
     reg_value_grad,
 )
@@ -190,6 +194,90 @@ class TestMmd:
             ) / (2 * eps)
             worst = max(worst, abs(grad[i, j] - num) / max(abs(num), abs(grad[i, j]), 1e-6))
         assert worst < 1e-4
+
+
+def uncached_mmd_class(rows, ref, h2):
+    """_mmd_class as it was before the self-kernel mean was cached."""
+    n, m = len(rows), len(ref)
+    k_xx = np.exp(-_pairwise_sq_dists(rows, rows) / h2)
+    k_yy = np.exp(-_pairwise_sq_dists(ref, ref) / h2)
+    k_xy = np.exp(-_pairwise_sq_dists(rows, ref) / h2)
+    value = k_xx.mean() + k_yy.mean() - 2.0 * k_xy.mean()
+    grad = (-4.0 / (n * n * h2)) * (k_xx.sum(axis=1, keepdims=True) * rows - k_xx @ rows)
+    grad += (4.0 / (n * m * h2)) * (k_xy.sum(axis=1, keepdims=True) * rows - k_xy @ ref)
+    return float(value), grad
+
+
+def uncached_value_grad(state, batch, labels):
+    """reg_value_grad's MMD branch built on uncached_mmd_class."""
+    grad = np.zeros_like(batch)
+    classes = np.unique(labels)
+    total = 0.0
+    for c in classes:
+        mask = labels == c
+        ref = state.class_refs.get(int(c), state.global_ref)
+        value_c, grad_c = uncached_mmd_class(batch[mask], ref, state.bandwidth_sq)
+        total += value_c
+        grad[mask] = grad_c
+    return total / len(classes), grad / len(classes)
+
+
+class TestMmdCache:
+    """The cached mean k(ref, ref) changes no bit of any value or gradient."""
+
+    def setup_method(self):
+        self.ds = make_synthetic(
+            SyntheticSpec(n_classes=4, seen_count=3, d_x=6, d_a=3, per_class=50), seed=6
+        )
+        # class 3 has no training rows, so requests for it use global_ref
+        self.split = dataclasses.replace(
+            full_train_split_all(self.ds), teacher_train=np.flatnonzero(self.ds.labels != 3)
+        )
+        rng = np.random.default_rng(7)
+        self.batch = np.abs(rng.normal(size=(24, 6)))
+        self.labels = np.repeat(np.arange(4), 6)
+
+    def assert_matches_uncached(self, state):
+        value, grad = reg_value_grad(state, self.batch, self.labels)
+        ref_value, ref_grad = uncached_value_grad(state, self.batch, self.labels)
+        assert value == ref_value
+        assert (grad == ref_grad).all()
+
+    def test_fitted_state_with_global_fallback(self):
+        state = fit_regularizer(self.ds, self.split, "mmd", alpha=1.0)
+        assert 3 not in state.class_refs and state.global_ref is not None
+        self.assert_matches_uncached(state)
+
+    def test_directly_constructed_state(self):
+        rng = np.random.default_rng(8)
+        refs = {c: rng.standard_normal((9, 6)) for c in range(3)}
+        state = RegularizerState("mmd", 1.0, class_refs=refs, global_ref=rng.standard_normal((11, 6)),
+                                 bandwidth_sq=4.0)
+        self.assert_matches_uncached(state)
+        without_fallback = RegularizerState("mmd", 1.0, class_refs=refs, bandwidth_sq=4.0)
+        with pytest.raises(ValueError, match="no reference rows for class 3"):
+            reg_value_grad(without_fallback, self.batch, self.labels)
+
+    def test_reference_kernel_built_once_per_set(self, monkeypatch):
+        pairs = []
+
+        def recording(a, b):
+            pairs.append((a, b))
+            return _pairwise_sq_dists(a, b)
+
+        monkeypatch.setattr(regularizers, "_pairwise_sq_dists", recording)
+        state = fit_regularizer(self.ds, self.split, "mmd", alpha=1.0)
+        refs = [*state.class_refs.values(), state.global_ref]
+
+        def ref_self_kernels():
+            return sum(1 for a, b in pairs if a is b and any(a is r for r in refs))
+
+        assert ref_self_kernels() == len(refs)
+        fitted = len(pairs)
+        for _ in range(3):
+            reg_value_grad(state, self.batch, self.labels)
+        assert len(pairs) == fitted + 3 * 2 * 4  # k_xx and k_xy per class per request
+        assert ref_self_kernels() == len(refs)
 
 
 class TestNoneKind:

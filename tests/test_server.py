@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import socket
 import threading
@@ -215,6 +216,27 @@ class TestRiskLog:
         downs = [e for e in server.log.entries if e.direction == audit.DOWN]
         assert len(ups) == 100 and len(downs) == 100
         assert len(channel.transcript.entries) == 200
+
+    @pytest.mark.parametrize("scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
+    def test_response_encoded_once_and_logged_as_sent(self, trained, scenario, monkeypatch):
+        _, _, teacher, reg = trained
+        server = TeacherServer(teacher, reg, scenario)
+        encoded = []
+        real = wire.encode_feedback_response
+
+        def recording(resp):
+            encoded.append(real(resp))
+            return encoded[-1]
+
+        monkeypatch.setattr(wire, "encode_feedback_response", recording)
+        req = wire.encode_feedback_request(wire.FeedbackRequest(scenario, np.full((3, 10), 0.5), [0, 1, 2]))
+        kind, payload = server.handle_payload(wire.KIND_FEEDBACK_REQUEST, req)
+        assert kind == wire.KIND_FEEDBACK_RESPONSE and encoded == [payload]
+        down = server.log.entries[-1]
+        expect_kind = audit.KIND_CE_GRAD if scenario == wire.SCENARIO_WHITE else audit.KIND_FEEDBACK_RESPONSE
+        assert (down.direction, down.kind, down.size) == (audit.DOWN, expect_kind, len(payload))
+        assert down.risk == (wire.RISK_MID if scenario == wire.SCENARIO_WHITE else wire.RISK_LOW)
+        assert down.payload_sha == hashlib.sha256(payload).hexdigest()[:16]
 
     def test_black_transcript_has_no_mid_entries(self, trained):
         server, channel = self.run_session(trained, wire.SCENARIO_BLACK, n=20)
