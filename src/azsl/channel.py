@@ -85,20 +85,12 @@ class TcpChannel(BaseChannel):
         super().__init__(record_payloads)
         self.sock = socket.create_connection((host, port), timeout=timeout)
 
-    def _read_exact(self, n: int) -> bytes:
-        chunks = []
-        got = 0
-        while got < n:
-            chunk = self.sock.recv(n - got)
-            if not chunk:
-                raise wire.ProtocolError("server closed the connection", code=wire.ERR_BAD_FRAME)
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
-
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         self.sock.sendall(wire.frame(kind, payload))
-        return wire.read_frame(self._read_exact)
+        reply = wire.recv_frame(self.sock)
+        if reply is None:
+            raise wire.ProtocolError("server closed the connection", code=wire.ERR_BAD_FRAME)
+        return reply
 
     def close(self) -> None:
         try:

@@ -90,8 +90,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a non-empty value list")
     shared_data_seed = resolve_data_seed(cfg)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = ["value,u,s,H"]
+    cells = []  # every cell is built and validated before any of them runs
     for i, raw in enumerate(values):
         try:
             if args.param == "noise_dim":
@@ -107,6 +106,10 @@ def cmd_sweep(args) -> int:
             out=str(outdir / f"cell_{i:03d}"),
             **overrides,
         )
+        cells.append((raw, cell))
+    outdir.mkdir(parents=True, exist_ok=True)
+    rows = ["value,u,s,H"]
+    for raw, cell in cells:
         result = run_experiment(cell, outdir=cell.out)
         r = result.report_gzsl
         rows.append(f"{raw},{r.u!r},{r.s!r},{r.h!r}")

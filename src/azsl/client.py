@@ -77,7 +77,6 @@ class TrainConfig:
     min_verified_per_class: int = 1
     regen_retry_cap: int = 2
     verify: bool = True
-    refresh_targets: bool = False
     lr: float = 1e-5
     seed: int = 0
 
@@ -113,13 +112,6 @@ def generator_specs(noise_dim: int, d_a: int, d_x: int, hidden=(4096,), slope: f
     dims = [noise_dim + d_a, *hidden]
     specs = [nn.LayerSpec(a, b, nn.ACT_LEAKY_RELU, slope) for a, b in zip(dims[:-1], dims[1:])]
     specs.append(nn.LayerSpec(dims[-1], d_x, nn.ACT_RELU))
-    return specs
-
-
-def student_specs(d_x: int, n_out: int, hidden=(1024, 512), slope: float = 0.2) -> list[nn.LayerSpec]:
-    dims = [d_x, *hidden, n_out]
-    specs = [nn.LayerSpec(a, b, nn.ACT_LEAKY_RELU, slope) for a, b in zip(dims[:-2], dims[1:-1])]
-    specs.append(nn.LayerSpec(dims[-2], dims[-1], nn.ACT_IDENTITY))
     return specs
 
 
@@ -339,8 +331,6 @@ def ensure_quota(
         teacher_softmax=np.concatenate(softmaxes) if softmaxes else np.zeros((0, 0)),
         kept_fraction=n_kept / total_generated if total_generated else 0.0,
     )
-    if cfg.refresh_targets and len(verified):
-        verified.teacher_softmax = _request_softmax(channel, verified.features, verified.labels)
     shortfall = {
         int(c): sum(len(f) for f, _ in kept[int(c)])
         for c in classes
@@ -355,35 +345,27 @@ def train_student(
     """Distill the stored teacher softmax into the student (probability-space MSE)."""
     if len(verified) == 0:
         raise ValueError("verified batch is empty; nothing to distill")
-    state = nn.AdamState.for_params(student, lr=cfg.lr)
-    trace = []
-    n = len(verified)
-    for epoch in range(cfg.t_s):
-        rng = rng_for(cfg.seed, "student-epoch", epoch)
-        order = rng.permutation(n)
-        epoch_mse = 0.0
-        epoch_mse_logits = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = verified.features[idx]
-            targets = verified.teacher_softmax[idx]
-            logits, cache = nn.mlp_forward(student, x)
-            probs = nn.softmax(logits)
-            mse, grad_probs = nn.loss_mse(probs, targets)
-            grad_logits = nn.softmax_vjp(probs, grad_probs)
-            grads, _ = nn.mlp_backward(student, cache, grad_logits)
-            nn.adam_step(student, grads, state)
-            epoch_mse += mse * len(idx)
-            # shift-aligned logit-space distance, kept as a diagnostic only
-            log_t = np.log(np.maximum(targets, 1e-300))
-            lv, _ = nn.loss_mse(
-                logits - logits.mean(axis=1, keepdims=True),
-                log_t - log_t.mean(axis=1, keepdims=True),
-            )
-            epoch_mse_logits += lv * len(idx)
-        trace.append(
-            {"phase": "student", "epoch": epoch, "mse": epoch_mse / n, "mse_logits": epoch_mse_logits / n}
+
+    def loss(logits, idx):
+        targets = verified.teacher_softmax[idx]
+        probs = nn.softmax(logits)
+        mse, grad_probs = nn.loss_mse(probs, targets)
+        # shift-aligned logit-space distance, kept as a diagnostic only
+        log_t = np.log(np.maximum(targets, 1e-300))
+        mse_logits, _ = nn.loss_mse(
+            logits - logits.mean(axis=1, keepdims=True),
+            log_t - log_t.mean(axis=1, keepdims=True),
         )
+        return (mse, mse_logits), nn.softmax_vjp(probs, grad_probs)
+
+    history = nn.fit_minibatch(
+        student, verified.features, loss, cfg.t_s, cfg.batch_size,
+        lambda epoch: rng_for(cfg.seed, "student-epoch", epoch).permutation(len(verified)), cfg.lr,
+    )
+    trace = [
+        {"phase": "student", "epoch": epoch, "mse": mse, "mse_logits": mse_logits}
+        for epoch, (mse, mse_logits) in enumerate(history)
+    ]
     return student, trace
 
 
@@ -403,22 +385,14 @@ def train_inductive_classifier(
     head_labels = np.searchsorted(classes, batch.cond_labels)
 
     params = nn.mlp_init(
-        [nn.LayerSpec(d_x, len(classes), nn.ACT_IDENTITY)],
+        nn.classifier_specs(d_x, len(classes), hidden=()),
         nn.ROLE_CLASSIFIER,
         derive_seed(cfg.seed, "classifier-init"),
     )
-    state = nn.AdamState.for_params(params, lr=cfg.lr)
-    n = len(batch.features)
-    for epoch in range(cfg.t_s):
-        rng = rng_for(cfg.seed, "classifier-epoch", epoch)
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            logits, cache = nn.mlp_forward(params, batch.features[idx])
-            probs = nn.softmax(logits)
-            _, grad_logits = nn.loss_ce(probs, head_labels[idx])
-            grads, _ = nn.mlp_backward(params, cache, grad_logits)
-            nn.adam_step(params, grads, state)
+    nn.fit_minibatch(
+        params, batch.features, nn.ce_loss_on(head_labels), cfg.t_s, cfg.batch_size,
+        lambda epoch: rng_for(cfg.seed, "classifier-epoch", epoch).permutation(len(batch.features)), cfg.lr,
+    )
     return params, classes
 
 
@@ -483,7 +457,7 @@ def run_algorithm1(channel, semantics: SemanticTable, cfg: TrainConfig, setup: C
         derive_seed(cfg.seed, "gen-init"),
     )
     student = nn.mlp_init(
-        student_specs(setup.d_x, len(setup.teacher_classes), setup.student_hidden, setup.slope),
+        nn.classifier_specs(setup.d_x, len(setup.teacher_classes), setup.student_hidden, setup.slope),
         nn.ROLE_STUDENT,
         derive_seed(cfg.seed, "student-init"),
     )

@@ -40,7 +40,6 @@ class ExperimentConfig:
     min_verified: int = 1
     retry_cap: int = 2
     verify: bool = True
-    refresh_targets: bool = False
     teacher_epochs: int = 200
     teacher_batch: int = 64
     teacher_hidden: tuple[int, ...] = (1024, 512)
@@ -99,7 +98,6 @@ _KEYS: dict[str, tuple[str, callable]] = {
     "train.min_verified": ("min_verified", int),
     "train.retry_cap": ("retry_cap", int),
     "train.verify": ("verify", _parse_bool),
-    "train.refresh_targets": ("refresh_targets", _parse_bool),
     "teacher.epochs": ("teacher_epochs", int),
     "teacher.batch_size": ("teacher_batch", int),
     "teacher.hidden": ("teacher_hidden", _parse_int_tuple),
@@ -248,7 +246,6 @@ def emit_config(cfg: ExperimentConfig) -> str:
     put("train.min_verified", cfg.min_verified)
     put("train.retry_cap", cfg.retry_cap)
     put("train.verify", "true" if cfg.verify else "false")
-    put("train.refresh_targets", "true" if cfg.refresh_targets else "false")
     put("teacher.epochs", cfg.teacher_epochs)
     put("teacher.batch_size", cfg.teacher_batch)
     put("teacher.hidden", ",".join(map(str, cfg.teacher_hidden)))
@@ -264,4 +261,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
 
 
 def with_overrides(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    return replace(cfg, **kw)
+    """A copy with some fields replaced, validated like a parsed config."""
+    out = replace(cfg, **kw)
+    _validate(out, f"override of {', '.join(kw)}")
+    return out

@@ -90,7 +90,6 @@ def train_config(cfg: ExperimentConfig) -> TrainConfig:
         min_verified_per_class=cfg.min_verified,
         regen_retry_cap=cfg.retry_cap,
         verify=cfg.verify,
-        refresh_targets=cfg.refresh_targets,
         lr=cfg.lr,
         seed=derive_seed(cfg.seed, "client"),
     )

@@ -1,9 +1,11 @@
 """Dense-network numerics: layer specs, MLP forward/backward, losses, Adam.
 
 Everything runs in float64 numpy. Networks are plain parameter containers so
-training loops stay explicit, seedable, and bit-reproducible; there is no
-autograd graph, just hand-written backward passes verified against finite
-differences (see grad_check).
+training stays explicit, seedable, and bit-reproducible; there is no autograd
+graph, just hand-written backward passes verified against finite differences
+(see grad_check). The teacher, the student and the inductive classifier are
+all fitted by the one minibatch-Adam loop, fit_minibatch; only the generator
+loops, which step on channel feedback, live elsewhere.
 """
 from __future__ import annotations
 
@@ -138,6 +140,14 @@ def mlp_init(specs: list[LayerSpec], role: str, seed: int) -> MlpParams:
         weights.append(rng.uniform(-bound, bound, size=(spec.in_dim, spec.out_dim)))
         biases.append(np.zeros(spec.out_dim))
     return MlpParams(role=role, layers=list(specs), weights=weights, biases=biases, seed=seed)
+
+
+def classifier_specs(d_in: int, n_out: int, hidden=(1024, 512), slope: float = 0.2) -> list[LayerSpec]:
+    """Leaky-ReLU hidden layers and a linear head (teacher, student, classifier)."""
+    dims = [d_in, *hidden, n_out]
+    specs = [LayerSpec(a, b, ACT_LEAKY_RELU, slope) for a, b in zip(dims[:-2], dims[1:-1])]
+    specs.append(LayerSpec(dims[-2], dims[-1], ACT_IDENTITY))
+    return specs
 
 
 def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
@@ -275,6 +285,50 @@ def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[Mlp
             v += (1.0 - state.beta2) * g * g
             a -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params, state
+
+
+def fit_minibatch(
+    params: MlpParams,
+    X: np.ndarray,
+    loss: Callable[[np.ndarray, np.ndarray], tuple[tuple[float, ...], np.ndarray]],
+    epochs: int,
+    batch_size: int,
+    order: Callable[[int], np.ndarray],
+    lr: float,
+) -> list[tuple[float, ...]]:
+    """Minibatch Adam over the rows of X, updating params in place.
+
+    order(epoch) gives that epoch's row permutation; loss(logits, idx) gives
+    (terms, dL/d logits) for the rows X[idx]. Returns, per epoch, the
+    row-weighted mean of each term.
+    """
+    state = AdamState.for_params(params, lr=lr)
+    n = len(X)
+    history = []
+    for epoch in range(epochs):
+        perm = order(epoch)
+        sums: list[float] = []
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
+            logits, cache = mlp_forward(params, X[idx])
+            terms, grad_logits = loss(logits, idx)
+            grads, _ = mlp_backward(params, cache, grad_logits)
+            adam_step(params, grads, state)
+            sums = sums or [0.0] * len(terms)
+            for k, value in enumerate(terms):
+                sums[k] += value * len(idx)
+        history.append(tuple(s / n for s in sums))
+    return history
+
+
+def ce_loss_on(labels: np.ndarray):
+    """fit_minibatch loss: mean cross-entropy of softmax(logits) against labels[idx]."""
+
+    def loss(logits: np.ndarray, idx: np.ndarray):
+        value, grad_logits = loss_ce(softmax(logits), labels[idx])
+        return (value,), grad_logits
+
+    return loss
 
 
 LossClosure = Callable[[MlpParams], tuple[float, MlpGrads]]

@@ -42,15 +42,6 @@ class TeacherModel:
         return idx
 
 
-def teacher_layer_specs(d_x: int, n_classes: int, hidden=(1024, 512), slope: float = 0.2) -> list[nn.LayerSpec]:
-    dims = [d_x, *hidden, n_classes]
-    specs = [
-        nn.LayerSpec(a, b, nn.ACT_LEAKY_RELU, slope) for a, b in zip(dims[:-2], dims[1:-1])
-    ]
-    specs.append(nn.LayerSpec(dims[-2], dims[-1], nn.ACT_IDENTITY))
-    return specs
-
-
 def train_teacher(
     dataset: Dataset,
     split: SplitBundle,
@@ -68,24 +59,16 @@ def train_teacher(
     feats = dataset.features[rows]
     labels = dataset.labels[rows]
 
-    params = nn.mlp_init(teacher_layer_specs(dataset.d_x, len(class_space), hidden), nn.ROLE_TEACHER, seed)
+    params = nn.mlp_init(nn.classifier_specs(dataset.d_x, len(class_space), hidden), nn.ROLE_TEACHER, seed)
     model = TeacherModel(params=params, class_space=class_space, train_accuracy=0.0)
     head_labels = model.head_index(labels)
 
-    state = nn.AdamState.for_params(params, lr=lr)
-    rng = rng_for(seed, "teacher-batches")
-    for _ in range(epochs):
-        order = rng.permutation(len(feats))
-        epoch_loss = 0.0
-        for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            logits, cache = nn.mlp_forward(params, feats[idx])
-            probs = nn.softmax(logits)
-            value, grad_logits = nn.loss_ce(probs, head_labels[idx])
-            grads, _ = nn.mlp_backward(params, cache, grad_logits)
-            nn.adam_step(params, grads, state)
-            epoch_loss += value * len(idx)
-        model.loss_trace.append(epoch_loss / len(feats))
+    rng = rng_for(seed, "teacher-batches")  # one stream across all epochs
+    history = nn.fit_minibatch(
+        params, feats, nn.ce_loss_on(head_labels), epochs, batch_size,
+        lambda _epoch: rng.permutation(len(feats)), lr,
+    )
+    model.loss_trace = [value for (value,) in history]
 
     logits, _ = nn.mlp_forward(params, feats)
     model.train_accuracy = float((logits.argmax(axis=1) == head_labels).mean())
@@ -195,21 +178,6 @@ class TeacherServer:
             return wire.KIND_ERROR, payload
 
 
-def _recv_exact(conn: socket.socket, n: int) -> bytes | None:
-    """None on clean EOF at a message boundary; raises if a frame is cut short."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = conn.recv(n - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise wire.ProtocolError("connection closed mid-frame", code=wire.ERR_BAD_FRAME)
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
 def serve(
     endpoint: tuple[str, int],
     server: TeacherServer,
@@ -236,24 +204,7 @@ def serve(
                 conn.settimeout(300.0)
                 while True:
                     try:
-                        first = _recv_exact(conn, 1)
-                        if first is None:
-                            break
-                        rest = _recv_exact(conn, 9)
-                        if rest is None:
-                            raise wire.ProtocolError("connection closed mid-frame", code=wire.ERR_BAD_FRAME)
-                        header = first + rest
-                        if header[:4] != wire.MAGIC:
-                            raise wire.ProtocolError("bad magic", code=wire.ERR_BAD_FRAME)
-                        if header[4] != wire.VERSION:
-                            raise wire.ProtocolError("unsupported version", code=wire.ERR_BAD_VERSION)
-                        kind = header[5]
-                        length = int.from_bytes(header[6:10], "little")
-                        if length > wire.MAX_PAYLOAD:
-                            raise wire.ProtocolError("oversized frame", code=wire.ERR_BAD_FRAME)
-                        payload = _recv_exact(conn, length) if length else b""
-                        if payload is None:
-                            raise wire.ProtocolError("connection closed mid-frame", code=wire.ERR_BAD_FRAME)
+                        frame = wire.recv_frame(conn)
                     except wire.ProtocolError as exc:
                         err = wire.encode_error(exc.code, str(exc))
                         server.log.append(audit.KIND_ERROR, len(err), wire.RISK_LOW, server.scenario, audit.DOWN, err)
@@ -264,7 +215,9 @@ def serve(
                         break  # malformed framing: close the connection
                     except OSError:
                         break  # idle timeout or reset: drop this connection only
-                    out_kind, out_payload = server.handle_payload(kind, payload)
+                    if frame is None:
+                        break  # the client closed between frames
+                    out_kind, out_payload = server.handle_payload(*frame)
                     try:
                         conn.sendall(wire.frame(out_kind, out_payload))
                     except OSError:

@@ -7,6 +7,7 @@ exactly these encoders, so transport never changes a byte.
 """
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass, field
 
@@ -322,3 +323,24 @@ def read_frame(read_exact) -> tuple[int, bytes]:
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {length} bytes exceeds cap", code=ERR_BAD_FRAME)
     return kind, read_exact(length)
+
+
+def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
+    """Read one frame from a socket; None if the peer closed before its first byte.
+
+    A close anywhere later in the frame raises ERR_BAD_FRAME.
+    """
+
+    def read_exact(n: int) -> bytes:
+        chunks, got = [], 0
+        while got < n:
+            chunk = sock.recv(n - got)
+            if not chunk:
+                raise ProtocolError("connection closed mid-frame", code=ERR_BAD_FRAME)
+            chunks.append(chunk)
+            got += len(chunk)
+        return b"".join(chunks)
+
+    if not sock.recv(1, socket.MSG_PEEK):
+        return None
+    return read_frame(read_exact)

@@ -1,5 +1,8 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -20,6 +23,16 @@ RUN_FILES = [
     "report_czsl.txt",
     "report_gzsl.txt",
 ]
+
+
+def serve_cmd(path):
+    """`azsl serve path` in a child process that imports this same azsl package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-m", "azsl.cli", "serve", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
 
 
 def write_config(tmp_path, cfg, name="exp.azsl"):
@@ -75,6 +88,12 @@ class TestRun:
         assert (tmp_path / "a" / "report_gzsl.txt").read_bytes() == (
             tmp_path / "b" / "report_gzsl.txt"
         ).read_bytes()
+
+    def test_negative_env_seed_is_a_config_error(self, tmp_path, monkeypatch):
+        cfg = tiny_config(out=str(tmp_path / "run"))
+        monkeypatch.setenv("AZSL_SEED", "-1")
+        assert cli.main(["run", str(write_config(tmp_path, cfg))]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
 
 
 class TestExitCodes:
@@ -173,6 +192,11 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["20", "100", "400", "768"]
 
+    def test_invalid_cell_rejected_before_any_cell_runs(self, tmp_path):
+        path = write_config(tmp_path, tiny_config(out=str(tmp_path / "sweep")))
+        assert cli.main(["sweep", str(path), "--param", "alpha", "--values", "1,-1"]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "sweep").exists()
+
     def test_empty_values_rejected(self, tmp_path):
         path = write_config(tmp_path, tiny_config())
         assert cli.main(["sweep", str(path), "--param", "alpha", "--values", " "]) == cli.EXIT_CONFIG
@@ -223,11 +247,7 @@ class TestGenData:
 
 class TestServeCli:
     def test_sigterm_flushes_transcript(self, tmp_path):
-        import os
         import signal
-        import socket
-        import subprocess
-        import sys
         import time
 
         free = socket.socket()
@@ -236,10 +256,7 @@ class TestServeCli:
         free.close()
         cfg = tiny_config(endpoint=("127.0.0.1", port), out=str(tmp_path / "srv"))
         path = write_config(tmp_path, cfg, "srv.azsl")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "azsl.cli", "serve", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
+        proc = serve_cmd(path)
         try:
             deadline = time.time() + 120
             while time.time() < deadline:
@@ -260,19 +277,13 @@ class TestServeCli:
         assert (tmp_path / "srv" / "server_transcript.json").exists()
 
     def test_ready_line_means_port_accepts(self, tmp_path):
-        import os
         import re
         import select
         import signal
-        import subprocess
-        import sys
 
         cfg = tiny_config(endpoint=("127.0.0.1", 0), out=str(tmp_path / "srv"))
         path = write_config(tmp_path, cfg, "srv.azsl")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "azsl.cli", "serve", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
-        )
+        proc = serve_cmd(path)
         try:
             readable, _, _ = select.select([proc.stdout], [], [], 120)
             assert readable, "no ready line within 120 s"

@@ -16,7 +16,6 @@ from azsl.client import (
     generate,
     generator_specs,
     run_algorithm1,
-    student_specs,
     train_black,
     train_generator_white,
     train_inductive_classifier,
@@ -212,7 +211,7 @@ class TestWhiteTraining:
 class TestBlackTraining:
     def test_zero_updates_when_student_matches_targets(self, teacher_env):
         gen = tiny_generator(seed=9)
-        student = nn.mlp_init(student_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 3)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 3)
         z = np.random.default_rng(2).standard_normal((5, NZ))
         sem_rows = semantics().rows_for([0] * 5)
         features, cache = client_mod._forward_generator(gen, z, sem_rows)
@@ -228,7 +227,7 @@ class TestBlackTraining:
         ds, _, teacher, reg = teacher_env
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = tiny_generator(seed=10)
-        student = nn.mlp_init(student_specs(D_X, 4, (12,)), nn.ROLE_STUDENT, 4)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (12,)), nn.ROLE_STUDENT, 4)
         rng = np.random.default_rng(3)
         z = rng.standard_normal((6, NZ))
         labels = np.array([0, 1, 2, 3, 1, 2])
@@ -262,7 +261,7 @@ class TestBlackTraining:
     def test_teacher_outputs_used_only_as_constants(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = tiny_generator(seed=11)
-        student = nn.mlp_init(student_specs(D_X, 4, (12,)), nn.ROLE_STUDENT, 5)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (12,)), nn.ROLE_STUDENT, 5)
         z = np.random.default_rng(4).standard_normal((4, NZ))
         labels = np.array([0, 1, 2, 3])
         sem_rows = semantics().rows_for(labels)
@@ -279,7 +278,7 @@ class TestBlackTraining:
     def test_black_transcript_is_all_low_risk(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = tiny_generator(seed=12, hidden=(16,))
-        student = nn.mlp_init(student_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 6)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 6)
         cfg = TrainConfig(t_g=20, batch_size=16, alpha=1.0, noise=NoiseSpec(NZ, 4), lr=1e-3, seed=4,
                           scenario=wire.SCENARIO_BLACK)
         train_black(gen, student, channel, semantics(), [0, 1, 2, 3], cfg)
@@ -336,7 +335,7 @@ def trained_generator(teacher_env, seed=20):
 
 class TestStudentTraining:
     def test_zero_loss_zero_updates_at_optimum(self):
-        student = nn.mlp_init(student_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 7)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 7)
         x = np.abs(np.random.default_rng(5).normal(size=(12, D_X)))
         logits, _ = nn.mlp_forward(student, x)
         from azsl.client import VerifiedBatch
@@ -353,13 +352,13 @@ class TestStudentTraining:
         cfg = TrainConfig(per_class_count=40, t_s=12, batch_size=160, lr=1e-3,
                           noise=NoiseSpec(NZ, 10), seed=10)
         quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg, class_space=np.arange(4))
-        student = nn.mlp_init(student_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 8)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 8)
         _, trace = train_student(student, quota.verified, cfg)
         mse = [row["mse"] for row in trace]
         assert all(b < a for a, b in zip(mse[:10], mse[1:11]))
 
     def test_grads_match_finite_differences(self):
-        student = nn.mlp_init(student_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 9)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 9)
         rng = np.random.default_rng(6)
         x = np.abs(rng.normal(size=(10, D_X)))
         targets = nn.softmax(rng.normal(size=(10, 4)))
@@ -376,7 +375,7 @@ class TestStudentTraining:
     def test_empty_verified_batch_rejected(self):
         from azsl.client import VerifiedBatch
 
-        student = nn.mlp_init(student_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 10)
+        student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 10)
         empty = VerifiedBatch(np.zeros((0, D_X)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0.0)
         with pytest.raises(ValueError, match="empty"):
             train_student(student, empty, TrainConfig())

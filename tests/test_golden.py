@@ -1,10 +1,11 @@
 """Golden digests: bit-exactness oracle for refactors and speed-ups.
 
-Pins ArtifactBundle.digest() and the SHA-256 of report_gzsl.txt for two TINY
-runs. Floating-point results depend on the numpy and BLAS build, so the pins
-hold only for the build named below; on any other build the test skips and
-names both, instead of re-pinning. A change that moves these values on purpose
-changes the numerics and must say so.
+Pins ArtifactBundle.digest() and the SHA-256 of report_gzsl.txt for three TINY
+runs (white/KL, black/MMD, and inductive white/KL, the one that also covers
+the classifier fit). Floating-point results depend on the numpy and BLAS
+build, so the pins hold only for the build named below; on any other build the
+test skips and names both, instead of re-pinning. A change that moves these
+values on purpose changes the numerics and must say so.
 """
 import hashlib
 
@@ -27,6 +28,11 @@ GOLDEN = {
         {"scenario": "black", "regularizer": "mmd"},
         "f4a7743f6bcb4a8392735462d59a19a78b286505783c6ddb2ccf7cd3fc86a062",
         "c5be85f5fe07bdd01d630fe5cb88209ad4bf7f45d3809d56962cdd4dec817e70",
+    ),
+    "inductive-kl": (
+        {"teacher_mode": "inductive"},
+        "dcb9da214a6f33f1b85bc7ff2be550691ef9cfcd7760dbcdeb2385cae276e97f",
+        "340c014e0c893aae67c18b1170ea7f8b7b67f9339d7dd240573ff9ce2583a716",
     ),
 }
 

@@ -313,6 +313,89 @@ class TestAdam:
         assert all(np.isfinite(w).all() for w in params.weights)
 
 
+class TestClassifierSpecs:
+    def test_leaky_hidden_layers_and_linear_head(self):
+        specs = nn.classifier_specs(5, 3, hidden=(7, 6), slope=0.1)
+        assert [(s.in_dim, s.out_dim, s.activation) for s in specs] == [
+            (5, 7, nn.ACT_LEAKY_RELU), (7, 6, nn.ACT_LEAKY_RELU), (6, 3, nn.ACT_IDENTITY),
+        ]
+        assert [s.slope for s in specs[:-1]] == [0.1, 0.1]
+
+    def test_no_hidden_layers_is_one_linear_layer(self):
+        assert nn.classifier_specs(5, 3, hidden=()) == [nn.LayerSpec(5, 3, nn.ACT_IDENTITY)]
+
+
+class TestFitMinibatch:
+    def test_epoch_terms_are_row_weighted_when_last_batch_is_short(self):
+        params = small_net(seed=4)
+        x = np.ones((10, 5))
+        per_row = np.arange(10.0)
+
+        def loss(logits, idx):
+            return (float(per_row[idx].mean()), 2.0), np.zeros_like(logits)
+
+        history = nn.fit_minibatch(params, x, loss, 2, 4, lambda epoch: np.arange(10), lr=1e-3)
+        # batches of 4, 4 and 2 rows: batch means 1.5, 5.5 and 8.5 average to
+        # 5.1666... unweighted; weighted by rows they give the mean of all rows
+        assert history == [(4.5, 2.0), (4.5, 2.0)]
+
+    def test_order_called_once_per_epoch_in_order(self):
+        params = small_net(seed=5)
+        calls = []
+
+        def order(epoch):
+            calls.append(epoch)
+            return np.random.default_rng(epoch).permutation(9)
+
+        def loss(logits, idx):
+            return (0.0,), np.zeros_like(logits)
+
+        nn.fit_minibatch(params, np.ones((9, 5)), loss, 3, 4, order, lr=1e-3)
+        assert calls == [0, 1, 2]
+
+    def test_student_fit_equals_the_hand_written_loop(self):
+        from azsl.client import TrainConfig, VerifiedBatch, train_student
+        from azsl.seeding import rng_for
+
+        rng = np.random.default_rng(8)
+        x = np.abs(rng.normal(size=(37, 5)))
+        targets = nn.softmax(rng.normal(size=(37, 3)))
+        verified = VerifiedBatch(x, targets.argmax(axis=1), targets, 1.0)
+        cfg = TrainConfig(t_s=4, batch_size=8, lr=1e-2, seed=3)
+
+        # the student distillation loop as it was written out before fit_minibatch
+        expect = small_net(seed=6, role=nn.ROLE_STUDENT)
+        state = nn.AdamState.for_params(expect, lr=cfg.lr)
+        expect_trace = []
+        n = len(verified)
+        for epoch in range(cfg.t_s):
+            order = rng_for(cfg.seed, "student-epoch", epoch).permutation(n)
+            epoch_mse = 0.0
+            epoch_mse_logits = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                t = verified.teacher_softmax[idx]
+                logits, cache = nn.mlp_forward(expect, verified.features[idx])
+                probs = nn.softmax(logits)
+                mse, grad_probs = nn.loss_mse(probs, t)
+                grads, _ = nn.mlp_backward(expect, cache, nn.softmax_vjp(probs, grad_probs))
+                nn.adam_step(expect, grads, state)
+                epoch_mse += mse * len(idx)
+                log_t = np.log(np.maximum(t, 1e-300))
+                lv, _ = nn.loss_mse(
+                    logits - logits.mean(axis=1, keepdims=True),
+                    log_t - log_t.mean(axis=1, keepdims=True),
+                )
+                epoch_mse_logits += lv * len(idx)
+            expect_trace.append(
+                {"phase": "student", "epoch": epoch, "mse": epoch_mse / n, "mse_logits": epoch_mse_logits / n}
+            )
+
+        got, trace = train_student(small_net(seed=6, role=nn.ROLE_STUDENT), verified, cfg)
+        assert trace == expect_trace
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights + got.biases, expect.weights + expect.biases))
+
+
 class TestGradCheck:
     def make_linear_regression(self):
         params = nn.mlp_init([nn.LayerSpec(6, 1, nn.ACT_IDENTITY)], nn.ROLE_CLASSIFIER, 2)

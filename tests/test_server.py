@@ -329,6 +329,45 @@ class TestServeLoop:
             stop.set()
             thread.join(timeout=10)
 
+    def test_bad_version_gets_error_frame_then_close(self, trained):
+        _, stop, thread, port = self.start(trained)
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            sock.sendall(wire.MAGIC + bytes([wire.VERSION + 1, wire.KIND_FEEDBACK_REQUEST]) + struct.pack("<I", 0))
+            kind, payload = wire.recv_frame(sock)
+            assert kind == wire.KIND_ERROR
+            code, _ = wire.decode_error(payload)
+            assert code == wire.ERR_BAD_VERSION
+            assert wire.recv_frame(sock) is None  # server closed the connection
+            sock.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+
+    def test_channel_raises_when_server_closes_without_reply(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        got = {}
+
+        def read_then_hang_up():
+            conn, _ = listener.accept()
+            with conn:
+                got["frame"] = wire.recv_frame(conn)
+
+        thread = threading.Thread(target=read_then_hang_up, daemon=True)
+        thread.start()
+        try:
+            remote = TcpChannel("127.0.0.1", port, timeout=10)
+            req = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((1, 10)), [0])
+            with pytest.raises(wire.ProtocolError, match="closed") as exc:
+                remote.feedback(req)
+            assert exc.value.code == wire.ERR_BAD_FRAME
+            remote.close()
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert got["frame"] == (wire.KIND_FEEDBACK_REQUEST, wire.encode_feedback_request(req))
+
     def test_oversized_frame_rejected(self, trained):
         _, stop, thread, port = self.start(trained)
         try:

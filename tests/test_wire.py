@@ -1,3 +1,7 @@
+import socket
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -122,3 +126,53 @@ class TestFraming:
         )
         with pytest.raises(wire.ProtocolError):
             wire.decode_feedback_request(payload[:-3])
+
+
+class TestRecvFrame:
+    def pair(self):
+        a, b = socket.socketpair()
+        a.settimeout(10)
+        return a, b
+
+    def test_clean_close_returns_none(self):
+        a, b = self.pair()
+        b.close()
+        assert wire.recv_frame(a) is None
+        a.close()
+
+    @pytest.mark.parametrize("cut", [5, 13], ids=["in-header", "in-payload"])
+    def test_close_mid_frame_is_bad_frame(self, cut):
+        a, b = self.pair()
+        b.sendall(wire.frame(wire.KIND_ERROR, b"0123456789")[:cut])
+        b.close()
+        with pytest.raises(wire.ProtocolError) as exc:
+            wire.recv_frame(a)
+        assert exc.value.code == wire.ERR_BAD_FRAME
+        a.close()
+
+    def test_frame_sent_one_byte_at_a_time(self):
+        a, b = self.pair()
+        blob = wire.frame(wire.KIND_FEEDBACK_REQUEST, bytes(range(40)))
+
+        def drip():
+            for i in range(len(blob)):
+                b.sendall(blob[i : i + 1])
+                time.sleep(0.001)
+
+        sender = threading.Thread(target=drip)
+        sender.start()
+        try:
+            assert wire.recv_frame(a) == (wire.KIND_FEEDBACK_REQUEST, bytes(range(40)))
+        finally:
+            sender.join()
+            a.close()
+            b.close()
+
+    def test_back_to_back_frames_then_close(self):
+        a, b = self.pair()
+        b.sendall(wire.frame(wire.KIND_ERROR, b"one") + wire.frame(wire.KIND_WEIGHT_REQUEST, b""))
+        b.close()
+        assert wire.recv_frame(a) == (wire.KIND_ERROR, b"one")
+        assert wire.recv_frame(a) == (wire.KIND_WEIGHT_REQUEST, b"")
+        assert wire.recv_frame(a) is None
+        a.close()
