@@ -170,7 +170,7 @@ def white_batch_grads(
     if resp.ce_grad is None:
         raise wire.ProtocolError("white-box training needs the ce gradient in the response")
     feature_grad = resp.ce_grad + alpha * resp.reg_grad
-    grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad)
+    grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False)
     return grads
 
 
@@ -194,7 +194,7 @@ def black_batch_grads(
     grad_logits = nn.softmax_vjp(probs, grad_probs)
     student_grads, input_grad = nn.mlp_backward(student, cache, grad_logits)
     feature_grad = input_grad + alpha * reg_grad
-    gen_grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad)
+    gen_grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False)
     return mse, gen_grads, student_grads
 
 
@@ -346,16 +346,14 @@ def train_student(
     if len(verified) == 0:
         raise ValueError("verified batch is empty; nothing to distill")
 
+    # shift-aligned logit-space distance, kept as a diagnostic only
+    log_t = np.log(np.maximum(verified.teacher_softmax, 1e-300))
+    centered_log_t = log_t - log_t.mean(axis=1, keepdims=True)
+
     def loss(logits, idx):
-        targets = verified.teacher_softmax[idx]
         probs = nn.softmax(logits)
-        mse, grad_probs = nn.loss_mse(probs, targets)
-        # shift-aligned logit-space distance, kept as a diagnostic only
-        log_t = np.log(np.maximum(targets, 1e-300))
-        mse_logits, _ = nn.loss_mse(
-            logits - logits.mean(axis=1, keepdims=True),
-            log_t - log_t.mean(axis=1, keepdims=True),
-        )
+        mse, grad_probs = nn.loss_mse(probs, verified.teacher_softmax[idx])
+        mse_logits, _ = nn.loss_mse(logits - logits.mean(axis=1, keepdims=True), centered_log_t[idx])
         return (mse, mse_logits), nn.softmax_vjp(probs, grad_probs)
 
     history = nn.fit_minibatch(

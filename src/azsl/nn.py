@@ -89,17 +89,36 @@ class MlpParams:
 
 @dataclass
 class MlpGrads:
-    """Parameter gradients, shaped exactly like the MlpParams they belong to."""
+    """Parameter gradients, shaped exactly like the MlpParams they belong to.
+
+    Gradients made by zeros_like, empty_like or mlp_backward are views of one
+    flat buffer, weights first, then biases: the layout adam_step steps on.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls._views_of(np.zeros(params.n_params()), params)
+
+    @classmethod
+    def empty_like(cls, params: MlpParams) -> "MlpGrads":
+        return cls._views_of(np.empty(params.n_params()), params)
+
+    @classmethod
+    def _views_of(cls, buffer: np.ndarray, params: MlpParams) -> "MlpGrads":
+        views = _split_flat(buffer, _param_views(params))
+        k = len(params.weights)
+        return cls(weights=views[:k], biases=views[k:], buffer=buffer)
+
+    def flat(self) -> np.ndarray:
+        """All gradients as one vector: the buffer itself while every array is still a view of it."""
+        arrays = self.weights + self.biases
+        if self.buffer is not None and all(a.base is self.buffer for a in arrays):
+            return self.buffer
+        return np.concatenate([a.ravel() for a in arrays])
 
 
 @dataclass
@@ -158,12 +177,13 @@ def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     return z
 
 
-def _activate_grad(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
+def _activation_vjp(g: np.ndarray, z: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """g times the activation's derivative at z, without building the derivative."""
     if spec.activation == ACT_LEAKY_RELU:
-        return np.where(z > 0.0, 1.0, spec.slope)
+        return np.where(z > 0.0, g, g * spec.slope)
     if spec.activation == ACT_RELU:
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+        return g * (z > 0.0)
+    return g
 
 
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -174,29 +194,38 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, Forwa
     inputs, preacts = [], []
     for spec, w, b in zip(params.layers, params.weights, params.biases):
         inputs.append(x)
-        z = x @ w + b
+        z = x @ w
+        z += b
         preacts.append(z)
         x = _activate(z, spec)
     return x, ForwardCache(inputs=inputs, preacts=preacts, spec_sig=_spec_sig(params))
 
 
 def mlp_backward(
-    params: MlpParams, cache: ForwardCache, upstream_grad: np.ndarray
-) -> tuple[MlpGrads, np.ndarray]:
-    """Backprop upstream_grad (dL/d output) to parameter grads and dL/d input."""
+    params: MlpParams,
+    cache: ForwardCache,
+    upstream_grad: np.ndarray,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[MlpGrads | None, np.ndarray | None]:
+    """Backprop upstream_grad (dL/d output) to parameter grads and dL/d input.
+
+    A part the caller does not ask for is not computed and comes back as None.
+    """
     if cache.spec_sig != _spec_sig(params):
         raise ValueError("cache does not match these params (stale or from another net)")
     g = _as_batch(upstream_grad)
     if g.shape != (cache.inputs[0].shape[0], params.out_dim):
         raise ValueError(f"upstream grad shape {g.shape} does not match forward output")
-    grads = MlpGrads.zeros_like(params)
+    grads = MlpGrads.empty_like(params) if param_grads else None
     for i in range(len(params.layers) - 1, -1, -1):
-        spec = params.layers[i]
-        gz = g * _activate_grad(cache.preacts[i], spec)
-        grads.weights[i] = cache.inputs[i].T @ gz
-        grads.biases[i] = gz.sum(axis=0)
-        g = gz @ params.weights[i].T
-    return grads, g
+        gz = _activation_vjp(g, cache.preacts[i], params.layers[i])
+        if grads is not None:
+            np.matmul(cache.inputs[i].T, gz, out=grads.weights[i])
+            gz.sum(axis=0, out=grads.biases[i])
+        if i > 0 or input_grad:
+            g = gz @ params.weights[i].T
+    return grads, g if input_grad else None
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -242,48 +271,63 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators; shapes mirror the params they update."""
+    """Adam moment accumulators, flat in MlpGrads.flat's layout."""
 
     lr: float = 1e-5
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # two work vectors, so that a step allocates no parameter-sized temporaries
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def for_params(cls, params: MlpParams, lr: float = 1e-5, **kw) -> "AdamState":
-        return cls(
-            lr=lr,
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
-            **kw,
-        )
+        n = params.n_params()
+        return cls(lr=lr, m=np.zeros(n), v=np.zeros(n), **kw)
 
 
 def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[MlpParams, AdamState]:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980), applied in place.
+
+    Runs on the flat gradient, with the operations of
+        m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        param -= lr (m / c1) / (sqrt(v / c2) + eps)
+    in that order (a product only swaps its operands, which is exact); each
+    parameter array then subtracts its slice of the update.
+    """
+    arrays = _param_views(params)
+    garrays = grads.weights + grads.biases
+    if len(garrays) != len(arrays):
+        raise ValueError(f"{len(garrays)} grad arrays for {len(arrays)} params")
+    for a, ga in zip(arrays, garrays):
+        if a.shape != ga.shape:
+            raise ValueError(f"grad shape {ga.shape} does not match param {a.shape}")
+    g = grads.flat()
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for arrs, garrs, ms, vs in (
-        (params.weights, grads.weights, state.m_w, state.v_w),
-        (params.biases, grads.biases, state.m_b, state.v_b),
-    ):
-        for a, g, m, v in zip(arrs, garrs, ms, vs):
-            if a.shape != g.shape:
-                raise ValueError(f"grad shape {g.shape} does not match param {a.shape}")
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            a -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    tmp, update = state.scratch
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(m, c1, out=update)
+    update *= state.lr
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    update /= tmp
+    for a, u in zip(arrays, _split_flat(update, arrays)):
+        a -= u
     return params, state
 
 
@@ -312,7 +356,7 @@ def fit_minibatch(
             idx = perm[start : start + batch_size]
             logits, cache = mlp_forward(params, X[idx])
             terms, grad_logits = loss(logits, idx)
-            grads, _ = mlp_backward(params, cache, grad_logits)
+            grads, _ = mlp_backward(params, cache, grad_logits, input_grad=False)
             adam_step(params, grads, state)
             sums = sums or [0.0] * len(terms)
             for k, value in enumerate(terms):
@@ -334,13 +378,17 @@ def ce_loss_on(labels: np.ndarray):
 LossClosure = Callable[[MlpParams], tuple[float, MlpGrads]]
 
 
-def flatten_grads(grads: MlpGrads) -> np.ndarray:
-    parts = [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]
-    return np.concatenate(parts)
-
-
 def _param_views(params: MlpParams) -> list[np.ndarray]:
     return list(params.weights) + list(params.biases)
+
+
+def _split_flat(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of consecutive slices of flat, shaped like the arrays in like."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def grad_check(
@@ -356,7 +404,7 @@ def grad_check(
     loss_closure must be deterministic in params.
     """
     _, analytic = loss_closure(params)
-    flat_analytic = flatten_grads(analytic)
+    flat_analytic = analytic.flat()
     total = flat_analytic.size
     rng = np.random.default_rng(seed)
     idx = np.arange(total) if total <= n_samples else rng.choice(total, size=n_samples, replace=False)

@@ -7,6 +7,14 @@ MMD keeps a reference subsample plus its precomputed self-kernel mean
 (mean k(ref, ref)), both used server-side only. That term does not depend on
 the uploaded batch, so it is computed once per reference set when the state is
 built, not on every request.
+
+KL is evaluated for all classes of a request at once: the rows are scattered
+into one (classes, max rows, d) block padded with -0.0, whose sums over the row
+axis are each class's own sums bit for bit, so the value and the gradient are
+those of a loop over the classes. (For d = 1 numpy sums a single column
+pairwise, so there they can differ from such a loop in the last bit.) MMD
+still loops over the classes, because a batched kernel would sum in a
+different order.
 """
 from __future__ import annotations
 
@@ -98,18 +106,44 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
-def _kl_class(rows: np.ndarray, mu: np.ndarray, var: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL( N(batch stats) || N(real stats) ) with diagonal covariances."""
-    n = len(rows)
-    m = rows.mean(axis=0)
-    v_raw = rows.var(axis=0)
+def _kl_class(
+    batch: np.ndarray, inverse: np.ndarray, counts: np.ndarray, mu: np.ndarray, var: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """KL( N(batch stats) || N(real stats) ) with diagonal covariances, every class at once.
+
+    Row r belongs to class inverse[r]; class k has counts[k] rows and real
+    statistics mu[k], var[k]. Returns each class's value and, per row, the
+    gradient of its class's value.
+    """
+    n = counts.astype(np.float64)[:, None]
+    # Each class's rows, in batch order, in one block padded with -0.0. Summing
+    # over axis 1 then adds every class's rows in the order rows.sum(axis=0)
+    # does, and x + -0.0 == x for every x, so the padding changes no bit.
+    order = np.argsort(inverse, kind="stable")
+    pos = np.empty_like(inverse)
+    pos[order] = np.arange(len(inverse)) - np.repeat(np.cumsum(counts) - counts, counts)
+    block = np.full((len(counts), counts.max(), batch.shape[1]), -0.0)
+    block[inverse, pos] = batch
+    m = block.sum(axis=1) / n
+    # np.var's second pass, in the block: squared deviations, padding reset to -0.0
+    block -= m[:, None, :]
+    block *= block
+    block[np.arange(block.shape[1]) >= counts[:, None]] = -0.0
+    v_raw = block.sum(axis=1) / n
+    del block  # the gradient below needs two batch-sized arrays; a quota batch is megabytes
     v = np.maximum(v_raw, VAR_FLOOR)
-    value = 0.5 * np.sum(np.log(var / v) + (v + (m - mu) ** 2) / var - 1.0)
+    values = 0.5 * np.sum(np.log(var / v) + (v + (m - mu) ** 2) / var - 1.0, axis=1)
     # d value / dv vanishes where the floor is active
     dv = 0.5 * (1.0 / var - 1.0 / v) * (v_raw > VAR_FLOOR)
     dm = (m - mu) / var
-    grad = (dm + (rows - m) * (2.0 * dv)) / n
-    return float(value), grad
+    # per row (dm + (rows - m) * 2 dv) / n, in place (+ and * commute exactly)
+    work = m.take(inverse, axis=0)
+    np.subtract(batch, work, out=work)
+    grad = (2.0 * dv).take(inverse, axis=0)
+    grad *= work
+    grad += dm.take(inverse, axis=0, out=work, mode="clip")  # valid indices; "raise" would buffer out
+    grad /= n[inverse]
+    return values, grad
 
 
 def _self_kernel_mean(ref: np.ndarray, h2: float) -> float:
@@ -145,27 +179,37 @@ def reg_value_grad(
     if state.kind == REG_NONE:
         return 0.0, np.zeros_like(batch)
 
-    grad = np.zeros_like(batch)
-    classes = np.unique(labels)
-    total = 0.0
-    for c in classes:
-        mask = labels == c
-        rows = batch[mask]
-        if state.kind == REG_KL:
-            mu = state.class_means.get(int(c), state.global_mean)
-            var = state.class_vars.get(int(c), state.global_var)
+    if labels.size == 0:
+        raise ValueError("empty batch: the regularizer averages over the classes present")
+
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    if state.kind == REG_KL:
+        mus, variances = [], []
+        for c in classes.tolist():
+            mu = state.class_means.get(c, state.global_mean)
             if mu is None:
                 raise ValueError(f"no statistics for class {c} and no global fallback")
-            value_c, grad_c = _kl_class(rows, mu, var)
-        else:
-            if int(c) in state.class_refs:
-                ref, k_yy_mean = state.class_refs[int(c)], state.class_ref_kmeans[int(c)]
+            mus.append(mu)
+            variances.append(state.class_vars.get(c, state.global_var))
+        values, grad = _kl_class(batch, inverse, counts, np.stack(mus), np.stack(variances))
+        values = values.tolist()
+    else:
+        grad = np.zeros_like(batch)
+        values = []
+        for c in classes.tolist():
+            mask = labels == c
+            if c in state.class_refs:
+                ref, k_yy_mean = state.class_refs[c], state.class_ref_kmeans[c]
             elif state.global_ref is not None:
                 ref, k_yy_mean = state.global_ref, state.global_ref_kmean
             else:
                 raise ValueError(f"no reference rows for class {c} and no global fallback")
-            value_c, grad_c = _mmd_class(rows, ref, state.bandwidth_sq, k_yy_mean)
+            value_c, grad_c = _mmd_class(batch[mask], ref, state.bandwidth_sq, k_yy_mean)
+            values.append(value_c)
+            grad[mask] = grad_c
+    total = 0.0
+    for value_c in values:  # class order, as Python floats
         total += value_c
-        grad[mask] = grad_c
     k = len(classes)
-    return total / k, grad / k
+    grad /= k
+    return total / k, grad

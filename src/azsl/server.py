@@ -99,7 +99,7 @@ def feedback(
     ce_value = ce_grad = None
     if request.scenario == wire.SCENARIO_WHITE:
         ce_value, grad_logits = nn.loss_ce(probs, head_labels)
-        _, ce_grad = nn.mlp_backward(teacher.params, cache, grad_logits)
+        _, ce_grad = nn.mlp_backward(teacher.params, cache, grad_logits, param_grads=False)
 
     return wire.FeedbackResponse(
         softmax=probs if request.want_softmax else None,

@@ -65,7 +65,9 @@ class FeedbackRequest:
         self.cond_labels = np.asarray(self.cond_labels, dtype=np.int64)
         if self.batch.ndim != 2 or self.cond_labels.shape != (self.batch.shape[0],):
             raise ProtocolError("batch rows and conditioning labels must align")
-        if self.cond_labels.size and self.cond_labels.min() < 0:
+        if self.batch.shape[0] == 0:
+            raise ProtocolError("feedback request has no rows")
+        if self.cond_labels.min() < 0:
             raise ProtocolError("conditioning labels must be non-negative")
 
 

@@ -252,6 +252,48 @@ class TestBackward:
         with pytest.raises(ValueError, match="cache"):
             nn.mlp_backward(params, cache, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: small_net(seed=21),
+        lambda: nn.mlp_init(
+            [nn.LayerSpec(6, 9, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(9, 4, nn.ACT_RELU)], nn.ROLE_GENERATOR, 22
+        ),
+    ])
+    def test_partial_backward_equals_full(self, make):
+        params = make()
+        rng = np.random.default_rng(23)
+        out, cache = nn.mlp_forward(params, rng.normal(size=(11, params.in_dim)))
+        upstream = rng.normal(size=out.shape)
+        full_grads, full_input = nn.mlp_backward(params, cache, upstream)
+        grads, no_input = nn.mlp_backward(params, cache, upstream, input_grad=False)
+        no_grads, input_grad = nn.mlp_backward(params, cache, upstream, param_grads=False)
+        assert no_input is None and no_grads is None
+        assert np.array_equal(input_grad, full_input)
+        for a, b in zip(grads.weights + grads.biases, full_grads.weights + full_grads.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(grads.flat(), full_grads.flat())
+
+    def test_grads_are_views_of_one_flat_buffer(self):
+        params = small_net(seed=24)
+        out, cache = nn.mlp_forward(params, np.ones((3, 5)))
+        grads, _ = nn.mlp_backward(params, cache, np.ones_like(out))
+        assert grads.flat() is grads.buffer
+        expect = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
+        assert np.array_equal(grads.flat(), expect)
+
+
+def per_array_adam_step(params, grads, state):
+    """adam_step as it was before the moments were flat: one pass per array."""
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - 0.9**t
+    c2 = 1.0 - 0.999**t
+    for a, g, m, v in zip(params.weights + params.biases, grads.weights + grads.biases, state["m"], state["v"]):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        a -= state["lr"] * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
 
 class TestAdam:
     def test_zero_grads_no_motion(self):
@@ -312,6 +354,47 @@ class TestAdam:
             nn.adam_step(params, grads, state)
         assert all(np.isfinite(w).all() for w in params.weights)
 
+
+    @pytest.mark.parametrize("specs", [
+        nn.classifier_specs(64, 20, hidden=(128, 64)),  # student
+        [nn.LayerSpec(36, 256, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(256, 64, nn.ACT_RELU)],  # generator
+    ])
+    @pytest.mark.parametrize("from_lists", [False, True])
+    def test_flat_step_equals_per_array_adam(self, specs, from_lists):
+        params = nn.mlp_init(specs, nn.ROLE_STUDENT, 31)
+        expect = params.copy()
+        state = nn.AdamState.for_params(params, lr=1e-3)
+        ref_state = {
+            "step": 0, "lr": 1e-3,
+            "m": [np.zeros_like(a) for a in expect.weights + expect.biases],
+            "v": [np.zeros_like(a) for a in expect.weights + expect.biases],
+        }
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            out, cache = nn.mlp_forward(params, np.abs(rng.normal(size=(8, params.in_dim))))
+            grads, _ = nn.mlp_backward(params, cache, rng.normal(size=out.shape), input_grad=False)
+            if from_lists:
+                grads = nn.MlpGrads(weights=[w.copy() for w in grads.weights], biases=[b.copy() for b in grads.biases])
+            per_array_adam_step(expect, grads, ref_state)
+            nn.adam_step(params, grads, state)
+        for a, b in zip(params.weights + params.biases, expect.weights + expect.biases):
+            assert np.array_equal(a, b)
+
+    def test_replaced_grad_array_is_used(self):
+        params = small_net(seed=33)
+        before = params.copy()
+        grads = nn.MlpGrads.zeros_like(params)
+        grads.weights[1] = np.ones_like(grads.weights[1])  # no longer a view of the buffer
+        nn.adam_step(params, grads, nn.AdamState.for_params(params, lr=1e-3))
+        assert (params.weights[1] < before.weights[1]).all()
+        assert np.array_equal(params.weights[0], before.weights[0])
+
+    def test_grad_count_mismatch(self):
+        params = small_net()
+        grads = nn.MlpGrads.zeros_like(params)
+        grads.biases.pop()
+        with pytest.raises(ValueError, match="grad arrays"):
+            nn.adam_step(params, grads, nn.AdamState.for_params(params))
 
 class TestClassifierSpecs:
     def test_leaky_hidden_layers_and_linear_head(self):

@@ -286,3 +286,109 @@ class TestNoneKind:
         value, grad = reg_value_grad(state, np.ones((4, 3)), [0, 1, 0, 1])
         assert value == 0.0
         assert (grad == 0).all()
+
+
+def looped_kl_class(rows, mu, var):
+    """_kl_class as it was for one class at a time, before the classes were batched."""
+    n = len(rows)
+    m = rows.mean(axis=0)
+    v_raw = rows.var(axis=0)
+    v = np.maximum(v_raw, VAR_FLOOR)
+    value = 0.5 * np.sum(np.log(var / v) + (v + (m - mu) ** 2) / var - 1.0)
+    dv = 0.5 * (1.0 / var - 1.0 / v) * (v_raw > VAR_FLOOR)
+    dm = (m - mu) / var
+    grad = (dm + (rows - m) * (2.0 * dv)) / n
+    return float(value), grad
+
+
+def looped_kl_value_grad(state, batch, labels):
+    """reg_value_grad's KL branch as the per-class loop it was."""
+    grad = np.zeros_like(batch)
+    classes = np.unique(labels)
+    total = 0.0
+    for c in classes:
+        mask = labels == c
+        mu = state.class_means.get(int(c), state.global_mean)
+        var = state.class_vars.get(int(c), state.global_var)
+        if mu is None:
+            raise ValueError(f"no statistics for class {c} and no global fallback")
+        value_c, grad_c = looped_kl_class(batch[mask], mu, var)
+        total += value_c
+        grad[mask] = grad_c
+    return total / len(classes), grad / len(classes)
+
+
+class TestBatchedKl:
+    """All classes of a request at once change no bit of the value or the gradient."""
+
+    D = 6
+
+    def state(self, classes=range(5), seed=0):
+        rng = np.random.default_rng(seed)
+        return RegularizerState(
+            "kl", 1.0,
+            class_means={c: rng.normal(size=self.D) for c in classes},
+            class_vars={c: rng.uniform(0.05, 2.0, size=self.D) for c in classes},
+            global_mean=rng.normal(size=self.D),
+            global_var=rng.uniform(0.05, 2.0, size=self.D),
+        )
+
+    def assert_matches_loop(self, state, batch, labels):
+        value, grad = reg_value_grad(state, batch, labels)
+        loop_value, loop_grad = looped_kl_value_grad(state, batch, np.asarray(labels))
+        assert value == loop_value
+        assert (grad == loop_grad).all()
+        # the -0.0 padding keeps even the sign of zero
+        assert (np.signbit(grad) == np.signbit(loop_grad)).all()
+
+    def test_relu_like_rows_of_uneven_classes(self):
+        rng = np.random.default_rng(1)
+        batch = np.maximum(rng.normal(size=(64, self.D)), 0.0)
+        self.assert_matches_loop(self.state(), batch, rng.integers(0, 5, size=64))
+
+    def test_single_row_classes(self):
+        rng = np.random.default_rng(2)
+        batch = np.abs(rng.normal(size=(5, self.D)))
+        self.assert_matches_loop(self.state(), batch, [4, 0, 3, 1, 2])
+        # one single-row class next to a large one
+        self.assert_matches_loop(self.state(), np.abs(rng.normal(size=(9, self.D))), [0] * 8 + [3])
+
+    def test_class_missing_from_statistics_uses_global_fallback(self):
+        rng = np.random.default_rng(3)
+        batch = np.abs(rng.normal(size=(30, self.D)))
+        labels = rng.integers(0, 8, size=30)  # classes 5..7 have no statistics of their own
+        assert {5, 6, 7} & set(labels.tolist())
+        self.assert_matches_loop(self.state(), batch, labels)
+
+    def test_no_fallback_is_an_error(self):
+        state = dataclasses.replace(self.state(), global_mean=None, global_var=None)
+        with pytest.raises(ValueError, match="no statistics for class 7 and no global fallback"):
+            reg_value_grad(state, np.ones((3, self.D)), [0, 7, 1])
+
+    def test_constant_columns_hit_the_floor(self):
+        rng = np.random.default_rng(4)
+        batch = np.abs(rng.normal(size=(40, self.D)))
+        batch[:, 0] = 2.5
+        batch[:, 3] = -0.0
+        self.assert_matches_loop(self.state(), batch, rng.integers(0, 5, size=40))
+
+    def test_quota_sized_batch(self):
+        rng = np.random.default_rng(5)
+        batch = np.maximum(rng.normal(size=(2000, self.D)) * 3.0, 0.0)
+        labels = np.sort(rng.integers(0, 15, size=2000))
+        self.assert_matches_loop(self.state(classes=range(12)), batch, labels)
+
+    def test_fitted_state(self):
+        ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=6, d_a=3, per_class=50), seed=6)
+        state = fit_regularizer(ds, full_train_split_all(ds), "kl", alpha=1.0)
+        rng = np.random.default_rng(6)
+        self.assert_matches_loop(state, np.abs(rng.normal(size=(64, 6))), rng.integers(0, 4, size=64))
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("kind", ["kl", "mmd"])
+    def test_zero_rows_is_a_clear_error(self, kind):
+        ds = make_synthetic(SyntheticSpec(n_classes=3, seen_count=2, d_x=4, d_a=3, per_class=30), seed=0)
+        state = fit_regularizer(ds, full_train_split_all(ds), kind, alpha=1.0)
+        with pytest.raises(ValueError, match="empty batch"):
+            reg_value_grad(state, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))

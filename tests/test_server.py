@@ -153,6 +153,17 @@ class TestFeedback:
         with pytest.raises(wire.ProtocolError, match="class space"):
             feedback(teacher, reg, wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((1, 10)), [99]))
 
+    @pytest.mark.parametrize("scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
+    def test_zero_row_request_is_a_protocol_error(self, trained, scenario):
+        _, _, teacher, reg = trained
+        server = TeacherServer(teacher, reg, scenario)
+        # scenario, want_softmax, a 0 x 10 batch, no conditioning labels
+        payload = struct.pack("<5I", wire._SCENARIO_CODE[scenario], 1, 0, 10, 0)
+        kind, out = server.handle_payload(wire.KIND_FEEDBACK_REQUEST, payload)
+        assert kind == wire.KIND_ERROR
+        code, message = wire.decode_error(out)
+        assert code == wire.ERR_PROTOCOL and "no rows" in message
+
     def test_deterministic_bytes(self, trained):
         _, _, teacher, reg = trained
         req = wire.FeedbackRequest(wire.SCENARIO_WHITE, np.full((2, 10), 0.25), [1, 2])

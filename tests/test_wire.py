@@ -127,6 +127,11 @@ class TestFraming:
         with pytest.raises(wire.ProtocolError):
             wire.decode_feedback_request(payload[:-3])
 
+    def test_zero_row_request_rejected(self):
+        with pytest.raises(wire.ProtocolError, match="no rows") as exc:
+            wire.FeedbackRequest(wire.SCENARIO_BLACK, np.zeros((0, 3)), [])
+        assert exc.value.code == wire.ERR_PROTOCOL
+
 
 class TestRecvFrame:
     def pair(self):
