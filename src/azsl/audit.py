@@ -36,6 +36,27 @@ class RiskEntry:
     payload_sha: str = ""
 
 
+# The last bytes object hashed and its digest. An in-process run logs every
+# payload twice, in the client transcript and in the server log, as the same
+# bytes object, back to back; this memo hashes it once. bytes are immutable and
+# the memo keeps its payload alive, so an identity match means the same bytes.
+# A hit empties the memo, so it holds no payload beyond its second entry.
+_last_hashed: tuple[bytes | None, str] = (None, "")
+
+
+def payload_sha(payload: bytes) -> str:
+    """First 16 hex digits of the payload's SHA-256."""
+    global _last_hashed
+    last = _last_hashed  # one read: another thread may replace the memo
+    if last[0] is payload:
+        _last_hashed = (None, "")
+        return last[1]
+    sha = hashlib.sha256(payload).hexdigest()[:16]
+    if type(payload) is bytes:
+        _last_hashed = (payload, sha)
+    return sha
+
+
 class RiskLog:
     """Append-only transcript of channel messages with risk tags."""
 
@@ -52,7 +73,7 @@ class RiskLog:
         direction: str,
         payload: bytes | None = None,
     ) -> None:
-        sha = hashlib.sha256(payload).hexdigest()[:16] if payload is not None else ""
+        sha = payload_sha(payload) if payload is not None else ""
         entry = RiskEntry(
             timestamp=time.time(),
             kind=kind,

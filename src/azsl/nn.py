@@ -169,9 +169,16 @@ def classifier_specs(d_in: int, n_out: int, hidden=(1024, 512), slope: float = 0
     return specs
 
 
+# Leaky ReLU without np.where, bit for bit np.where(z > 0, z, slope * z) and its
+# derivative, because 0 < slope < 1: for z > 0, slope * z <= z, so the maximum
+# is z; otherwise slope * z >= z, so it is slope * z, and the two are never
+# zeros of opposite sign (slope * -0.0 is -0.0). In the backward pass sign(z)
+# is 1, -1, 0 or nan, which fmax(., slope) maps to 1 where z > 0 and to slope
+# everywhere else (fmax ignores nan); 1 * g == g and slope * g == g * slope.
 def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     if spec.activation == ACT_LEAKY_RELU:
-        return np.where(z > 0.0, z, spec.slope * z)
+        a = z * spec.slope
+        return np.maximum(z, a, out=a)
     if spec.activation == ACT_RELU:
         return np.maximum(z, 0.0)
     return z
@@ -180,7 +187,10 @@ def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
 def _activation_vjp(g: np.ndarray, z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     """g times the activation's derivative at z, without building the derivative."""
     if spec.activation == ACT_LEAKY_RELU:
-        return np.where(z > 0.0, g, g * spec.slope)
+        d = np.sign(z)
+        np.fmax(d, spec.slope, out=d)
+        d *= g
+        return d
     if spec.activation == ACT_RELU:
         return g * (z > 0.0)
     return g

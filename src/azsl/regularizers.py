@@ -3,18 +3,24 @@
 Both kinds compare generated rows against statistics of the real features,
 per conditioning class, and return an analytic gradient w.r.t. the batch.
 Real rows themselves never leave this module: KL keeps only mean/variance,
-MMD keeps a reference subsample plus its precomputed self-kernel mean
-(mean k(ref, ref)), both used server-side only. That term does not depend on
-the uploaded batch, so it is computed once per reference set when the state is
-built, not on every request.
+MMD keeps a reference subsample, both used server-side only. Whatever does not
+depend on the uploaded batch is computed once, when the state is built: KL's
+per-class statistics stacked into one table (global fallback row last), and
+for every MMD reference set its squared row norms and its self-kernel mean
+(mean k(ref, ref)).
 
 KL is evaluated for all classes of a request at once: the rows are scattered
 into one (classes, max rows, d) block padded with -0.0, whose sums over the row
 axis are each class's own sums bit for bit, so the value and the gradient are
 those of a loop over the classes. (For d = 1 numpy sums a single column
-pairwise, so there they can differ from such a loop in the last bit.) MMD
-still loops over the classes, because a batched kernel would sum in a
-different order.
+pairwise, so there they can differ from such a loop in the last bit.)
+
+MMD sorts the batch by class once and takes the squared row norms of all rows
+at once (each row's sum is its own, so a class's slice holds the same bits).
+The kernel matmuls stay per class with the operands rows @ rows.T and
+rows @ ref.T, because a kernel batched across classes would make the BLAS sum
+in a different order; the elementwise steps around them run in place in the
+same order, so every value and gradient bit is the per-class loop's.
 """
 from __future__ import annotations
 
@@ -49,14 +55,31 @@ class RegularizerState:
     class_refs: dict[int, np.ndarray] = field(default_factory=dict)
     global_ref: np.ndarray | None = None
     bandwidth_sq: float = 1.0
-    # mean k(ref, ref) of each reference set above, filled by __post_init__
-    class_ref_kmeans: dict[int, float] = field(init=False, repr=False, compare=False)
-    global_ref_kmean: float | None = field(init=False, repr=False, compare=False)
+    # Filled by __post_init__ from the fields above, which must not change afterwards.
+    # kl: class_means/class_vars stacked, the global fallback as the last row
+    kl_rows: dict[int, int] = field(init=False, repr=False, compare=False)
+    kl_fallback_row: int | None = field(init=False, repr=False, compare=False)
+    kl_mu: np.ndarray | None = field(init=False, repr=False, compare=False)
+    kl_var: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # mmd: (ref, squared row norms as a row, mean k(ref, ref)) per reference set
+    class_ref_cache: dict[int, tuple] = field(init=False, repr=False, compare=False)
+    global_ref_cache: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.kl_rows = {c: i for i, c in enumerate(self.class_means)}
+        mus = list(self.class_means.values())
+        variances = [self.class_vars.get(c, self.global_var) for c in self.class_means]
+        self.kl_fallback_row = None
+        if self.global_mean is not None:
+            self.kl_fallback_row = len(mus)
+            mus.append(self.global_mean)
+            variances.append(self.global_var)
+        self.kl_mu = np.stack(mus) if mus else None
+        self.kl_var = np.stack(variances) if mus else None
+
         h2 = self.bandwidth_sq
-        self.class_ref_kmeans = {c: _self_kernel_mean(ref, h2) for c, ref in self.class_refs.items()}
-        self.global_ref_kmean = None if self.global_ref is None else _self_kernel_mean(self.global_ref, h2)
+        self.class_ref_cache = {c: _ref_cache(ref, h2) for c, ref in self.class_refs.items()}
+        self.global_ref_cache = None if self.global_ref is None else _ref_cache(self.global_ref, h2)
 
 
 def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: float) -> RegularizerState:
@@ -73,20 +96,25 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
     feats = dataset.features[rows]
     labels = dataset.labels[rows]
 
+    # Statistics and refs are final before the state (and its cache) is built.
     if kind == REG_KL:
-        state = RegularizerState(kind=kind, alpha=alpha)
-        state.global_mean = feats.mean(axis=0)
-        state.global_var = np.maximum(feats.var(axis=0), VAR_FLOOR)
+        class_means, class_vars = {}, {}
         for c in np.unique(labels):
             cls = feats[labels == c]
             if len(cls) < 2:
                 continue  # global stats act as the fallback
-            state.class_means[int(c)] = cls.mean(axis=0)
-            state.class_vars[int(c)] = np.maximum(cls.var(axis=0), VAR_FLOOR)
-        return state
+            class_means[int(c)] = cls.mean(axis=0)
+            class_vars[int(c)] = np.maximum(cls.var(axis=0), VAR_FLOOR)
+        return RegularizerState(
+            kind=kind,
+            alpha=alpha,
+            class_means=class_means,
+            class_vars=class_vars,
+            global_mean=feats.mean(axis=0),
+            global_var=np.maximum(feats.var(axis=0), VAR_FLOOR),
+        )
 
     # mmd: teacher_train row order is already a seeded shuffle, take heads.
-    # Refs and bandwidth are final before the state (and its cache) is built.
     class_refs = {int(c): feats[labels == c][:MMD_REF_CAP].copy() for c in np.unique(labels)}
     pooled = np.concatenate(list(class_refs.values()))[:MMD_POOL_CAP]
     sq = _pairwise_sq_dists(pooled, pooled)
@@ -100,10 +128,34 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
     )
 
 
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    return (a * a).sum(axis=1)
+
+
+def _sq_dists(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """max(||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, 0) in one buffer; a_sq is a column, b_sq a row.
+
+    The steps are those of max(a_sq + b_sq - 2.0 * (a @ b.T), 0.0), in that
+    order (2.0 * x == x * 2.0), so the result is the same bit for bit.
+    """
+    sq = a @ b.T
+    sq *= 2.0
+    np.subtract(a_sq + b_sq, sq, out=sq)
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    return _sq_dists(a, _sq_norms(a)[:, None], b, _sq_norms(b)[None, :])
+
+
+def _kernel(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray, h2: float) -> np.ndarray:
+    """k(a_i, b_j) = exp(-||a_i - b_j||^2 / h2), bit for bit np.exp(-sq / h2), in place.
+
+    sq / -h2 == -sq / h2 exactly: IEEE division rounds symmetrically in sign.
+    """
+    k = _sq_dists(a, a_sq, b, b_sq)
+    k /= -h2
+    return np.exp(k, out=k)
 
 
 def _kl_class(
@@ -146,26 +198,40 @@ def _kl_class(
     return values, grad
 
 
-def _self_kernel_mean(ref: np.ndarray, h2: float) -> float:
-    """mean k(ref, ref): the MMD term that depends on the reference rows only."""
-    return np.exp(-_pairwise_sq_dists(ref, ref) / h2).mean()
+def _ref_cache(ref: np.ndarray, h2: float) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """What MMD needs of a reference set on every request: (ref, row norms as a row, mean k(ref, ref))."""
+    ref_sq = _sq_norms(ref)[None, :]
+    return ref, ref_sq, _kernel(ref, ref_sq.T, ref, ref_sq, h2).mean()
 
 
-def _mmd_class(rows: np.ndarray, ref: np.ndarray, h2: float, k_yy_mean: float) -> tuple[float, np.ndarray]:
+def _mmd_class(
+    rows: np.ndarray, rows_sq: np.ndarray, ref: np.ndarray, ref_sq: np.ndarray, h2: float, k_yy_mean: float
+) -> float:
     """Biased (V-statistic) squared MMD with k(x,y)=exp(-||x-y||^2/h2); always >= 0.
 
-    k_yy_mean is _self_kernel_mean(ref, h2), precomputed by RegularizerState.
+    rows_sq holds the squared norms of rows; ref_sq and k_yy_mean come from
+    _ref_cache(ref, h2). Returns the value and overwrites rows with its
+    gradient w.r.t. rows, so a batch needs no second buffer for it.
     """
     n, m = len(rows), len(ref)
-    k_xx = np.exp(-_pairwise_sq_dists(rows, rows) / h2)
-    k_xy = np.exp(-_pairwise_sq_dists(rows, ref) / h2)
-    value = k_xx.mean() + k_yy_mean - 2.0 * k_xy.mean()
+    rows_sq_col = rows_sq[:, None]
+    k_xx = _kernel(rows, rows_sq_col, rows, rows_sq[None, :], h2)
+    k_xy = _kernel(rows, rows_sq_col, ref, ref_sq, h2)
+    # k.sum() / k.size is what k.mean() computes
+    value = k_xx.sum() / k_xx.size + k_yy_mean - 2.0 * (k_xy.sum() / k_xy.size)
 
     # d/dx_i of sum_ab k(x_a,x_b): both index slots hit row i, so
-    # grad_i = -4/h2 [ (sum_j k_ij) x_i - (K rows)_i ] / n^2, likewise for K_xy
-    grad = (-4.0 / (n * n * h2)) * (k_xx.sum(axis=1, keepdims=True) * rows - k_xx @ rows)
-    grad += (4.0 / (n * m * h2)) * (k_xy.sum(axis=1, keepdims=True) * rows - k_xy @ ref)
-    return float(value), grad
+    # grad_i = -4/h2 [ (sum_j k_ij) x_i - (K rows)_i ] / n^2, likewise for K_xy.
+    # Everything that reads rows runs before rows is overwritten.
+    cross = k_xy.sum(axis=1, keepdims=True) * rows
+    cross -= k_xy @ ref
+    cross *= 4.0 / (n * m * h2)
+    k_rows = k_xx @ rows
+    grad = np.multiply(k_xx.sum(axis=1, keepdims=True), rows, out=rows)
+    grad -= k_rows
+    grad *= -4.0 / (n * n * h2)
+    grad += cross
+    return float(value)
 
 
 def reg_value_grad(
@@ -184,29 +250,30 @@ def reg_value_grad(
 
     classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if state.kind == REG_KL:
-        mus, variances = [], []
+        table_rows = []
         for c in classes.tolist():
-            mu = state.class_means.get(c, state.global_mean)
-            if mu is None:
+            row = state.kl_rows.get(c, state.kl_fallback_row)
+            if row is None:
                 raise ValueError(f"no statistics for class {c} and no global fallback")
-            mus.append(mu)
-            variances.append(state.class_vars.get(c, state.global_var))
-        values, grad = _kl_class(batch, inverse, counts, np.stack(mus), np.stack(variances))
+            table_rows.append(row)
+        values, grad = _kl_class(batch, inverse, counts, state.kl_mu[table_rows], state.kl_var[table_rows])
         values = values.tolist()
     else:
-        grad = np.zeros_like(batch)
+        # each class's rows as one contiguous slice, in batch order;
+        # _mmd_class turns each slice into that class's gradient
+        order = np.argsort(inverse, kind="stable")
+        rows = batch[order]
+        rows_sq = _sq_norms(rows)
+        ends = np.cumsum(counts).tolist()
         values = []
-        for c in classes.tolist():
-            mask = labels == c
-            if c in state.class_refs:
-                ref, k_yy_mean = state.class_refs[c], state.class_ref_kmeans[c]
-            elif state.global_ref is not None:
-                ref, k_yy_mean = state.global_ref, state.global_ref_kmean
-            else:
+        for c, start, end in zip(classes.tolist(), [0, *ends], ends):
+            cache = state.class_ref_cache.get(c, state.global_ref_cache)
+            if cache is None:
                 raise ValueError(f"no reference rows for class {c} and no global fallback")
-            value_c, grad_c = _mmd_class(batch[mask], ref, state.bandwidth_sq, k_yy_mean)
-            values.append(value_c)
-            grad[mask] = grad_c
+            ref, ref_sq, k_yy_mean = cache
+            values.append(_mmd_class(rows[start:end], rows_sq[start:end], ref, ref_sq, state.bandwidth_sq, k_yy_mean))
+        grad = np.empty_like(batch)
+        grad[order] = rows
     total = 0.0
     for value_c in values:  # class order, as Python floats
         total += value_c

@@ -281,6 +281,95 @@ class TestBackward:
         assert np.array_equal(grads.flat(), expect)
 
 
+def where_leaky(z, slope):
+    """Leaky ReLU as it was, with np.where."""
+    return np.where(z > 0.0, z, slope * z)
+
+
+def where_leaky_vjp(g, z, slope):
+    """Its vector-Jacobian product as it was, with np.where."""
+    return np.where(z > 0.0, g, g * slope)
+
+
+def where_forward(params, x):
+    """mlp_forward as it was: inputs, preactivations and output."""
+    inputs, preacts = [], []
+    for spec, w, b in zip(params.layers, params.weights, params.biases):
+        inputs.append(x)
+        z = x @ w
+        z += b
+        preacts.append(z)
+        if spec.activation == nn.ACT_LEAKY_RELU:
+            x = where_leaky(z, spec.slope)
+        elif spec.activation == nn.ACT_RELU:
+            x = np.maximum(z, 0.0)
+        else:
+            x = z
+    return x, inputs, preacts
+
+
+def where_backward(params, inputs, preacts, g):
+    """mlp_backward as it was: weight grads, bias grads and the input grad."""
+    gw, gb = [], []
+    for i in range(len(params.layers) - 1, -1, -1):
+        spec, z = params.layers[i], preacts[i]
+        if spec.activation == nn.ACT_LEAKY_RELU:
+            gz = where_leaky_vjp(g, z, spec.slope)
+        elif spec.activation == nn.ACT_RELU:
+            gz = g * (z > 0.0)
+        else:
+            gz = g
+        gw.insert(0, inputs[i].T @ gz)
+        gb.insert(0, gz.sum(axis=0))
+        g = gz @ params.weights[i].T
+    return gw, gb, g
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert (a == b).all()
+    assert (np.signbit(a) == np.signbit(b)).all()
+
+
+class TestLeakyRelu:
+    """The branch-free leaky ReLU is the np.where form bit for bit, sign of zero included."""
+
+    SPECIAL = [0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324, 2.2250738585072014e-308,
+               np.inf, -np.inf, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+
+    def values(self, seed):
+        rng = np.random.default_rng(seed)
+        spread = rng.normal(size=200) * 10.0 ** rng.uniform(-300, 300, size=200)
+        return np.concatenate([self.SPECIAL, spread])
+
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 0.99])
+    def test_forward_and_vjp_match_where(self, slope):
+        spec = nn.LayerSpec(1, 1, nn.ACT_LEAKY_RELU, slope)
+        # every z against every g
+        z, g = np.meshgrid(self.values(1), self.values(2), indexing="ij")
+        assert_same_bits(nn._activate(z, spec), where_leaky(z, slope))
+        assert_same_bits(nn._activation_vjp(g, z, spec), where_leaky_vjp(g, z, slope))
+
+    def test_generator_forward_and_backward_match_where(self):
+        specs = [nn.LayerSpec(36, 256, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(256, 64, nn.ACT_RELU)]
+        params = nn.mlp_init(specs, nn.ROLE_GENERATOR, 31)
+        rng = np.random.default_rng(32)
+        batch = rng.normal(size=(64, 36))
+        batch[5] = 0.0  # preactivations of exactly zero
+        batch[9] = -0.0
+        out, cache = nn.mlp_forward(params, batch)
+        ref_out, ref_inputs, ref_preacts = where_forward(params, batch)
+        assert_same_bits(out, ref_out)
+        for z, ref_z in zip(cache.preacts, ref_preacts):
+            assert_same_bits(z, ref_z)
+        upstream = rng.normal(size=out.shape)
+        upstream[3] = -0.0
+        grads, input_grad = nn.mlp_backward(params, cache, upstream)
+        ref_gw, ref_gb, ref_input = where_backward(params, ref_inputs, ref_preacts, upstream)
+        for got, want in zip(grads.weights + grads.biases + [input_grad], ref_gw + ref_gb + [ref_input]):
+            assert_same_bits(got, want)
+
+
 def per_array_adam_step(params, grads, state):
     """adam_step as it was before the moments were flat: one pass per array."""
     state["step"] += 1

@@ -259,25 +259,131 @@ class TestMmdCache:
             reg_value_grad(without_fallback, self.batch, self.labels)
 
     def test_reference_kernel_built_once_per_set(self, monkeypatch):
-        pairs = []
+        pairs, normed = [], []
+        kernel, sq_norms = regularizers._kernel, regularizers._sq_norms
 
-        def recording(a, b):
+        def recording_kernel(a, a_sq, b, b_sq, h2):
             pairs.append((a, b))
-            return _pairwise_sq_dists(a, b)
+            return kernel(a, a_sq, b, b_sq, h2)
 
-        monkeypatch.setattr(regularizers, "_pairwise_sq_dists", recording)
+        def recording_norms(a):
+            normed.append(a)
+            return sq_norms(a)
+
+        monkeypatch.setattr(regularizers, "_kernel", recording_kernel)
+        monkeypatch.setattr(regularizers, "_sq_norms", recording_norms)
         state = fit_regularizer(self.ds, self.split, "mmd", alpha=1.0)
         refs = [*state.class_refs.values(), state.global_ref]
 
         def ref_self_kernels():
             return sum(1 for a, b in pairs if a is b and any(a is r for r in refs))
 
+        def ref_norms():
+            return sum(1 for a in normed if any(a is r for r in refs))
+
         assert ref_self_kernels() == len(refs)
-        fitted = len(pairs)
+        assert ref_norms() == len(refs)
+        fitted_pairs, fitted_norms = len(pairs), len(normed)
         for _ in range(3):
             reg_value_grad(state, self.batch, self.labels)
-        assert len(pairs) == fitted + 3 * 2 * 4  # k_xx and k_xy per class per request
+        assert len(pairs) == fitted_pairs + 3 * 2 * 4  # k_xx and k_xy per class per request
+        assert len(normed) == fitted_norms + 3  # the whole batch once per request
         assert ref_self_kernels() == len(refs)
+        assert ref_norms() == len(refs)
+
+
+def looped_sq_dists(a, b):
+    """_pairwise_sq_dists as it was, before it ran in place."""
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def looped_mmd_value_grad(state, batch, labels, k_yy_means):
+    """reg_value_grad's MMD branch as the per-class loop it was, with a mask per class.
+
+    k_yy_means maps each class to mean k(ref, ref) of the reference set it uses.
+    """
+    h2 = state.bandwidth_sq
+    grad = np.zeros_like(batch)
+    classes = np.unique(labels)
+    total = 0.0
+    for c in classes.tolist():
+        mask = labels == c
+        rows = batch[mask]
+        ref = state.class_refs.get(c, state.global_ref)
+        n, m = len(rows), len(ref)
+        k_xx = np.exp(-looped_sq_dists(rows, rows) / h2)
+        k_xy = np.exp(-looped_sq_dists(rows, ref) / h2)
+        value = k_xx.mean() + k_yy_means[c] - 2.0 * k_xy.mean()
+        grad_c = (-4.0 / (n * n * h2)) * (k_xx.sum(axis=1, keepdims=True) * rows - k_xx @ rows)
+        grad_c += (4.0 / (n * m * h2)) * (k_xy.sum(axis=1, keepdims=True) * rows - k_xy @ ref)
+        total += float(value)
+        grad[mask] = grad_c
+    grad /= len(classes)
+    return total / len(classes), grad
+
+
+class TestSortedMmd:
+    """Class slices of one sorted batch, cached norms and in-place kernels change no bit."""
+
+    REF_SIZES = (256, 100, 37, 7, 2, 1)
+
+    def state(self, d, rng, n_classes):
+        """Per-class refs of mixed sizes up to MMD_REF_CAP; the last class falls back to global_ref."""
+        refs = {
+            c: np.maximum(rng.normal(size=(self.REF_SIZES[c % len(self.REF_SIZES)], d)), 0.0)
+            for c in range(n_classes - 1)
+        }
+        global_ref = np.maximum(rng.normal(size=(MMD_REF_CAP, d)), 0.0)
+        state = RegularizerState("mmd", 1.0, class_refs=refs, global_ref=global_ref,
+                                 bandwidth_sq=float(rng.uniform(0.2, 2.0) * d))
+        k_yy_means = {
+            c: np.exp(-looped_sq_dists(r, r) / state.bandwidth_sq).mean()
+            for c, r in [*refs.items(), (n_classes - 1, global_ref)]
+        }
+        return state, k_yy_means
+
+    def assert_matches_loop(self, state, k_yy_means, batch, labels):
+        value, grad = reg_value_grad(state, batch, labels)
+        loop_value, loop_grad = looped_mmd_value_grad(state, batch, labels, k_yy_means)
+        assert value == loop_value
+        assert (grad == loop_grad).all()
+        assert (np.signbit(grad) == np.signbit(loop_grad)).all()
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(11)
+        states = [(d, n_classes, *self.state(d, rng, n_classes))
+                  for d, n_classes in [(2, 4), (5, 9), (16, 20), (64, 20)]]
+        for trial in range(1000):
+            d, n_classes, state, k_yy_means = states[trial % len(states)]
+            # 1 to 2000 rows, log-uniform: mostly feedback-sized, some quota-sized
+            n = 2000 if trial % 100 == 0 else int(np.exp(rng.uniform(0.0, np.log(2000))))
+            batch = np.maximum(rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0), 0.0)  # ReLU zeros
+            labels = rng.integers(0, n_classes, size=n)
+            if n > 1 and trial % 3 == 0:  # the fallback class as a single-row class
+                labels[labels == n_classes - 1] = rng.integers(0, n_classes - 1)
+                labels[rng.integers(n)] = n_classes - 1
+            self.assert_matches_loop(state, k_yy_means, batch, labels)
+
+    def test_single_row_classes_and_all_zero_rows(self):
+        rng = np.random.default_rng(12)
+        state, k_yy_means = self.state(6, rng, 5)
+        batch = np.maximum(rng.normal(size=(5, 6)), 0.0)
+        batch[2] = 0.0
+        self.assert_matches_loop(state, k_yy_means, batch, np.array([4, 0, 3, 1, 2]))
+        self.assert_matches_loop(state, k_yy_means, np.zeros((3, 6)), np.array([1, 1, 4]))
+
+    def test_fitted_state(self):
+        ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=6, d_a=3, per_class=300), seed=6)
+        split = dataclasses.replace(full_train_split_all(ds), teacher_train=np.flatnonzero(ds.labels != 3))
+        state = fit_regularizer(ds, split, "mmd", alpha=1.0)
+        assert all(len(r) == MMD_REF_CAP for r in state.class_refs.values())
+        k_yy_means = {c: np.exp(-looped_sq_dists(r, r) / state.bandwidth_sq).mean()
+                      for c, r in [*state.class_refs.items(), (3, state.global_ref)]}
+        rng = np.random.default_rng(13)
+        batch = np.maximum(rng.normal(size=(64, 6)) * 5.0, 0.0)
+        self.assert_matches_loop(state, k_yy_means, batch, rng.integers(0, 4, size=64))
 
 
 class TestNoneKind:

@@ -249,6 +249,32 @@ class TestRiskLog:
         assert down.risk == (wire.RISK_MID if scenario == wire.SCENARIO_WHITE else wire.RISK_LOW)
         assert down.payload_sha == hashlib.sha256(payload).hexdigest()[:16]
 
+    @pytest.mark.parametrize("scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
+    def test_in_process_payloads_hashed_once(self, trained, scenario, monkeypatch):
+        hashed = []
+        real = hashlib.sha256
+
+        def recording(data=b""):
+            hashed.append(bytes(data))
+            return real(data)
+
+        monkeypatch.setattr(audit.hashlib, "sha256", recording)
+        server, channel = self.run_session(trained, scenario, n=20)
+        assert len(hashed) == 2 * 20  # request and response, once each for both logs
+        expect = [(e.direction, e.kind, e.size, e.risk, e.payload_sha) for e in server.log.entries]
+        assert [(e.direction, e.kind, e.size, e.risk, e.payload_sha) for e in channel.transcript.entries] == expect
+        assert [e.payload_sha for e in server.log.entries] == [real(p).hexdigest()[:16] for p in hashed]
+
+    def test_payload_sha_memo_skips_mutable_buffers(self):
+        buf = bytearray(b"abc")
+        first = audit.payload_sha(buf)
+        buf[0] = ord("x")
+        assert audit.payload_sha(buf) == hashlib.sha256(b"xbc").hexdigest()[:16] != first
+        payload = b"abc" * 10
+        equal_copy = b"".join([payload[:4], payload[4:]])
+        assert equal_copy is not payload
+        assert audit.payload_sha(payload) == audit.payload_sha(equal_copy) == hashlib.sha256(payload).hexdigest()[:16]
+
     def test_black_transcript_has_no_mid_entries(self, trained):
         server, channel = self.run_session(trained, wire.SCENARIO_BLACK, n=20)
         for log in (server.log, channel.transcript):
