@@ -1,8 +1,10 @@
 """Disclosure accounting: every channel message lands here exactly once.
 
-Entries carry a wall-clock timestamp for forensics, but the digest covers only
-the deterministic fields so that seed-identical runs produce identical digests
-(and therefore byte-identical reports).
+`_DISCLOSURE` is the one place that says how a wire message is logged: its
+entry kind, risk and direction. Entries carry a wall-clock timestamp for
+forensics, but the digest covers only the deterministic fields so that
+seed-identical runs produce identical digests (and therefore byte-identical
+reports).
 """
 from __future__ import annotations
 
@@ -13,16 +15,32 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from . import wire
+
 UP = "up"
 DOWN = "down"
 
+RISK_LOW = "low"
+RISK_MID = "mid"
+
 KIND_FEEDBACK_REQUEST = "feedback_request"
-KIND_FEEDBACK_RESPONSE = "feedback_response"  # softmax/regularizer only: low risk
-KIND_CE_GRAD = "ce_grad"  # white-box gradient feedback: mid risk
+KIND_FEEDBACK_RESPONSE = "feedback_response"
+KIND_CE_GRAD = "ce_grad"
 KIND_WEIGHT_REQUEST = "weight_request"
 KIND_WEIGHT_BLOB = "weight_blob"
-KIND_WEIGHT_REFUSAL = "weight_refusal"
+KIND_WEIGHT_REFUSAL = "weight_refusal"  # logged by the server, with no payload
 KIND_ERROR = "error"
+
+# wire kind -> (entry kind, risk, direction). Only the teacher's weights and
+# the white-box gradient through them are mid risk; a feedback response that
+# carries that gradient is logged as KIND_CE_GRAD (RiskLog.record).
+_DISCLOSURE = {
+    wire.KIND_FEEDBACK_REQUEST: (KIND_FEEDBACK_REQUEST, RISK_LOW, UP),
+    wire.KIND_FEEDBACK_RESPONSE: (KIND_FEEDBACK_RESPONSE, RISK_LOW, DOWN),
+    wire.KIND_WEIGHT_REQUEST: (KIND_WEIGHT_REQUEST, RISK_LOW, UP),
+    wire.KIND_WEIGHT_BLOB: (KIND_WEIGHT_BLOB, RISK_MID, DOWN),
+    wire.KIND_ERROR: (KIND_ERROR, RISK_LOW, DOWN),
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,14 @@ class RiskLog:
         with self._lock:
             self._entries.append(entry)
 
+    def record(self, wire_kind: int, payload: bytes, scenario: str, ce_grad: bool = False) -> None:
+        """Log one wire message as `_DISCLOSURE` tags it; ce_grad marks a white-box response."""
+        kind, risk, direction = _DISCLOSURE[wire_kind]
+        if ce_grad:
+            kind, risk = KIND_CE_GRAD, RISK_MID
+        # positional: perfbench/spans.py reads the payload as args[6] of append
+        self.append(kind, len(payload), risk, scenario, direction, payload)
+
     @property
     def entries(self) -> tuple[RiskEntry, ...]:
         with self._lock:
@@ -126,7 +152,7 @@ def summarize(entries: list[RiskEntry]) -> dict:
     for e in entries:
         risk_hist[e.risk] = risk_hist.get(e.risk, 0) + 1
         kind_hist[e.kind] = kind_hist.get(e.kind, 0) + 1
-    n_mid = risk_hist.get("mid", 0)
+    n_mid = risk_hist.get(RISK_MID, 0)
     n_blobs = kind_hist.get(KIND_WEIGHT_BLOB, 0)
     if n_mid == 0 and n_blobs == 0:
         verdict = "BLACKBOX-CLEAN"

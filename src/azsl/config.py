@@ -63,11 +63,36 @@ def _parse_int_tuple(v: str) -> tuple[int, ...]:
     return tuple(int(t.strip()) for t in v.split(",") if t.strip())
 
 
+def _parse_unseen(v: str) -> int | tuple[int, ...]:
+    """A count of unseen classes, or the list of their ids."""
+    try:
+        return int(v)
+    except ValueError:
+        return _parse_int_tuple(v)
+
+
 def _parse_endpoint(v: str) -> tuple[str, int]:
-    host, _, port = v.rpartition(":")
+    host, _, text = v.rpartition(":")
     if not host:
         raise ValueError(f"endpoint must be host:port, got {v!r}")
-    return host, int(port)
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {port}")
+    return host, port
+
+
+def _join(values) -> str:
+    return ",".join(map(str, values))
+
+
+# parser -> how emit_config writes its value back; any other parser writes str(value)
+_FORMAT = {
+    float: repr,
+    _parse_bool: lambda v: "true" if v else "false",
+    _parse_int_tuple: _join,
+    _parse_unseen: lambda v: str(v) if isinstance(v, int) else _join(v),
+    _parse_endpoint: lambda v: f"{v[0]}:{v[1]}",
+}
 
 
 # key -> (attribute path, parser)
@@ -85,7 +110,7 @@ _KEYS: dict[str, tuple[str, callable]] = {
     "dataset.synthetic.separation": ("synthetic.separation", float),
     "dataset.synthetic.noise": ("synthetic.noise", float),
     "dataset.synthetic.link_seed": ("synthetic.link_seed", int),
-    "split.unseen": ("split_unseen", str),
+    "split.unseen": ("split_unseen", _parse_unseen),
     "split.ratio": ("split_ratio", float),
     "regularizer": ("regularizer", str),
     "alpha": ("alpha", float),
@@ -138,14 +163,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         elif attr.startswith("synthetic."):
             synth_requested = True
             synth_fields[attr.split(".", 1)[1]] = parsed
-        elif attr == "split_unseen":
-            try:
-                cfg.split_unseen = int(parsed)
-            except ValueError:
-                try:
-                    cfg.split_unseen = _parse_int_tuple(parsed)
-                except ValueError:
-                    raise ConfigError(f"{origin}:{line_no}: bad value for split.unseen") from None
         else:
             setattr(cfg, attr, parsed)
     if synth_requested:
@@ -206,57 +223,22 @@ def _validate(cfg: ExperimentConfig, origin: str) -> None:
         bad("seed must be >= 0")
 
 
+def _emitted(cfg: ExperimentConfig, attr: str):
+    """The value behind one key's attribute path; None leaves the key out."""
+    if attr == "_synthetic_flag":
+        return True if cfg.synthetic is not None else None
+    group, _, name = attr.rpartition(".")
+    owner = cfg.synthetic if group else cfg
+    return None if owner is None else getattr(owner, name)
+
+
 def emit_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form: every key explicit, stable order; reparses equal."""
-    synth = cfg.synthetic
+    """Canonical text form: every set key explicit, in _KEYS order; reparses equal."""
     lines = ["# canonical experiment config"]
-
-    def put(key: str, value):
-        lines.append(f"{key} = {value}")
-
-    put("scenario", cfg.scenario)
-    put("teacher_mode", cfg.teacher_mode)
-    if cfg.dataset_path is not None:
-        put("dataset.path", cfg.dataset_path)
-        if cfg.dataset_format:
-            put("dataset.format", cfg.dataset_format)
-    else:
-        put("dataset.synthetic", "true")
-        put("dataset.synthetic.classes", synth.n_classes)
-        put("dataset.synthetic.seen", synth.seen_count)
-        put("dataset.synthetic.dx", synth.d_x)
-        put("dataset.synthetic.da", synth.d_a)
-        put("dataset.synthetic.per_class", synth.per_class)
-        put("dataset.synthetic.separation", repr(synth.separation))
-        put("dataset.synthetic.noise", repr(synth.noise))
-        put("dataset.synthetic.link_seed", synth.link_seed)
-    put(
-        "split.unseen",
-        cfg.split_unseen if isinstance(cfg.split_unseen, int) else ",".join(map(str, cfg.split_unseen)),
-    )
-    put("split.ratio", repr(cfg.split_ratio))
-    put("regularizer", cfg.regularizer)
-    put("alpha", repr(cfg.alpha))
-    put("noise.dim", cfg.noise_dim)
-    put("train.generator_epochs", cfg.t_g)
-    put("train.student_epochs", cfg.t_s)
-    put("train.batch_size", cfg.batch_size)
-    put("train.per_class", cfg.per_class_count)
-    put("train.lr", repr(cfg.lr))
-    put("train.min_verified", cfg.min_verified)
-    put("train.retry_cap", cfg.retry_cap)
-    put("train.verify", "true" if cfg.verify else "false")
-    put("teacher.epochs", cfg.teacher_epochs)
-    put("teacher.batch_size", cfg.teacher_batch)
-    put("teacher.hidden", ",".join(map(str, cfg.teacher_hidden)))
-    put("generator.hidden", ",".join(map(str, cfg.generator_hidden)))
-    put("channel", cfg.channel)
-    if cfg.endpoint is not None:
-        put("endpoint", f"{cfg.endpoint[0]}:{cfg.endpoint[1]}")
-    put("out", cfg.out)
-    put("seed", cfg.seed)
-    if cfg.data_seed is not None:
-        put("data_seed", cfg.data_seed)
+    for key, (attr, parser) in _KEYS.items():
+        value = _emitted(cfg, attr)
+        if value is not None:
+            lines.append(f"{key} = {_FORMAT.get(parser, str)(value)}")
     return "\n".join(lines) + "\n"
 
 

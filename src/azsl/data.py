@@ -328,22 +328,23 @@ def _load_csv(path: Path) -> Dataset:
     if len(sem_lines) < 2:
         raise DataError(f"{sem_path}: no rows")
     d_a = len(sem_lines[0].split(",")) - 1
-    sem_ids: list[str] = []
-    sem_rows: list[list[float]] = []
+    sem_rows: dict[str, list[float]] = {}
     for line_no, line in enumerate(sem_lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != d_a + 1:
             raise DataError(f"{sem_path}:{line_no}: expected {d_a + 1} columns, got {len(parts)}")
-        sem_ids.append(parts[0].strip())
-        sem_rows.append([_parse_float(t, sem_path, line_no) for t in parts[1:]])
+        cid = parts[0].strip()
+        if cid in sem_rows:
+            raise DataError(f"{sem_path}:{line_no}: duplicate class id {cid!r}")
+        sem_rows[cid] = [_parse_float(t, sem_path, line_no) for t in parts[1:]]
 
     # dense 0..C-1 remap; original ids kept as class names
     try:
-        order = sorted(sem_ids, key=int)
+        order = sorted(sem_rows, key=int)
     except ValueError:
-        order = sorted(sem_ids)
+        order = sorted(sem_rows)
     remap = {cid: i for i, cid in enumerate(order)}
     labels = []
     for line_no, cid in enumerate(raw_labels, start=2):
@@ -351,8 +352,8 @@ def _load_csv(path: Path) -> Dataset:
             raise DataError(f"{path}:{line_no}: unknown class id {cid!r}")
         labels.append(remap[cid])
     sem = np.empty((len(order), d_a))
-    for cid, row in zip(sem_ids, sem_rows):
-        sem[remap[cid]] = row
+    for i, cid in enumerate(order):
+        sem[i] = sem_rows[cid]
     return Dataset(
         features=np.asarray(rows),
         labels=np.asarray(labels),

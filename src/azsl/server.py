@@ -110,72 +110,55 @@ def feedback(
     )
 
 
-def export_weights(
-    teacher: TeacherModel, scenario: str, log: audit.RiskLog | None = None
-) -> bytes:
-    """Serialized teacher weights; a logged mid-risk disclosure, white-box only."""
+def export_weights(teacher: TeacherModel, scenario: str) -> bytes:
+    """Serialized teacher weights, white-box only; the caller logs the disclosure."""
     if scenario != wire.SCENARIO_WHITE:
-        if log is not None:
-            log.append(audit.KIND_WEIGHT_REFUSAL, 0, wire.RISK_LOW, scenario, audit.DOWN)
         raise wire.ProtocolError("weight export refused outside the white-box scenario")
-    blob = wire.encode_params(teacher.params)
-    if log is not None:
-        log.append(audit.KIND_WEIGHT_BLOB, len(blob), wire.RISK_MID, scenario, audit.DOWN, blob)
-    return blob
+    return wire.encode_params(teacher.params)
 
 
 class TeacherServer:
     """Stateful request handler shared by the in-process channel and the TCP loop."""
 
-    def __init__(
-        self,
-        teacher: TeacherModel,
-        reg_state: RegularizerState,
-        scenario: str,
-        log: audit.RiskLog | None = None,
-    ):
+    def __init__(self, teacher: TeacherModel, reg_state: RegularizerState, scenario: str):
         if scenario not in wire.SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
         self.teacher = teacher
         self.reg_state = reg_state
         self.scenario = scenario
-        self.log = log if log is not None else audit.RiskLog()
+        self.log = audit.RiskLog()
 
     def handle_payload(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         """Decode one request payload, answer it, log both directions."""
         try:
             if kind == wire.KIND_FEEDBACK_REQUEST:
                 request = wire.decode_feedback_request(payload)
-                self.log.append(
-                    audit.KIND_FEEDBACK_REQUEST, len(payload), wire.RISK_LOW,
-                    request.scenario, audit.UP, payload,
-                )
+                self.log.record(kind, payload, request.scenario)
                 resp = feedback(self.teacher, self.reg_state, request, allowed_scenario=self.scenario)
                 out = wire.encode_feedback_response(resp)
-                self.log.append(
-                    audit.KIND_CE_GRAD if resp.ce_grad is not None else audit.KIND_FEEDBACK_RESPONSE,
-                    len(out), resp.risk, request.scenario, audit.DOWN, out,
-                )
+                self.log.record(wire.KIND_FEEDBACK_RESPONSE, out, request.scenario, ce_grad=resp.ce_grad is not None)
                 return wire.KIND_FEEDBACK_RESPONSE, out
             if kind == wire.KIND_WEIGHT_REQUEST:
                 scenario = wire.decode_weight_request(payload)
-                self.log.append(
-                    audit.KIND_WEIGHT_REQUEST, len(payload), wire.RISK_LOW,
-                    scenario, audit.UP, payload,
-                )
+                self.log.record(kind, payload, scenario)
                 if self.scenario == wire.SCENARIO_BLACK:
                     scenario = wire.SCENARIO_BLACK  # server policy wins
-                blob = export_weights(self.teacher, scenario, log=self.log)
+                if scenario != wire.SCENARIO_WHITE:  # export_weights refuses it below
+                    self.log.append(audit.KIND_WEIGHT_REFUSAL, 0, audit.RISK_LOW, scenario, audit.DOWN)
+                blob = export_weights(self.teacher, scenario)
+                self.log.record(wire.KIND_WEIGHT_BLOB, blob, scenario)
                 return wire.KIND_WEIGHT_BLOB, blob
             raise wire.ProtocolError(f"unsupported message kind {kind}", code=wire.ERR_BAD_KIND)
         except wire.ProtocolError as exc:
-            payload = wire.encode_error(exc.code, str(exc))
-            self.log.append(audit.KIND_ERROR, len(payload), wire.RISK_LOW, self.scenario, audit.DOWN, payload)
-            return wire.KIND_ERROR, payload
+            return wire.KIND_ERROR, self.error_payload(exc.code, str(exc))
         except Exception as exc:  # keep the loop alive; leak no internals
-            payload = wire.encode_error(wire.ERR_SERVER, f"server error: {exc}")
-            self.log.append(audit.KIND_ERROR, len(payload), wire.RISK_LOW, self.scenario, audit.DOWN, payload)
-            return wire.KIND_ERROR, payload
+            return wire.KIND_ERROR, self.error_payload(wire.ERR_SERVER, f"server error: {exc}")
+
+    def error_payload(self, code: int, message: str) -> bytes:
+        """An error frame's payload, logged as sent under the server's scenario."""
+        payload = wire.encode_error(code, message)
+        self.log.record(wire.KIND_ERROR, payload, self.scenario)
+        return payload
 
 
 def serve(
@@ -206,8 +189,7 @@ def serve(
                     try:
                         frame = wire.recv_frame(conn)
                     except wire.ProtocolError as exc:
-                        err = wire.encode_error(exc.code, str(exc))
-                        server.log.append(audit.KIND_ERROR, len(err), wire.RISK_LOW, server.scenario, audit.DOWN, err)
+                        err = server.error_payload(exc.code, str(exc))
                         try:
                             conn.sendall(wire.frame(wire.KIND_ERROR, err))
                         except OSError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ SCENARIO_BLACK = "black"
 SCENARIOS = (SCENARIO_WHITE, SCENARIO_BLACK)
 _SCENARIO_CODE = {SCENARIO_WHITE: 1, SCENARIO_BLACK: 2}
 _SCENARIO_NAME = {v: k for k, v in _SCENARIO_CODE.items()}
-
-RISK_LOW = "low"
-RISK_MID = "mid"
 
 
 class ProtocolError(Exception):
@@ -80,18 +77,6 @@ class FeedbackResponse:
     reg_grad: np.ndarray
     ce_value: float | None = None
     ce_grad: np.ndarray | None = None
-    risk_tags: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.risk_tags:
-            self.risk_tags = {"softmax": RISK_LOW, "reg_value": RISK_LOW, "reg_grad": RISK_LOW}
-            if self.ce_grad is not None:
-                self.risk_tags["ce_value"] = RISK_LOW
-                self.risk_tags["ce_grad"] = RISK_MID
-
-    @property
-    def risk(self) -> str:
-        return RISK_MID if RISK_MID in self.risk_tags.values() else RISK_LOW
 
 
 class _Writer:

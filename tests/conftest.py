@@ -75,3 +75,22 @@ def toy_split(toy_dataset):
 
 def random_net(specs, role=nn.ROLE_TEACHER, seed=0):
     return nn.mlp_init([nn.LayerSpec(*s) if isinstance(s, tuple) else s for s in specs], role, seed)
+
+
+def record_frames(channel):
+    """Keep every (kind, payload) a channel sends and every reply it receives.
+
+    Wraps this one channel's `_request`, the transport step under every
+    channel call, so tests can compare raw frames across transports.
+    """
+    sent: list[tuple[int, bytes]] = []
+    received: list[tuple[int, bytes]] = []
+    request = channel._request
+
+    def recording(kind, payload):
+        sent.append((kind, payload))
+        received.append(request(kind, payload))
+        return received[-1]
+
+    channel._request = recording
+    return sent, received

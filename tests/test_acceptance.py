@@ -25,7 +25,7 @@ from azsl.experiment import (
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.server import serve, train_teacher
 
-from conftest import fast_config, tiny_config
+from conftest import fast_config, record_frames, tiny_config
 
 SEEDS = [101, 102, 103, 104, 105]
 _timings: dict[str, float] = {}
@@ -226,7 +226,8 @@ class TestCriterion4ProtocolParity:
         ds = build_dataset(cfg)
         split = build_split(cfg, ds)
         server_a, _ = build_server(cfg, ds, split)
-        local = InProcessChannel(server_a, record_payloads=True)
+        local = InProcessChannel(server_a)
+        local_frames = record_frames(local)
         run_algorithm1(local, ds.semantics, train_config(cfg), client_setup(cfg, ds, split))
 
         import threading
@@ -245,14 +246,14 @@ class TestCriterion4ProtocolParity:
         thread.start()
         assert ready.wait(30)
         try:
-            remote = TcpChannel("127.0.0.1", bound["port"], record_payloads=True)
+            remote = TcpChannel("127.0.0.1", bound["port"])
+            remote_frames = record_frames(remote)
             run_algorithm1(remote, ds.semantics, train_config(cfg), client_setup(cfg, ds, split))
             remote.close()
         finally:
             stop.set()
             thread.join(timeout=30)
-        assert local.sent == remote.sent
-        assert local.received == remote.received
+        assert local_frames == remote_frames
 
         from azsl.config import emit_config
 
@@ -286,7 +287,7 @@ class TestCriterion5PrivacyAudit:
         channel = InProcessChannel(server)
         run_algorithm1(channel, ds.semantics, train_config(white), client_setup(white, ds, split))
         channel.fetch_weights()  # exercise the weight-blob disclosure path too
-        mid_kinds = {e.kind for e in channel.transcript.entries if e.risk == wire.RISK_MID}
+        mid_kinds = {e.kind for e in channel.transcript.entries if e.risk == audit.RISK_MID}
         assert mid_kinds == {audit.KIND_CE_GRAD, audit.KIND_WEIGHT_BLOB}
         elapsed = time.time() - start
         assert elapsed < 60.0

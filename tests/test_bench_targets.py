@@ -3,18 +3,38 @@
 A rename under src/ should fail here, not in the middle of a traced benchmark run.
 """
 import importlib.util
+import inspect
 from pathlib import Path
+
+from azsl import audit, wire
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_traced_attribute_exists():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_attribute_exists():
+    spans = _load_spans()
     targets = spans.phase_targets() + spans.layer_targets()
     missing = [
         f"{owner.__name__}.{attr}" for owner, attr, _name, _opts in targets if not callable(getattr(owner, attr, None))
     ]
     assert len(targets) > 20
     assert missing == []
+
+
+def test_audit_payload_is_append_sixth_argument():
+    # the tracer counts audit.bytes_hashed from args[6] of RiskLog.append (args[0]
+    # is self); a moved parameter would silently read zero hashed bytes
+    params = list(inspect.signature(audit.RiskLog.append).parameters)
+    assert params.index("self") == 0 and params.index("payload") == 6
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.patched(tracer, [(audit.RiskLog, "append", "audit.append", dict(observe=spans._count_hashed))]):
+        audit.RiskLog().record(wire.KIND_FEEDBACK_REQUEST, b"x" * 37, wire.SCENARIO_BLACK)
+    assert tracer.counts["audit.bytes_hashed"] == 37

@@ -12,7 +12,7 @@ from azsl.config import emit_config, with_overrides
 from azsl.data import load_features
 from azsl.experiment import run_experiment, serve_experiment
 
-from conftest import tiny_config
+from conftest import record_frames, tiny_config
 
 RUN_FILES = [
     "config.azsl",
@@ -109,6 +109,12 @@ class TestExitCodes:
     def test_runtime_error(self, tmp_path):
         assert cli.main(["audit", str(tmp_path / "missing.json")]) == cli.EXIT_RUNTIME
 
+    def test_port_out_of_range_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "srv.azsl"
+        path.write_text("dataset.synthetic = true\nendpoint = 127.0.0.1:70000\n")
+        assert cli.main(["serve", str(path)]) == cli.EXIT_CONFIG
+        assert "port must be in 0..65535" in capsys.readouterr().err
+
     def test_bind_failure(self, tmp_path):
         taken = socket.socket()
         taken.bind(("127.0.0.1", 0))
@@ -146,13 +152,14 @@ class TestAudit:
         ds = build_dataset(cfg)
         split = build_split(cfg, ds)
         server, _ = build_server(cfg, ds, split)
-        channel = InProcessChannel(server, record_payloads=True)
+        channel = InProcessChannel(server)
+        sent, received = record_frames(channel)
         run_algorithm1(channel, ds.semantics, train_config(cfg), client_setup(cfg, ds, split))
         channel.transcript.save(tmp_path / "t.json")
         assert cli.main(["audit", str(tmp_path / "t.json")]) == 0
         out = capsys.readouterr().out
-        up = sum(len(p) for _, p in channel.sent)
-        down = sum(len(p) for _, p in channel.received)
+        up = sum(len(p) for _, p in sent)
+        down = sum(len(p) for _, p in received)
         assert f"bytes up: {up}" in out
         assert f"bytes down: {down}" in out
 

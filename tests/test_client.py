@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from azsl import client as client_mod
-from azsl import nn, wire
+from azsl import audit, nn, wire
 from azsl.channel import InProcessChannel
 from azsl.client import (
     ClientSetup,
@@ -282,7 +282,7 @@ class TestBlackTraining:
         cfg = TrainConfig(t_g=20, batch_size=16, alpha=1.0, noise=NoiseSpec(NZ, 4), lr=1e-3, seed=4,
                           scenario=wire.SCENARIO_BLACK)
         train_black(gen, student, channel, semantics(), [0, 1, 2, 3], cfg)
-        assert all(e.risk == wire.RISK_LOW for e in channel.transcript.entries)
+        assert all(e.risk == audit.RISK_LOW for e in channel.transcript.entries)
 
 
 class TestQuota:
@@ -439,7 +439,7 @@ class TestRunAlgorithm1:
 
     def test_black_transcript_digest_only_low_kinds(self, teacher_env):
         bundle = self.run(teacher_env, wire.SCENARIO_BLACK)
-        assert all(e.risk == wire.RISK_LOW for e in bundle.transcript.entries)
+        assert all(e.risk == audit.RISK_LOW for e in bundle.transcript.entries)
 
     def test_deterministic_bundle_digest(self, teacher_env):
         a = self.run(teacher_env, wire.SCENARIO_WHITE, seed=41)

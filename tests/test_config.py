@@ -1,6 +1,6 @@
 import pytest
 
-from azsl.config import ConfigError, emit_config, parse_config, parse_config_text
+from azsl.config import ConfigError, ExperimentConfig, emit_config, parse_config, parse_config_text
 
 MINIMAL = """
 dataset.synthetic = true
@@ -88,6 +88,19 @@ class TestParsing:
         cfg = parse_config_text(MINIMAL + "split.unseen = 8,9\n")
         assert cfg.split_unseen == (8, 9)
 
+    def test_bad_split_unseen_reports_line(self):
+        with pytest.raises(ConfigError, match=":5: bad value for split.unseen"):
+            parse_config_text(MINIMAL + "split.unseen = 8,x\n")
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_endpoint_port_out_of_range(self, port):
+        with pytest.raises(ConfigError, match=":5: bad value for endpoint: port must be in 0..65535"):
+            parse_config_text(MINIMAL + f"endpoint = 127.0.0.1:{port}\n")
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_endpoint_port_bounds_accepted(self, port):
+        assert parse_config_text(MINIMAL + f"endpoint = 127.0.0.1:{port}\n").endpoint == ("127.0.0.1", port)
+
     def test_scenario_validation(self):
         with pytest.raises(ConfigError, match="scenario"):
             parse_config_text("dataset.synthetic = true\nscenario = gray\nteacher_mode = transductive\n")
@@ -108,6 +121,18 @@ class TestCanonicalEmission:
             MINIMAL + "channel = tcp\nendpoint = 10.0.0.1:4242\nsplit.unseen = 7,8,9\n"
         )
         assert parse_config_text(emit_config(cfg)) == cfg
+
+    def test_file_backed_emission(self):
+        cfg = ExperimentConfig(dataset_path="/d/x.csv", dataset_format="csv", split_unseen=(3, 7), data_seed=4)
+        assert emit_config(cfg) == (
+            "# canonical experiment config\nscenario = white\nteacher_mode = transductive\n"
+            "dataset.path = /d/x.csv\ndataset.format = csv\nsplit.unseen = 3,7\nsplit.ratio = 0.8\n"
+            "regularizer = kl\nalpha = 0.5\nnoise.dim = 20\ntrain.generator_epochs = 2000\n"
+            "train.student_epochs = 2000\ntrain.batch_size = 64\ntrain.per_class = 400\ntrain.lr = 1e-05\n"
+            "train.min_verified = 1\ntrain.retry_cap = 2\ntrain.verify = true\nteacher.epochs = 200\n"
+            "teacher.batch_size = 64\nteacher.hidden = 1024,512\ngenerator.hidden = 4096\nchannel = inproc\n"
+            "out = azsl_out\nseed = 1\ndata_seed = 4\n"
+        )
 
     def test_emission_is_stable(self):
         cfg = parse_config_text(MINIMAL)

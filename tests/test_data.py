@@ -198,6 +198,13 @@ class TestFileFormats:
         with pytest.raises(DataError, match="unknown class id"):
             load_features(tmp_path / "bad.csv")
 
+    def test_duplicate_semantic_class_id(self, tmp_path):
+        # a repeated id would leave another class's semantic row unset
+        (tmp_path / "dup.csv").write_text("label,f0\n0,1\n1,2\n")
+        (tmp_path / "dup.sem.csv").write_text("class,s0\n0,0.5\n1,0.25\n0,0.75\n")
+        with pytest.raises(DataError, match=r"dup\.sem\.csv:4: duplicate class id '0'"):
+            load_features(tmp_path / "dup.csv")
+
     def test_non_finite_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("label,f0\n0,nan\n")
         (tmp_path / "bad.sem.csv").write_text("class,s0\n0,0.5\n")

@@ -11,6 +11,7 @@ from azsl.channel import InProcessChannel, TcpChannel
 from azsl.data import SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer
 from azsl.server import TeacherModel, TeacherServer, export_weights, feedback, serve, train_teacher
+from conftest import record_frames
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,14 @@ def trained():
     teacher = train_teacher(ds, split, epochs=30, batch_size=32, seed=1, hidden=(32, 16), lr=1e-3)
     reg = fit_regularizer(ds, split, "kl", alpha=1.0)
     return ds, split, teacher, reg
+
+
+def _sha(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _rows(log):
+    return [(e.direction, e.kind, e.size, e.risk, e.scenario, e.payload_sha) for e in log.entries]
 
 
 def _moving_average(xs, k=10):
@@ -91,8 +100,9 @@ class TestFeedback:
         assert resp.ce_value is None and resp.ce_grad is None
         assert resp.softmax.shape == (3, 4)
         assert resp.reg_grad.shape == (3, 10)
-        assert set(resp.risk_tags) == {"softmax", "reg_value", "reg_grad"}
-        assert all(tag == wire.RISK_LOW for tag in resp.risk_tags.values())
+        log = audit.RiskLog()
+        log.record(wire.KIND_FEEDBACK_RESPONSE, wire.encode_feedback_response(resp), req.scenario)
+        assert (log.entries[0].kind, log.entries[0].risk) == (audit.KIND_FEEDBACK_RESPONSE, audit.RISK_LOW)
 
     def test_white_on_perfectly_classified_batch(self, trained):
         # saturate the head so the batch sits at the cross-entropy minimum
@@ -189,23 +199,28 @@ class TestFeedback:
 
 class TestExportWeights:
     def test_refused_under_blackbox_and_logged(self, trained):
-        _, _, teacher, _ = trained
-        log = audit.RiskLog()
+        _, _, teacher, reg = trained
         with pytest.raises(wire.ProtocolError, match="refused"):
-            export_weights(teacher, wire.SCENARIO_BLACK, log=log)
-        kinds = [e.kind for e in log.entries]
-        assert kinds == [audit.KIND_WEIGHT_REFUSAL]
+            export_weights(teacher, wire.SCENARIO_BLACK)
+        server = TeacherServer(teacher, reg, wire.SCENARIO_BLACK)
+        kind, _ = server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE))
+        assert kind == wire.KIND_ERROR
+        kinds = [e.kind for e in server.log.entries]
+        assert kinds == [audit.KIND_WEIGHT_REQUEST, audit.KIND_WEIGHT_REFUSAL, audit.KIND_ERROR]
 
     def test_round_trip_and_size(self, trained):
-        _, _, teacher, _ = trained
-        log = audit.RiskLog()
-        blob = export_weights(teacher, wire.SCENARIO_WHITE, log=log)
+        _, _, teacher, reg = trained
+        blob = export_weights(teacher, wire.SCENARIO_WHITE)
         assert len(blob) == wire.params_blob_size(teacher.params.layers)
         back = wire.decode_params(blob)
         x = np.abs(np.random.default_rng(1).normal(size=(3, 10)))
         assert np.array_equal(nn.mlp_forward(back, x)[0], nn.mlp_forward(teacher.params, x)[0])
-        assert log.entries[0].kind == audit.KIND_WEIGHT_BLOB
-        assert log.entries[0].risk == wire.RISK_MID
+        server = TeacherServer(teacher, reg, wire.SCENARIO_WHITE)
+        assert server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE)) == (
+            wire.KIND_WEIGHT_BLOB, blob,
+        )
+        assert server.log.entries[-1].kind == audit.KIND_WEIGHT_BLOB
+        assert server.log.entries[-1].risk == audit.RISK_MID
 
 
 class TestRiskLog:
@@ -246,7 +261,7 @@ class TestRiskLog:
         down = server.log.entries[-1]
         expect_kind = audit.KIND_CE_GRAD if scenario == wire.SCENARIO_WHITE else audit.KIND_FEEDBACK_RESPONSE
         assert (down.direction, down.kind, down.size) == (audit.DOWN, expect_kind, len(payload))
-        assert down.risk == (wire.RISK_MID if scenario == wire.SCENARIO_WHITE else wire.RISK_LOW)
+        assert down.risk == (audit.RISK_MID if scenario == wire.SCENARIO_WHITE else audit.RISK_LOW)
         assert down.payload_sha == hashlib.sha256(payload).hexdigest()[:16]
 
     @pytest.mark.parametrize("scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
@@ -278,13 +293,30 @@ class TestRiskLog:
     def test_black_transcript_has_no_mid_entries(self, trained):
         server, channel = self.run_session(trained, wire.SCENARIO_BLACK, n=20)
         for log in (server.log, channel.transcript):
-            assert all(e.risk == wire.RISK_LOW for e in log.entries)
+            assert all(e.risk == audit.RISK_LOW for e in log.entries)
 
     def test_white_mid_entries_only_ce_grad_or_blob(self, trained):
         server, channel = self.run_session(trained, wire.SCENARIO_WHITE, n=20)
         channel.fetch_weights()
-        mids = [e.kind for e in server.log.entries if e.risk == wire.RISK_MID]
+        mids = [e.kind for e in server.log.entries if e.risk == audit.RISK_MID]
         assert mids and set(mids) <= {audit.KIND_CE_GRAD, audit.KIND_WEIGHT_BLOB}
+
+    def test_record_tags_by_wire_kind(self):
+        log = audit.RiskLog()
+        for kind in (wire.KIND_FEEDBACK_REQUEST, wire.KIND_FEEDBACK_RESPONSE, wire.KIND_WEIGHT_REQUEST,
+                     wire.KIND_WEIGHT_BLOB, wire.KIND_ERROR):
+            log.record(kind, b"abc", wire.SCENARIO_WHITE)
+        log.record(wire.KIND_FEEDBACK_RESPONSE, b"abcd", wire.SCENARIO_WHITE, ce_grad=True)
+        assert [(e.direction, e.kind, e.risk, e.size, e.payload_sha) for e in log.entries] == [
+            ("up", "feedback_request", "low", 3, _sha(b"abc")),
+            ("down", "feedback_response", "low", 3, _sha(b"abc")),
+            ("up", "weight_request", "low", 3, _sha(b"abc")),
+            ("down", "weight_blob", "mid", 3, _sha(b"abc")),
+            ("down", "error", "low", 3, _sha(b"abc")),
+            ("down", "ce_grad", "mid", 4, _sha(b"abcd")),
+        ]
+        with pytest.raises(KeyError):
+            log.record(77, b"", wire.SCENARIO_WHITE)
 
     def test_digest_ignores_timestamps(self, trained):
         server, _ = self.run_session(trained, wire.SCENARIO_BLACK, n=3)
@@ -297,6 +329,126 @@ class TestRiskLog:
                 scenario=e.scenario, direction=e.direction, payload_sha=e.payload_sha,
             )
         assert server.log.digest() == log2.digest()
+
+
+W, B = wire.SCENARIO_WHITE, wire.SCENARIO_BLACK
+UP, DOWN = audit.UP, audit.DOWN
+FB_REQ, FB_RESP, CE = audit.KIND_FEEDBACK_REQUEST, audit.KIND_FEEDBACK_RESPONSE, audit.KIND_CE_GRAD
+W_REQ, BLOB, REFUSED, ERR = audit.KIND_WEIGHT_REQUEST, audit.KIND_WEIGHT_BLOB, audit.KIND_WEIGHT_REFUSAL, audit.KIND_ERROR
+LOW, MID = "low", "mid"
+
+# request and error payloads are fixed bytes; their hashes are literal
+SHA_WHITE_REQ, SHA_BLACK_REQ = "5014daba5ca507b4", "81a0d704e15e4bb3"
+SHA_WEIGHTS_WHITE, SHA_WEIGHTS_BLACK = "67abdd721024f0ff", "26b25d457597a7b0"
+SHA_NARROW_REQ, SHA_FOREIGN_REQ = "594b30f46aa9601e", "edca25f547c25259"
+SHA_WHITE_REFUSED, SHA_EXPORT_REFUSED = "7f0d80da15929a3f", "2b5b6fb1d9785cf7"
+SHA_COLUMNS, SHA_CLASS_SPACE = "be892c609849663d", "04361d47df3299ff"
+SHA_TRUNCATED, SHA_BAD_KIND = "ff97f2de0e36208d", "6fee82fb4f8b9550"
+
+
+class TestDisclosurePins:
+    """Every entry of the server log and the client transcript, per message kind.
+
+    Replies computed from the teacher's weights are hashed from the frames the
+    client received, so these pins hold on any numpy/BLAS build; every other
+    field is literal.
+    """
+
+    def exchange(self, trained, scenario):
+        _, _, teacher, reg = trained
+        server = TeacherServer(teacher, reg, scenario)
+        channel = InProcessChannel(server)
+        _, received = record_frames(channel)
+        calls = [
+            lambda: channel.feedback(wire.FeedbackRequest(W, np.full((3, 10), 0.5), [0, 1, 2])),
+            lambda: channel.feedback(wire.FeedbackRequest(B, np.full((2, 10), 0.25), [1, 2])),
+            lambda: channel.fetch_weights(W),
+            lambda: channel.fetch_weights(B),
+            lambda: channel.feedback(wire.FeedbackRequest(B, np.ones((2, 3)), [0, 1])),  # wrong column count
+            lambda: channel.feedback(wire.FeedbackRequest(B, np.ones((1, 10)), [99])),  # outside the class space
+        ]
+        codes = []
+        for call in calls:
+            try:
+                call()
+                codes.append(0)
+            except wire.ProtocolError as exc:
+                codes.append(exc.code)
+        truncated = wire.encode_feedback_request(wire.FeedbackRequest(B, np.ones((1, 10)), [0]))[:-3]
+        raw = [server.handle_payload(wire.KIND_FEEDBACK_REQUEST, truncated), server.handle_payload(77, b"")]
+        assert raw == [
+            (wire.KIND_ERROR, wire.encode_error(wire.ERR_BAD_FRAME, "truncated payload")),
+            (wire.KIND_ERROR, wire.encode_error(wire.ERR_BAD_KIND, "unsupported message kind 77")),
+        ]
+        return server, channel, codes, [_sha(p) for _, p in received]
+
+    def test_white_server(self, trained):
+        server, channel, codes, replies = self.exchange(trained, W)
+        assert codes == [0, 0, 0, wire.ERR_PROTOCOL, wire.ERR_PROTOCOL, wire.ERR_PROTOCOL]
+        shared = [
+            (UP, FB_REQ, 272, LOW, W, SHA_WHITE_REQ),
+            (DOWN, CE, 620, MID, W, replies[0]),
+            (UP, FB_REQ, 188, LOW, B, SHA_BLACK_REQ),
+            (DOWN, FB_RESP, 252, LOW, B, replies[1]),
+            (UP, W_REQ, 4, LOW, W, SHA_WEIGHTS_WHITE),
+            (DOWN, BLOB, 7696, MID, W, replies[2]),
+            (UP, W_REQ, 4, LOW, B, SHA_WEIGHTS_BLACK),
+        ]
+        # the server tags its errors with its own scenario, the client with the request's
+        assert _rows(server.log) == shared + [
+            (DOWN, REFUSED, 0, LOW, B, ""),
+            (DOWN, ERR, 54, LOW, W, SHA_EXPORT_REFUSED),
+            (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
+            (DOWN, ERR, 41, LOW, W, SHA_COLUMNS),
+            (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
+            (DOWN, ERR, 42, LOW, W, SHA_CLASS_SPACE),
+            (DOWN, ERR, 19, LOW, W, SHA_TRUNCATED),
+            (DOWN, ERR, 29, LOW, W, SHA_BAD_KIND),
+        ]
+        assert _rows(channel.transcript) == shared + [
+            (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
+            (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
+            (DOWN, ERR, 41, LOW, B, SHA_COLUMNS),
+            (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
+            (DOWN, ERR, 42, LOW, B, SHA_CLASS_SPACE),
+        ]
+
+    def test_black_server(self, trained):
+        server, channel, codes, replies = self.exchange(trained, B)
+        assert codes == [wire.ERR_PROTOCOL, 0] + [wire.ERR_PROTOCOL] * 4
+        assert replies[0] == SHA_WHITE_REFUSED
+        assert _rows(server.log) == [
+            (UP, FB_REQ, 272, LOW, W, SHA_WHITE_REQ),
+            (DOWN, ERR, 54, LOW, B, SHA_WHITE_REFUSED),
+            (UP, FB_REQ, 188, LOW, B, SHA_BLACK_REQ),
+            (DOWN, FB_RESP, 252, LOW, B, replies[1]),
+            (UP, W_REQ, 4, LOW, W, SHA_WEIGHTS_WHITE),
+            (DOWN, REFUSED, 0, LOW, B, ""),  # server policy wins over the requested scenario
+            (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
+            (UP, W_REQ, 4, LOW, B, SHA_WEIGHTS_BLACK),
+            (DOWN, REFUSED, 0, LOW, B, ""),
+            (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
+            (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
+            (DOWN, ERR, 41, LOW, B, SHA_COLUMNS),
+            (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
+            (DOWN, ERR, 42, LOW, B, SHA_CLASS_SPACE),
+            (DOWN, ERR, 19, LOW, B, SHA_TRUNCATED),
+            (DOWN, ERR, 29, LOW, B, SHA_BAD_KIND),
+        ]
+        assert _rows(channel.transcript) == [
+            (UP, FB_REQ, 272, LOW, W, SHA_WHITE_REQ),
+            (DOWN, ERR, 54, LOW, W, SHA_WHITE_REFUSED),
+            (UP, FB_REQ, 188, LOW, B, SHA_BLACK_REQ),
+            (DOWN, FB_RESP, 252, LOW, B, replies[1]),
+            (UP, W_REQ, 4, LOW, W, SHA_WEIGHTS_WHITE),
+            (DOWN, ERR, 54, LOW, W, SHA_EXPORT_REFUSED),
+            (UP, W_REQ, 4, LOW, B, SHA_WEIGHTS_BLACK),
+            (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
+            (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
+            (DOWN, ERR, 41, LOW, B, SHA_COLUMNS),
+            (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
+            (DOWN, ERR, 42, LOW, B, SHA_CLASS_SPACE),
+        ]
 
 
 class TestServeLoop:
@@ -332,21 +484,22 @@ class TestServeLoop:
         _, _, teacher, reg = trained
         reqs = self.request_sequence(np.random.default_rng(11))
 
-        local = InProcessChannel(TeacherServer(teacher, reg, wire.SCENARIO_WHITE), record_payloads=True)
+        local = InProcessChannel(TeacherServer(teacher, reg, wire.SCENARIO_WHITE))
+        local_frames = record_frames(local)
         for req in reqs:
             local.feedback(req)
 
         server, stop, thread, port = self.start(trained)
         try:
-            remote = TcpChannel("127.0.0.1", port, record_payloads=True)
+            remote = TcpChannel("127.0.0.1", port)
+            remote_frames = record_frames(remote)
             for req in reqs:
                 remote.feedback(req)
             remote.close()
         finally:
             stop.set()
             thread.join(timeout=10)
-        assert local.sent == remote.sent
-        assert local.received == remote.received
+        assert local_frames == remote_frames
         assert local.transcript.digest() == remote.transcript.digest()
 
     def test_malformed_magic_gets_error_frame_then_close(self, trained):
@@ -380,6 +533,22 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+
+    @pytest.mark.parametrize("scenario", [W, B])
+    def test_framing_errors_pinned_in_server_log(self, trained, scenario):
+        server, stop, thread, port = self.start(trained, scenario)
+        try:
+            for bad in (b"GARBAGE890", wire.MAGIC + bytes([wire.VERSION + 1, 1]) + struct.pack("<I", 0)):
+                with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                    sock.sendall(bad)
+                    assert wire.recv_frame(sock)[0] == wire.KIND_ERROR
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert _rows(server.log) == [
+            (DOWN, ERR, 11, LOW, scenario, "ba8a4c794372f2ff"),  # bad magic
+            (DOWN, ERR, 23, LOW, scenario, "7004f630b94606df"),  # unsupported version 2
+        ]
 
     def test_channel_raises_when_server_closes_without_reply(self):
         listener = socket.create_server(("127.0.0.1", 0))
