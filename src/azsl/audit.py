@@ -28,7 +28,6 @@ KIND_FEEDBACK_RESPONSE = "feedback_response"
 KIND_CE_GRAD = "ce_grad"
 KIND_WEIGHT_REQUEST = "weight_request"
 KIND_WEIGHT_BLOB = "weight_blob"
-KIND_WEIGHT_REFUSAL = "weight_refusal"  # logged by the server, with no payload
 KIND_ERROR = "error"
 
 # wire kind -> (entry kind, risk, direction). Only the teacher's weights and
@@ -54,25 +53,17 @@ class RiskEntry:
     payload_sha: str = ""
 
 
-# The last bytes object hashed and its digest. An in-process run logs every
-# payload twice, in the client transcript and in the server log, as the same
-# bytes object, back to back; this memo hashes it once. bytes are immutable and
-# the memo keeps its payload alive, so an identity match means the same bytes.
-# A hit empties the memo, so it holds no payload beyond its second entry.
-_last_hashed: tuple[bytes | None, str] = (None, "")
-
-
 def payload_sha(payload: bytes) -> str:
     """First 16 hex digits of the payload's SHA-256."""
-    global _last_hashed
-    last = _last_hashed  # one read: another thread may replace the memo
-    if last[0] is payload:
-        _last_hashed = (None, "")
-        return last[1]
-    sha = hashlib.sha256(payload).hexdigest()[:16]
-    if type(payload) is bytes:
-        _last_hashed = (payload, sha)
-    return sha
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _digest(entries) -> str:
+    """Hash of the deterministic message sequence (timestamps excluded)."""
+    h = hashlib.sha256()
+    for e in entries:
+        h.update(f"{e.direction}|{e.kind}|{e.size}|{e.risk}|{e.scenario}|{e.payload_sha}\n".encode())
+    return h.hexdigest()
 
 
 class RiskLog:
@@ -118,11 +109,7 @@ class RiskLog:
             return tuple(self._entries)
 
     def digest(self) -> str:
-        """Hash of the deterministic message sequence (timestamps excluded)."""
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(f"{e.direction}|{e.kind}|{e.size}|{e.risk}|{e.scenario}|{e.payload_sha}\n".encode())
-        return h.hexdigest()
+        return _digest(self.entries)
 
     def to_json(self) -> str:
         body = {
@@ -136,11 +123,16 @@ class RiskLog:
 
 
 def load_transcript(path: str | Path) -> list[RiskEntry]:
+    """A saved transcript's entries, once they hash to its stored digest."""
     try:
         body = json.loads(Path(path).read_text())
-        return [RiskEntry(**e) for e in body["entries"]]
+        entries = [RiskEntry(**e) for e in body["entries"]]
+        stored = body["digest"]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"corrupt transcript {path}: {exc}") from exc
+    if _digest(entries) != stored:
+        raise ValueError(f"corrupt transcript {path}: its entries do not match its digest")
+    return entries
 
 
 def summarize(entries: list[RiskEntry]) -> dict:

@@ -2,8 +2,10 @@
 
 Both channels move the same canonical payload bytes; the in-process channel
 literally encodes/decodes through the wire codecs so a TCP session and a local
-session are byte-for-byte interchangeable. Every message is recorded in a
-client-side transcript, tagged by the same `audit` table the server uses.
+session are byte-for-byte interchangeable. Each end of a wire logs every
+message that crosses it, once: a TCP client in its own transcript, tagged
+exactly as the server tags its log; an in-process run has only the server's
+end, so its transcript is the server's log.
 """
 from __future__ import annotations
 
@@ -14,21 +16,24 @@ from .server import TeacherServer
 
 
 class BaseChannel:
-    """Shared bookkeeping: every message sent and received goes into the transcript."""
+    """Shared request path: every message sent and received is logged by `_log`."""
 
-    def __init__(self):
-        self.transcript = audit.RiskLog()
+    def __init__(self, transcript: audit.RiskLog):
+        self.transcript = transcript
 
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         raise NotImplementedError
 
+    def _log(self, kind: int, payload: bytes, scenario: str, ce_grad: bool = False) -> None:
+        self.transcript.record(kind, payload, scenario, ce_grad=ce_grad)
+
     def _call(self, kind: int, payload: bytes, scenario: str, reply_kind: int) -> bytes:
         """Send one request; the reply payload, logged here only if it is an error frame."""
-        self.transcript.record(kind, payload, scenario)
+        self._log(kind, payload, scenario)
         out_kind, out_payload = self._request(kind, payload)
         if out_kind == wire.KIND_ERROR:
             code, message = wire.decode_error(out_payload)
-            self.transcript.record(out_kind, out_payload, scenario)
+            self._log(out_kind, out_payload, scenario)
             raise wire.ProtocolError(message, code=code)
         if out_kind != reply_kind:
             raise wire.ProtocolError(f"unexpected response kind {out_kind}", code=wire.ERR_BAD_KIND)
@@ -38,13 +43,13 @@ class BaseChannel:
         payload = wire.encode_feedback_request(request)
         reply = self._call(wire.KIND_FEEDBACK_REQUEST, payload, request.scenario, wire.KIND_FEEDBACK_RESPONSE)
         resp = wire.decode_feedback_response(reply)
-        self.transcript.record(wire.KIND_FEEDBACK_RESPONSE, reply, request.scenario, ce_grad=resp.ce_grad is not None)
+        self._log(wire.KIND_FEEDBACK_RESPONSE, reply, request.scenario, ce_grad=resp.ce_grad is not None)
         return resp
 
     def fetch_weights(self, scenario: str = wire.SCENARIO_WHITE) -> nn.MlpParams:
         payload = wire.encode_weight_request(scenario)
         blob = self._call(wire.KIND_WEIGHT_REQUEST, payload, scenario, wire.KIND_WEIGHT_BLOB)
-        self.transcript.record(wire.KIND_WEIGHT_BLOB, blob, scenario)
+        self._log(wire.KIND_WEIGHT_BLOB, blob, scenario)
         return wire.decode_params(blob)
 
     def close(self) -> None:
@@ -55,18 +60,21 @@ class InProcessChannel(BaseChannel):
     """Directly invokes a TeacherServer through the canonical byte path."""
 
     def __init__(self, server: TeacherServer):
-        super().__init__()
+        super().__init__(server.log)
         self.server = server
 
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         return self.server.handle_payload(kind, payload)
+
+    def _log(self, kind: int, payload: bytes, scenario: str, ce_grad: bool = False) -> None:
+        pass  # the server logs every in-process message in the shared transcript
 
 
 class TcpChannel(BaseChannel):
     """Framed requests over a TCP connection to a serving teacher."""
 
     def __init__(self, host: str, port: int, timeout: float = 60.0):
-        super().__init__()
+        super().__init__(audit.RiskLog())
         self.sock = socket.create_connection((host, port), timeout=timeout)
 
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:

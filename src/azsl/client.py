@@ -38,8 +38,6 @@ class NoiseSpec:
 class GenerationBatch:
     features: np.ndarray
     cond_labels: np.ndarray
-    cond_semantics: np.ndarray
-    noise: np.ndarray
 
 
 @dataclass
@@ -139,7 +137,7 @@ def generate(
         raise ValueError(
             f"generator expects {gen.in_dim} inputs, got noise {noise.dim} + semantics {semantics.d_a}"
         )
-    feats, labels, sems, zs = [], [], [], []
+    feats, labels = [], []
     for pos, c in enumerate(classes):
         rng = rng_for(noise.seed, "noise", pos)
         z = rng.standard_normal((count_per_class, noise.dim))
@@ -147,14 +145,7 @@ def generate(
         x, _ = _forward_generator(gen, z, sem_rows)
         feats.append(x)
         labels.append(np.full(count_per_class, c, dtype=np.int64))
-        sems.append(sem_rows)
-        zs.append(z)
-    return GenerationBatch(
-        features=np.concatenate(feats),
-        cond_labels=np.concatenate(labels),
-        cond_semantics=np.concatenate(sems),
-        noise=np.concatenate(zs),
-    )
+    return GenerationBatch(features=np.concatenate(feats), cond_labels=np.concatenate(labels))
 
 
 def _sample_conditioning(rng: np.random.Generator, classes: np.ndarray, batch_size: int, noise_dim: int):

@@ -212,6 +212,8 @@ def _validate(cfg: ExperimentConfig, origin: str) -> None:
         bad("train.min_verified and train.retry_cap must be >= 0")
     if not cfg.teacher_hidden or not cfg.generator_hidden:
         bad("hidden layer lists must not be empty")
+    if min(*cfg.teacher_hidden, *cfg.generator_hidden) < 1:
+        bad("hidden layer sizes must be >= 1")
     if cfg.channel not in ("inproc", "tcp"):
         bad("channel must be inproc or tcp")
     if cfg.channel == "tcp":

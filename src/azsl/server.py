@@ -129,35 +129,39 @@ class TeacherServer:
         self.log = audit.RiskLog()
 
     def handle_payload(self, kind: int, payload: bytes) -> tuple[int, bytes]:
-        """Decode one request payload, answer it, log both directions."""
+        """Decode one request payload, answer it, log both directions.
+
+        Every entry of a decoded request's exchange, error replies included,
+        carries the request's scenario, as the client logs it; a payload that
+        does not decode gets the server's own.
+        """
+        scenario = self.scenario
         try:
             if kind == wire.KIND_FEEDBACK_REQUEST:
                 request = wire.decode_feedback_request(payload)
-                self.log.record(kind, payload, request.scenario)
+                scenario = request.scenario
+                self.log.record(kind, payload, scenario)
                 resp = feedback(self.teacher, self.reg_state, request, allowed_scenario=self.scenario)
                 out = wire.encode_feedback_response(resp)
-                self.log.record(wire.KIND_FEEDBACK_RESPONSE, out, request.scenario, ce_grad=resp.ce_grad is not None)
+                self.log.record(wire.KIND_FEEDBACK_RESPONSE, out, scenario, ce_grad=resp.ce_grad is not None)
                 return wire.KIND_FEEDBACK_RESPONSE, out
             if kind == wire.KIND_WEIGHT_REQUEST:
                 scenario = wire.decode_weight_request(payload)
                 self.log.record(kind, payload, scenario)
-                if self.scenario == wire.SCENARIO_BLACK:
-                    scenario = wire.SCENARIO_BLACK  # server policy wins
-                if scenario != wire.SCENARIO_WHITE:  # export_weights refuses it below
-                    self.log.append(audit.KIND_WEIGHT_REFUSAL, 0, audit.RISK_LOW, scenario, audit.DOWN)
-                blob = export_weights(self.teacher, scenario)
+                allowed = wire.SCENARIO_BLACK if self.scenario == wire.SCENARIO_BLACK else scenario  # server policy wins
+                blob = export_weights(self.teacher, allowed)
                 self.log.record(wire.KIND_WEIGHT_BLOB, blob, scenario)
                 return wire.KIND_WEIGHT_BLOB, blob
             raise wire.ProtocolError(f"unsupported message kind {kind}", code=wire.ERR_BAD_KIND)
         except wire.ProtocolError as exc:
-            return wire.KIND_ERROR, self.error_payload(exc.code, str(exc))
+            return wire.KIND_ERROR, self.error_payload(exc.code, str(exc), scenario)
         except Exception as exc:  # keep the loop alive; leak no internals
-            return wire.KIND_ERROR, self.error_payload(wire.ERR_SERVER, f"server error: {exc}")
+            return wire.KIND_ERROR, self.error_payload(wire.ERR_SERVER, f"server error: {exc}", scenario)
 
-    def error_payload(self, code: int, message: str) -> bytes:
-        """An error frame's payload, logged as sent under the server's scenario."""
+    def error_payload(self, code: int, message: str, scenario: str) -> bytes:
+        """An error frame's payload, logged as sent under the given scenario."""
         payload = wire.encode_error(code, message)
-        self.log.record(wire.KIND_ERROR, payload, self.scenario)
+        self.log.record(wire.KIND_ERROR, payload, scenario)
         return payload
 
 
@@ -189,7 +193,7 @@ def serve(
                     try:
                         frame = wire.recv_frame(conn)
                     except wire.ProtocolError as exc:
-                        err = server.error_payload(exc.code, str(exc))
+                        err = server.error_payload(exc.code, str(exc), server.scenario)
                         try:
                             conn.sendall(wire.frame(wire.KIND_ERROR, err))
                         except OSError:

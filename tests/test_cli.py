@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from azsl import cli
+from azsl import cli, experiment
 from azsl.config import emit_config, with_overrides
 from azsl.data import load_features
 from azsl.experiment import run_experiment, serve_experiment
@@ -95,6 +95,12 @@ class TestRun:
         assert cli.main(["run", str(write_config(tmp_path, cfg))]) == cli.EXIT_CONFIG
         assert not (tmp_path / "run").exists()
 
+    def test_zero_hidden_size_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))
+        path = write_config(tmp_path, tiny_config(teacher_hidden=(0, 64), out=str(tmp_path / "run")))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "hidden layer sizes must be >= 1" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage(self):
@@ -162,6 +168,20 @@ class TestAudit:
         down = sum(len(p) for _, p in received)
         assert f"bytes up: {up}" in out
         assert f"bytes down: {down}" in out
+
+    def test_edited_transcript_fails_its_digest(self, tmp_path, capsys):
+        cfg = tiny_config(scenario="white", t_g=5, t_s=5, out=str(tmp_path / "run"))
+        run_experiment(cfg, outdir=cfg.out)
+        path = tmp_path / "run" / "transcript.json"
+        body = json.loads(path.read_text())
+        for e in body["entries"]:
+            if e["kind"] == "ce_grad":
+                e["kind"], e["risk"] = "feedback_response", "low"
+        path.write_text(json.dumps(body))
+        assert cli.main(["audit", str(path)]) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "BLACKBOX-CLEAN" not in captured.out
+        assert "do not match its digest" in captured.err
 
     def test_corrupt_transcript(self, tmp_path):
         bad = tmp_path / "t.json"

@@ -106,12 +106,7 @@ class TestGenerate:
 class TestVerify:
     def make_batch(self, labels):
         labels = np.asarray(labels)
-        return GenerationBatch(
-            features=np.arange(len(labels) * 2, dtype=float).reshape(-1, 2),
-            cond_labels=labels,
-            cond_semantics=np.zeros((len(labels), 1)),
-            noise=np.zeros((len(labels), 1)),
-        )
+        return GenerationBatch(features=np.arange(len(labels) * 2, dtype=float).reshape(-1, 2), cond_labels=labels)
 
     def test_all_correct(self):
         batch = self.make_batch([0, 1, 2])

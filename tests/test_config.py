@@ -101,6 +101,11 @@ class TestParsing:
     def test_endpoint_port_bounds_accepted(self, port):
         assert parse_config_text(MINIMAL + f"endpoint = 127.0.0.1:{port}\n").endpoint == ("127.0.0.1", port)
 
+    @pytest.mark.parametrize("line", ["teacher.hidden = 0,64", "teacher.hidden = 64,-1", "generator.hidden = 0"])
+    def test_hidden_sizes_below_one_rejected(self, line):
+        with pytest.raises(ConfigError, match="hidden layer sizes must be >= 1"):
+            parse_config_text(MINIMAL + line + "\n")
+
     def test_scenario_validation(self):
         with pytest.raises(ConfigError, match="scenario"):
             parse_config_text("dataset.synthetic = true\nscenario = gray\nteacher_mode = transductive\n")

@@ -205,8 +205,9 @@ class TestExportWeights:
         server = TeacherServer(teacher, reg, wire.SCENARIO_BLACK)
         kind, _ = server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE))
         assert kind == wire.KIND_ERROR
-        kinds = [e.kind for e in server.log.entries]
-        assert kinds == [audit.KIND_WEIGHT_REQUEST, audit.KIND_WEIGHT_REFUSAL, audit.KIND_ERROR]
+        # the error frame is the refusal's record, tagged with the request's scenario
+        rows = [(e.kind, e.scenario) for e in server.log.entries]
+        assert rows == [(audit.KIND_WEIGHT_REQUEST, wire.SCENARIO_WHITE), (audit.KIND_ERROR, wire.SCENARIO_WHITE)]
 
     def test_round_trip_and_size(self, trained):
         _, _, teacher, reg = trained
@@ -275,25 +276,13 @@ class TestRiskLog:
 
         monkeypatch.setattr(audit.hashlib, "sha256", recording)
         server, channel = self.run_session(trained, scenario, n=20)
-        assert len(hashed) == 2 * 20  # request and response, once each for both logs
-        expect = [(e.direction, e.kind, e.size, e.risk, e.payload_sha) for e in server.log.entries]
-        assert [(e.direction, e.kind, e.size, e.risk, e.payload_sha) for e in channel.transcript.entries] == expect
+        assert channel.transcript is server.log  # one log per in-process run
+        assert len(hashed) == 2 * 20  # one hash per payload: request and response
         assert [e.payload_sha for e in server.log.entries] == [real(p).hexdigest()[:16] for p in hashed]
-
-    def test_payload_sha_memo_skips_mutable_buffers(self):
-        buf = bytearray(b"abc")
-        first = audit.payload_sha(buf)
-        buf[0] = ord("x")
-        assert audit.payload_sha(buf) == hashlib.sha256(b"xbc").hexdigest()[:16] != first
-        payload = b"abc" * 10
-        equal_copy = b"".join([payload[:4], payload[4:]])
-        assert equal_copy is not payload
-        assert audit.payload_sha(payload) == audit.payload_sha(equal_copy) == hashlib.sha256(payload).hexdigest()[:16]
 
     def test_black_transcript_has_no_mid_entries(self, trained):
         server, channel = self.run_session(trained, wire.SCENARIO_BLACK, n=20)
-        for log in (server.log, channel.transcript):
-            assert all(e.risk == audit.RISK_LOW for e in log.entries)
+        assert all(e.risk == audit.RISK_LOW for e in channel.transcript.entries)
 
     def test_white_mid_entries_only_ce_grad_or_blob(self, trained):
         server, channel = self.run_session(trained, wire.SCENARIO_WHITE, n=20)
@@ -334,7 +323,7 @@ class TestRiskLog:
 W, B = wire.SCENARIO_WHITE, wire.SCENARIO_BLACK
 UP, DOWN = audit.UP, audit.DOWN
 FB_REQ, FB_RESP, CE = audit.KIND_FEEDBACK_REQUEST, audit.KIND_FEEDBACK_RESPONSE, audit.KIND_CE_GRAD
-W_REQ, BLOB, REFUSED, ERR = audit.KIND_WEIGHT_REQUEST, audit.KIND_WEIGHT_BLOB, audit.KIND_WEIGHT_REFUSAL, audit.KIND_ERROR
+W_REQ, BLOB, ERR = audit.KIND_WEIGHT_REQUEST, audit.KIND_WEIGHT_BLOB, audit.KIND_ERROR
 LOW, MID = "low", "mid"
 
 # request and error payloads are fixed bytes; their hashes are literal
@@ -346,8 +335,28 @@ SHA_COLUMNS, SHA_CLASS_SPACE = "be892c609849663d", "04361d47df3299ff"
 SHA_TRUNCATED, SHA_BAD_KIND = "ff97f2de0e36208d", "6fee82fb4f8b9550"
 
 
+def _channel_calls(channel) -> list[int]:
+    """Every kind of channel call the disclosure pins cover; each one's error code, 0 for a reply."""
+    calls = [
+        lambda: channel.feedback(wire.FeedbackRequest(W, np.full((3, 10), 0.5), [0, 1, 2])),
+        lambda: channel.feedback(wire.FeedbackRequest(B, np.full((2, 10), 0.25), [1, 2])),
+        lambda: channel.fetch_weights(W),
+        lambda: channel.fetch_weights(B),
+        lambda: channel.feedback(wire.FeedbackRequest(B, np.ones((2, 3)), [0, 1])),  # wrong column count
+        lambda: channel.feedback(wire.FeedbackRequest(B, np.ones((1, 10)), [99])),  # outside the class space
+    ]
+    codes = []
+    for call in calls:
+        try:
+            call()
+            codes.append(0)
+        except wire.ProtocolError as exc:
+            codes.append(exc.code)
+    return codes
+
+
 class TestDisclosurePins:
-    """Every entry of the server log and the client transcript, per message kind.
+    """Every entry of an in-process run's one log, per message kind.
 
     Replies computed from the teacher's weights are hashed from the frames the
     client received, so these pins hold on any numpy/BLAS build; every other
@@ -358,34 +367,23 @@ class TestDisclosurePins:
         _, _, teacher, reg = trained
         server = TeacherServer(teacher, reg, scenario)
         channel = InProcessChannel(server)
+        assert channel.transcript is server.log
         _, received = record_frames(channel)
-        calls = [
-            lambda: channel.feedback(wire.FeedbackRequest(W, np.full((3, 10), 0.5), [0, 1, 2])),
-            lambda: channel.feedback(wire.FeedbackRequest(B, np.full((2, 10), 0.25), [1, 2])),
-            lambda: channel.fetch_weights(W),
-            lambda: channel.fetch_weights(B),
-            lambda: channel.feedback(wire.FeedbackRequest(B, np.ones((2, 3)), [0, 1])),  # wrong column count
-            lambda: channel.feedback(wire.FeedbackRequest(B, np.ones((1, 10)), [99])),  # outside the class space
-        ]
-        codes = []
-        for call in calls:
-            try:
-                call()
-                codes.append(0)
-            except wire.ProtocolError as exc:
-                codes.append(exc.code)
+        codes = _channel_calls(channel)
         truncated = wire.encode_feedback_request(wire.FeedbackRequest(B, np.ones((1, 10)), [0]))[:-3]
         raw = [server.handle_payload(wire.KIND_FEEDBACK_REQUEST, truncated), server.handle_payload(77, b"")]
         assert raw == [
             (wire.KIND_ERROR, wire.encode_error(wire.ERR_BAD_FRAME, "truncated payload")),
             (wire.KIND_ERROR, wire.encode_error(wire.ERR_BAD_KIND, "unsupported message kind 77")),
         ]
-        return server, channel, codes, [_sha(p) for _, p in received]
+        return server, codes, [_sha(p) for _, p in received]
 
     def test_white_server(self, trained):
-        server, channel, codes, replies = self.exchange(trained, W)
+        server, codes, replies = self.exchange(trained, W)
         assert codes == [0, 0, 0, wire.ERR_PROTOCOL, wire.ERR_PROTOCOL, wire.ERR_PROTOCOL]
-        shared = [
+        # an exchange carries its request's scenario; only raw frames that do not
+        # decode carry the server's
+        assert _rows(server.log) == [
             (UP, FB_REQ, 272, LOW, W, SHA_WHITE_REQ),
             (DOWN, CE, 620, MID, W, replies[0]),
             (UP, FB_REQ, 188, LOW, B, SHA_BLACK_REQ),
@@ -393,40 +391,27 @@ class TestDisclosurePins:
             (UP, W_REQ, 4, LOW, W, SHA_WEIGHTS_WHITE),
             (DOWN, BLOB, 7696, MID, W, replies[2]),
             (UP, W_REQ, 4, LOW, B, SHA_WEIGHTS_BLACK),
-        ]
-        # the server tags its errors with its own scenario, the client with the request's
-        assert _rows(server.log) == shared + [
-            (DOWN, REFUSED, 0, LOW, B, ""),
-            (DOWN, ERR, 54, LOW, W, SHA_EXPORT_REFUSED),
-            (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
-            (DOWN, ERR, 41, LOW, W, SHA_COLUMNS),
-            (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
-            (DOWN, ERR, 42, LOW, W, SHA_CLASS_SPACE),
-            (DOWN, ERR, 19, LOW, W, SHA_TRUNCATED),
-            (DOWN, ERR, 29, LOW, W, SHA_BAD_KIND),
-        ]
-        assert _rows(channel.transcript) == shared + [
             (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
             (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
             (DOWN, ERR, 41, LOW, B, SHA_COLUMNS),
             (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
             (DOWN, ERR, 42, LOW, B, SHA_CLASS_SPACE),
+            (DOWN, ERR, 19, LOW, W, SHA_TRUNCATED),
+            (DOWN, ERR, 29, LOW, W, SHA_BAD_KIND),
         ]
 
     def test_black_server(self, trained):
-        server, channel, codes, replies = self.exchange(trained, B)
+        server, codes, replies = self.exchange(trained, B)
         assert codes == [wire.ERR_PROTOCOL, 0] + [wire.ERR_PROTOCOL] * 4
         assert replies[0] == SHA_WHITE_REFUSED
         assert _rows(server.log) == [
             (UP, FB_REQ, 272, LOW, W, SHA_WHITE_REQ),
-            (DOWN, ERR, 54, LOW, B, SHA_WHITE_REFUSED),
+            (DOWN, ERR, 54, LOW, W, SHA_WHITE_REFUSED),
             (UP, FB_REQ, 188, LOW, B, SHA_BLACK_REQ),
             (DOWN, FB_RESP, 252, LOW, B, replies[1]),
             (UP, W_REQ, 4, LOW, W, SHA_WEIGHTS_WHITE),
-            (DOWN, REFUSED, 0, LOW, B, ""),  # server policy wins over the requested scenario
-            (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
+            (DOWN, ERR, 54, LOW, W, SHA_EXPORT_REFUSED),  # refused: server policy wins
             (UP, W_REQ, 4, LOW, B, SHA_WEIGHTS_BLACK),
-            (DOWN, REFUSED, 0, LOW, B, ""),
             (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
             (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
             (DOWN, ERR, 41, LOW, B, SHA_COLUMNS),
@@ -434,20 +419,6 @@ class TestDisclosurePins:
             (DOWN, ERR, 42, LOW, B, SHA_CLASS_SPACE),
             (DOWN, ERR, 19, LOW, B, SHA_TRUNCATED),
             (DOWN, ERR, 29, LOW, B, SHA_BAD_KIND),
-        ]
-        assert _rows(channel.transcript) == [
-            (UP, FB_REQ, 272, LOW, W, SHA_WHITE_REQ),
-            (DOWN, ERR, 54, LOW, W, SHA_WHITE_REFUSED),
-            (UP, FB_REQ, 188, LOW, B, SHA_BLACK_REQ),
-            (DOWN, FB_RESP, 252, LOW, B, replies[1]),
-            (UP, W_REQ, 4, LOW, W, SHA_WEIGHTS_WHITE),
-            (DOWN, ERR, 54, LOW, W, SHA_EXPORT_REFUSED),
-            (UP, W_REQ, 4, LOW, B, SHA_WEIGHTS_BLACK),
-            (DOWN, ERR, 54, LOW, B, SHA_EXPORT_REFUSED),
-            (UP, FB_REQ, 76, LOW, B, SHA_NARROW_REQ),
-            (DOWN, ERR, 41, LOW, B, SHA_COLUMNS),
-            (UP, FB_REQ, 104, LOW, B, SHA_FOREIGN_REQ),
-            (DOWN, ERR, 42, LOW, B, SHA_CLASS_SPACE),
         ]
 
 
@@ -501,6 +472,20 @@ class TestServeLoop:
             thread.join(timeout=10)
         assert local_frames == remote_frames
         assert local.transcript.digest() == remote.transcript.digest()
+
+    @pytest.mark.parametrize("scenario", [W, B])
+    def test_both_ends_log_every_exchange_alike(self, trained, scenario):
+        server, stop, thread, port = self.start(trained, scenario)
+        try:
+            remote = TcpChannel("127.0.0.1", port)
+            codes = _channel_calls(remote)
+            remote.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert codes.count(0) == (3 if scenario == W else 1)
+        assert len(remote.transcript.entries) == 2 * len(codes)
+        assert _rows(remote.transcript) == _rows(server.log)
 
     def test_malformed_magic_gets_error_frame_then_close(self, trained):
         _, stop, thread, port = self.start(trained)
