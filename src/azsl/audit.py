@@ -136,17 +136,23 @@ def load_transcript(path: str | Path) -> list[RiskEntry]:
 
 
 def summarize(entries: list[RiskEntry]) -> dict:
-    """Counts/bytes/risk histogram plus the audit verdict line."""
+    """Counts/bytes/risk/scenario histograms plus the audit verdict line.
+
+    BLACKBOX-CLEAN needs every entry low risk, no weight blob and no entry
+    tagged white: the digest is unkeyed, so risk tags alone can be rewritten.
+    """
     up = [e for e in entries if e.direction == UP]
     down = [e for e in entries if e.direction == DOWN]
     risk_hist: dict[str, int] = {}
     kind_hist: dict[str, int] = {}
+    scenario_hist: dict[str, int] = {}
     for e in entries:
         risk_hist[e.risk] = risk_hist.get(e.risk, 0) + 1
         kind_hist[e.kind] = kind_hist.get(e.kind, 0) + 1
+        scenario_hist[e.scenario] = scenario_hist.get(e.scenario, 0) + 1
     n_mid = risk_hist.get(RISK_MID, 0)
     n_blobs = kind_hist.get(KIND_WEIGHT_BLOB, 0)
-    if n_mid == 0 and n_blobs == 0:
+    if n_mid == 0 and n_blobs == 0 and wire.SCENARIO_WHITE not in scenario_hist:
         verdict = "BLACKBOX-CLEAN"
     else:
         verdict = f"WHITEBOX ({n_mid} mid-risk messages)"
@@ -158,5 +164,6 @@ def summarize(entries: list[RiskEntry]) -> dict:
         "down_bytes": sum(e.size for e in down),
         "risk": risk_hist,
         "kinds": kind_hist,
+        "scenarios": scenario_hist,
         "verdict": verdict,
     }

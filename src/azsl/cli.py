@@ -79,6 +79,8 @@ def cmd_audit(args) -> int:
         print(f"risk {risk}: {summary['risk'][risk]}")
     for kind in sorted(summary["kinds"]):
         print(f"kind {kind}: {summary['kinds'][kind]}")
+    for scenario in sorted(summary["scenarios"]):
+        print(f"scenario {scenario}: {summary['scenarios'][scenario]}")
     print(summary["verdict"])
     return EXIT_OK
 

@@ -344,7 +344,10 @@ def train_student(
     def loss(logits, idx):
         probs = nn.softmax(logits)
         mse, grad_probs = nn.loss_mse(probs, verified.teacher_softmax[idx])
-        mse_logits, _ = nn.loss_mse(logits - logits.mean(axis=1, keepdims=True), centered_log_t[idx])
+        # nn.loss_mse's value without its gradient; sum / count is what mean() computes
+        centered = logits - logits.sum(axis=1, keepdims=True) / logits.shape[1]
+        centered -= centered_log_t[idx]
+        mse_logits = float((centered * centered).sum() / centered.size)
         return (mse, mse_logits), nn.softmax_vjp(probs, grad_probs)
 
     history = nn.fit_minibatch(
@@ -379,7 +382,7 @@ def train_inductive_classifier(
         derive_seed(cfg.seed, "classifier-init"),
     )
     nn.fit_minibatch(
-        params, batch.features, nn.ce_loss_on(head_labels), cfg.t_s, cfg.batch_size,
+        params, batch.features, nn.ce_loss_on(head_labels, len(classes)), cfg.t_s, cfg.batch_size,
         lambda epoch: rng_for(cfg.seed, "classifier-epoch", epoch).permutation(len(batch.features)), cfg.lr,
     )
     return params, classes

@@ -8,6 +8,7 @@ their config files.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -198,16 +199,16 @@ def _validate(cfg: ExperimentConfig, origin: str) -> None:
         bad("dataset.format must be csv or azb")
     if cfg.regularizer not in REG_KINDS:
         bad(f"regularizer must be one of {REG_KINDS}")
-    if cfg.alpha < 0:
-        bad("alpha must be >= 0")
+    if not (math.isfinite(cfg.alpha) and cfg.alpha >= 0):
+        bad("alpha must be finite and >= 0")
     if not 0.0 < cfg.split_ratio < 1.0:
         bad("split.ratio must be in (0, 1)")
     if cfg.noise_dim < 1:
         bad("noise.dim must be >= 1")
     if min(cfg.t_g, cfg.t_s, cfg.batch_size, cfg.per_class_count, cfg.teacher_epochs, cfg.teacher_batch) < 1:
         bad("epoch/batch/per-class counts must be >= 1")
-    if cfg.lr <= 0:
-        bad("train.lr must be > 0")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        bad("train.lr must be finite and > 0")
     if cfg.min_verified < 0 or cfg.retry_cap < 0:
         bad("train.min_verified and train.retry_cap must be >= 0")
     if not cfg.teacher_hidden or not cfg.generator_hidden:

@@ -9,6 +9,7 @@ loops, which step on channel feedback, live elsewhere.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -127,7 +128,7 @@ class ForwardCache:
 
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
-    spec_sig: tuple
+    layers: tuple[LayerSpec, ...]
 
 
 def _check_chain(layers: list[LayerSpec]) -> None:
@@ -136,10 +137,6 @@ def _check_chain(layers: list[LayerSpec]) -> None:
     for a, b in zip(layers, layers[1:]):
         if a.out_dim != b.in_dim:
             raise ValueError(f"layer chain broken: {a.out_dim} -> {b.in_dim}")
-
-
-def _spec_sig(params: MlpParams) -> tuple:
-    return tuple((s.in_dim, s.out_dim, s.activation, s.slope) for s in params.layers)
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:
@@ -208,7 +205,7 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, Forwa
         z += b
         preacts.append(z)
         x = _activate(z, spec)
-    return x, ForwardCache(inputs=inputs, preacts=preacts, spec_sig=_spec_sig(params))
+    return x, ForwardCache(inputs=inputs, preacts=preacts, layers=tuple(params.layers))
 
 
 def mlp_backward(
@@ -217,17 +214,20 @@ def mlp_backward(
     upstream_grad: np.ndarray,
     param_grads: bool = True,
     input_grad: bool = True,
+    out: MlpGrads | None = None,
 ) -> tuple[MlpGrads | None, np.ndarray | None]:
     """Backprop upstream_grad (dL/d output) to parameter grads and dL/d input.
 
     A part the caller does not ask for is not computed and comes back as None.
+    The parameter grads are written into out when it is given (and out is
+    returned), else into a fresh MlpGrads.
     """
-    if cache.spec_sig != _spec_sig(params):
+    if cache.layers != tuple(params.layers):
         raise ValueError("cache does not match these params (stale or from another net)")
     g = _as_batch(upstream_grad)
     if g.shape != (cache.inputs[0].shape[0], params.out_dim):
         raise ValueError(f"upstream grad shape {g.shape} does not match forward output")
-    grads = MlpGrads.empty_like(params) if param_grads else None
+    grads = (out if out is not None else MlpGrads.empty_like(params)) if param_grads else None
     for i in range(len(params.layers) - 1, -1, -1):
         gz = _activation_vjp(g, cache.preacts[i], params.layers[i])
         if grads is not None:
@@ -260,13 +260,29 @@ def loss_ce(probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (p.shape[0],):
         raise ValueError(f"{p.shape[0]} rows but {y.shape} labels")
-    if y.size and (y.min() < 0 or y.max() >= p.shape[1]):
+    _check_labels(y, p.shape[1])
+    return _ce_into(p.copy(), y)
+
+
+def _check_labels(y: np.ndarray, n_classes: int) -> None:
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError("label out of range")
-    n = p.shape[0]
-    value = float(-np.log(p[np.arange(n), y]).mean())
-    grad = p.copy()
-    grad[np.arange(n), y] -= 1.0
-    return value, grad / n
+
+
+def _ce_into(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """loss_ce's value and gradient for checked labels, overwriting p with the gradient.
+
+    sum() / n is what mean() computes, and p[rows, y] = picked - 1 is the
+    p[rows, y] -= 1 of a copy: the rows are distinct.
+    """
+    n = len(y)
+    rows = np.arange(n)
+    picked = p[rows, y]
+    value = float(-(np.log(picked).sum() / n))
+    picked -= 1.0
+    p[rows, y] = picked
+    p /= n
+    return value, p
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -276,7 +292,7 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
-    return float((diff * diff).mean()), 2.0 * diff / diff.size
+    return float((diff * diff).sum() / diff.size), 2.0 * diff / diff.size
 
 
 @dataclass
@@ -292,6 +308,10 @@ class AdamState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # two work vectors, so that a step allocates no parameter-sized temporaries
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    # what adam_step last checked: the grad arrays, the param arrays, the flat
+    # buffer the grads are views of (None if they are not) and (param, slice
+    # of the update) pairs; a step that meets the same arrays skips the checks
+    checked: tuple = field(init=False, repr=False, compare=False, default=((), (), None, ()))
 
     def __post_init__(self):
         self.scratch = np.empty((2, self.m.size))
@@ -309,16 +329,24 @@ def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[Mlp
         m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         param -= lr (m / c1) / (sqrt(v / c2) + eps)
     in that order (a product only swaps its operands, which is exact); each
-    parameter array then subtracts its slice of the update.
+    parameter array then subtracts its slice of the update. Once c1 rounds to
+    1.0 the division by it is skipped: m / 1.0 == m exactly.
     """
-    arrays = _param_views(params)
     garrays = grads.weights + grads.biases
-    if len(garrays) != len(arrays):
-        raise ValueError(f"{len(garrays)} grad arrays for {len(arrays)} params")
-    for a, ga in zip(arrays, garrays):
-        if a.shape != ga.shape:
-            raise ValueError(f"grad shape {ga.shape} does not match param {a.shape}")
-    g = grads.flat()
+    arrays = params.weights + params.biases
+    seen_grads, seen_params, shared, pairs = state.checked
+    if not (_same_arrays(garrays, seen_grads) and _same_arrays(arrays, seen_params)):
+        if len(garrays) != len(arrays):
+            raise ValueError(f"{len(garrays)} grad arrays for {len(arrays)} params")
+        for a, ga in zip(arrays, garrays):
+            if a.shape != ga.shape:
+                raise ValueError(f"grad shape {ga.shape} does not match param {a.shape}")
+        g = grads.flat()
+        shared = g if g is grads.buffer else None
+        pairs = tuple(zip(arrays, _split_flat(state.scratch[1], arrays)))
+        state.checked = (garrays, arrays, shared, pairs)
+    else:
+        g = shared if shared is not None else grads.flat()
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
@@ -330,15 +358,22 @@ def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[Mlp
     v *= state.beta2
     np.multiply(g, 1.0 - state.beta2, out=tmp)
     v += np.multiply(tmp, g, out=tmp)
-    np.divide(m, c1, out=update)
-    update *= state.lr
+    if c1 == 1.0:
+        np.multiply(m, state.lr, out=update)
+    else:
+        np.divide(m, c1, out=update)
+        update *= state.lr
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
     update /= tmp
-    for a, u in zip(arrays, _split_flat(update, arrays)):
+    for a, u in pairs:
         a -= u
     return params, state
+
+
+def _same_arrays(a: list, b) -> bool:
+    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 def fit_minibatch(
@@ -357,6 +392,7 @@ def fit_minibatch(
     row-weighted mean of each term.
     """
     state = AdamState.for_params(params, lr=lr)
+    grads = MlpGrads.empty_like(params)  # rewritten by every step's backward pass
     n = len(X)
     history = []
     for epoch in range(epochs):
@@ -366,7 +402,7 @@ def fit_minibatch(
             idx = perm[start : start + batch_size]
             logits, cache = mlp_forward(params, X[idx])
             terms, grad_logits = loss(logits, idx)
-            grads, _ = mlp_backward(params, cache, grad_logits, input_grad=False)
+            mlp_backward(params, cache, grad_logits, input_grad=False, out=grads)
             adam_step(params, grads, state)
             sums = sums or [0.0] * len(terms)
             for k, value in enumerate(terms):
@@ -375,11 +411,17 @@ def fit_minibatch(
     return history
 
 
-def ce_loss_on(labels: np.ndarray):
-    """fit_minibatch loss: mean cross-entropy of softmax(logits) against labels[idx]."""
+def ce_loss_on(labels: np.ndarray, n_classes: int):
+    """fit_minibatch loss: mean cross-entropy of softmax(logits) against labels[idx].
+
+    The labels are checked once, here, against the net's n_classes outputs;
+    each step then runs loss_ce's arithmetic only.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_labels(labels, n_classes)
 
     def loss(logits: np.ndarray, idx: np.ndarray):
-        value, grad_logits = loss_ce(softmax(logits), labels[idx])
+        value, grad_logits = _ce_into(softmax(logits), labels[idx])
         return (value,), grad_logits
 
     return loss
@@ -443,7 +485,7 @@ def grad_check(
 
 
 def params_allclose(a: MlpParams, b: MlpParams, rtol: float = 0.0, atol: float = 0.0) -> bool:
-    if _spec_sig(a) != _spec_sig(b):
+    if a.layers != b.layers:
         return False
     return all(
         np.allclose(x, y, rtol=rtol, atol=atol)

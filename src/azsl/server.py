@@ -65,7 +65,7 @@ def train_teacher(
 
     rng = rng_for(seed, "teacher-batches")  # one stream across all epochs
     history = nn.fit_minibatch(
-        params, feats, nn.ce_loss_on(head_labels), epochs, batch_size,
+        params, feats, nn.ce_loss_on(head_labels, len(class_space)), epochs, batch_size,
         lambda _epoch: rng.permutation(len(feats)), lr,
     )
     model.loss_trace = [value for (value,) in history]

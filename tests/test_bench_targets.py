@@ -59,3 +59,35 @@ def test_in_process_run_has_one_log_with_server_compute(scenario):
     compute = spans.server_compute_us(server.log.entries)
     assert len(compute) == len(tracer.durations("channel.feedback")) > 8
     assert min(compute) >= 0.0
+
+
+@pytest.mark.parametrize("mode", ["transductive", "inductive"])
+def test_every_fit_step_calls_nn_through_its_module(mode):
+    # perfbench times forward, backward and Adam per role by patching nn's
+    # module globals; a fit loop that inlined them would drop those spans
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cfg = tiny_config(
+        scenario="white", teacher_mode=mode, t_g=4, t_s=3, teacher_epochs=2, per_class_count=10,
+        batch_size=16, teacher_batch=16,
+    )
+    with spans.patched(tracer, spans.layer_targets()):
+        result = run_experiment(cfg)
+    fits = {
+        "teacher": ("phase.teacher", cfg.teacher_epochs, len(result.split.teacher_train), cfg.teacher_batch),
+        "student": ("phase.student", cfg.t_s, int(tracer.counts["client.quota.kept"]), cfg.batch_size),
+    }
+    if mode == "inductive":
+        n_classes = len(result.bundle.classifier_classes)
+        fits["classifier"] = ("phase.classifier", cfg.t_s, n_classes * cfg.per_class_count, cfg.batch_size)
+    for role, (phase, epochs, rows, batch) in fits.items():
+        steps = epochs * -(-rows // batch)
+        assert steps > epochs
+        for op in spans.NN_OPS:
+            inside = [
+                s for s in tracer.spans
+                if s[spans.NAME] == f"nn.{op}.{role}" and tracer.spans[s[spans.PARENT]][spans.NAME] == phase
+            ]
+            # the teacher's fit ends with one forward pass over its rows, for its train accuracy
+            extra = 1 if (role, op) == ("teacher", "forward") else 0
+            assert len(inside) == steps + extra, (role, op)

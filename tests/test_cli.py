@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from azsl import cli, experiment
+from azsl import audit, cli, experiment
 from azsl.config import emit_config, with_overrides
 from azsl.data import load_features
 from azsl.experiment import run_experiment, serve_experiment
@@ -102,6 +102,18 @@ class TestRun:
         assert "hidden layer sizes must be >= 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["train.lr = nan", "alpha = inf"])
+    def test_non_finite_lr_or_alpha_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch, line):
+        monkeypatch.setattr(experiment, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))
+        path = write_config(tmp_path, tiny_config(out=str(tmp_path / "run")))
+        key = line.split(" = ")[0]
+        kept = [row for row in path.read_text().splitlines() if not row.startswith(key + " = ")]
+        path.write_text("\n".join(kept + [line]) + "\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestExitCodes:
     def test_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE
@@ -136,6 +148,7 @@ class TestAudit:
         assert cli.main(["audit", str(black_run / "transcript.json")]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1] == "BLACKBOX-CLEAN"
+        assert [line for line in out if line.startswith("scenario ")] == [f"scenario black: {out[0].split()[1]}"]
 
     def test_white_counts_mid_messages(self, tmp_path, capsys):
         cfg = tiny_config(scenario="white", t_g=25, out=str(tmp_path / "run"))
@@ -182,6 +195,26 @@ class TestAudit:
         captured = capsys.readouterr()
         assert "BLACKBOX-CLEAN" not in captured.out
         assert "do not match its digest" in captured.err
+
+    def test_relabelled_transcript_with_recomputed_digest_is_not_clean(self, tmp_path, capsys):
+        # the digest is unkeyed, so an edit can rewrite it; the white scenario
+        # tags left on the entries still rule out BLACKBOX-CLEAN
+        cfg = tiny_config(scenario="white", t_g=5, t_s=5, out=str(tmp_path / "run"))
+        run_experiment(cfg, outdir=cfg.out)
+        path = tmp_path / "run" / "transcript.json"
+        body = json.loads(path.read_text())
+        for e in body["entries"]:
+            if e["kind"] == "ce_grad":
+                e["kind"], e["risk"] = "feedback_response", "low"
+        body["digest"] = audit._digest([audit.RiskEntry(**e) for e in body["entries"]])
+        path.write_text(json.dumps(body))
+        assert cli.main(["audit", str(path)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert not any(line.startswith(("risk mid", "kind ce_grad")) for line in out)  # the edit took
+        n_white = sum(e["scenario"] == "white" for e in body["entries"])
+        assert n_white == 10  # 5 generator rounds, each a request and its reply
+        assert f"scenario white: {n_white}" in out
+        assert out[-1] == "WHITEBOX (0 mid-risk messages)"
 
     def test_corrupt_transcript(self, tmp_path):
         bad = tmp_path / "t.json"

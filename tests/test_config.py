@@ -40,6 +40,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config_text(MINIMAL + "alpha = -1\n")
 
+    @pytest.mark.parametrize("line, key", [
+        ("train.lr = nan", "train.lr"), ("train.lr = inf", "train.lr"), ("train.lr = 0", "train.lr"),
+        ("alpha = nan", "alpha"), ("alpha = inf", "alpha"),
+    ])
+    def test_non_finite_lr_and_alpha_rejected(self, line, key):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config_text(MINIMAL + line + "\n")
+
     def test_missing_dataset_source(self):
         with pytest.raises(ConfigError, match="dataset source"):
             parse_config_text("scenario = white\nteacher_mode = transductive\n")

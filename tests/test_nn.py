@@ -610,3 +610,269 @@ class TestGradCheck:
             return value, grads
 
         assert nn.grad_check(params, corrupted, n_samples=200) > 1e-1
+
+
+# The fitting step as it was before the per-step checks moved out of it: test-local
+# copies of the old adam_step, loss_ce/ce_loss_on pair, student loss and fit loop.
+def parent_adam_step(params, grads, state):
+    arrays = params.weights + params.biases
+    garrays = grads.weights + grads.biases
+    if len(garrays) != len(arrays):
+        raise ValueError(f"{len(garrays)} grad arrays for {len(arrays)} params")
+    for a, ga in zip(arrays, garrays):
+        if a.shape != ga.shape:
+            raise ValueError(f"grad shape {ga.shape} does not match param {a.shape}")
+    g = grads.flat()
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    m, v = state.m, state.v
+    tmp, update = state.scratch
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(m, c1, out=update)
+    update *= state.lr
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    update /= tmp
+    start = 0
+    for a in arrays:
+        a -= update[start : start + a.size].reshape(a.shape)
+        start += a.size
+
+
+def parent_loss_ce(probs, labels):
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (p.shape[0],):
+        raise ValueError("rows/labels")
+    if y.size and (y.min() < 0 or y.max() >= p.shape[1]):
+        raise ValueError("label out of range")
+    n = p.shape[0]
+    value = float(-np.log(p[np.arange(n), y]).mean())
+    grad = p.copy()
+    grad[np.arange(n), y] -= 1.0
+    return value, grad / n
+
+
+def parent_ce_loss_on(labels):
+    def loss(logits, idx):
+        value, grad_logits = parent_loss_ce(nn.softmax(logits), labels[idx])
+        return (value,), grad_logits
+
+    return loss
+
+
+def parent_loss_mse(a, b):
+    diff = a - b
+    return float((diff * diff).mean()), 2.0 * diff / diff.size
+
+
+def parent_student_loss(teacher_softmax):
+    log_t = np.log(np.maximum(teacher_softmax, 1e-300))
+    centered_log_t = log_t - log_t.mean(axis=1, keepdims=True)
+
+    def loss(logits, idx):
+        probs = nn.softmax(logits)
+        mse, grad_probs = parent_loss_mse(probs, teacher_softmax[idx])
+        mse_logits, _ = parent_loss_mse(logits - logits.mean(axis=1, keepdims=True), centered_log_t[idx])
+        return (mse, mse_logits), nn.softmax_vjp(probs, grad_probs)
+
+    return loss
+
+
+def parent_fit_minibatch(params, X, loss, epochs, batch_size, order, lr):
+    state = nn.AdamState.for_params(params, lr=lr)
+    n = len(X)
+    history = []
+    for epoch in range(epochs):
+        perm = order(epoch)
+        sums = []
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
+            logits, cache = nn.mlp_forward(params, X[idx])
+            terms, grad_logits = loss(logits, idx)
+            grads, _ = nn.mlp_backward(params, cache, grad_logits, input_grad=False)
+            parent_adam_step(params, grads, state)
+            sums = sums or [0.0] * len(terms)
+            for k, value in enumerate(terms):
+                sums[k] += value * len(idx)
+        history.append(tuple(s / n for s in sums))
+    return history
+
+
+def assert_params_same_bits(got, want):
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+        assert_same_bits(a, b)
+
+
+class TestLeanFitStep:
+    """The fitting step is the old one bit for bit, past the step where Adam's c1 reaches 1.0."""
+
+    def test_bias_correction_reaches_one_at_step_356(self):
+        assert 1.0 - 0.9**355 != 1.0
+        assert 1.0 - 0.9**356 == 1.0
+
+    def test_adam_400_steps_on_teacher_shape(self):
+        params = nn.mlp_init(nn.classifier_specs(64, 15, hidden=(128, 64)), nn.ROLE_TEACHER, 41)
+        expect = params.copy()
+        state = nn.AdamState.for_params(params, lr=1e-3)
+        ref_state = nn.AdamState.for_params(expect, lr=1e-3)
+        grads = nn.MlpGrads.empty_like(params)
+        rng = np.random.default_rng(42)
+        for _ in range(400):
+            x = rng.normal(size=(64, 64))
+            upstream = rng.normal(size=(64, 15))
+            _, cache = nn.mlp_forward(params, x)
+            assert nn.mlp_backward(params, cache, upstream, input_grad=False, out=grads)[0] is grads
+            nn.adam_step(params, grads, state)
+            _, ref_cache = nn.mlp_forward(expect, x)
+            ref_grads, _ = nn.mlp_backward(expect, ref_cache, upstream, input_grad=False)
+            parent_adam_step(expect, ref_grads, ref_state)
+        assert state.step == 400
+        assert_params_same_bits(params, expect)
+        assert_same_bits(state.m, ref_state.m)
+        assert_same_bits(state.v, ref_state.v)
+
+    @pytest.mark.parametrize("rows", [1, 7, 37, 64, 100])
+    def test_ce_loss_on_equals_loss_ce(self, rows):
+        rng = np.random.default_rng(rows)
+        labels = rng.integers(0, 15, size=300)
+        logits = rng.normal(size=(rows, 15)) * 4.0
+        idx = rng.permutation(300)[:rows]
+        (value,), grad = nn.ce_loss_on(labels, 15)(logits, idx)
+        want_value, want_grad = parent_loss_ce(nn.softmax(logits), labels[idx])
+        assert value == want_value
+        assert_same_bits(grad, want_grad)
+        got_value, got_grad = nn.loss_ce(nn.softmax(logits), labels[idx])
+        assert got_value == want_value
+        assert_same_bits(got_grad, want_grad)
+
+    def test_ce_loss_on_checks_labels_once_when_built(self):
+        with pytest.raises(ValueError, match="out of range"):
+            nn.ce_loss_on(np.array([0, 3]), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            nn.ce_loss_on(np.array([-1, 0]), 3)
+
+    def test_train_teacher_equals_the_old_loop(self, toy_dataset, toy_split):
+        from azsl.seeding import rng_for
+        from azsl.server import train_teacher
+
+        got = train_teacher(toy_dataset, toy_split, epochs=37, batch_size=12, seed=4, hidden=(16, 8), lr=1e-3)
+        feats = toy_dataset.features[toy_split.teacher_train]
+        head_labels = got.head_index(toy_dataset.labels[toy_split.teacher_train])
+        assert 37 * -(-len(feats) // 12) >= 400
+        expect = nn.mlp_init(
+            nn.classifier_specs(toy_dataset.d_x, len(toy_split.teacher_classes), (16, 8)), nn.ROLE_TEACHER, 4
+        )
+        rng = rng_for(4, "teacher-batches")
+        history = parent_fit_minibatch(
+            expect, feats, parent_ce_loss_on(head_labels), 37, 12, lambda _epoch: rng.permutation(len(feats)), 1e-3
+        )
+        assert got.loss_trace == [value for (value,) in history]
+        assert_params_same_bits(got.params, expect)
+
+    def test_train_inductive_classifier_equals_the_old_loop(self, toy_dataset):
+        from azsl.client import NoiseSpec, TrainConfig, generate, generator_specs, train_inductive_classifier
+        from azsl.seeding import derive_seed, rng_for
+
+        sem = toy_dataset.semantics
+        gen = nn.mlp_init(generator_specs(4, sem.d_a, toy_dataset.d_x, hidden=(16,)), nn.ROLE_GENERATOR, 5)
+        cfg = TrainConfig(t_s=58, batch_size=12, per_class_count=20, noise=NoiseSpec(4, 9), lr=1e-3, seed=2)
+        classes = np.unique(toy_dataset.labels)
+        got, got_classes = train_inductive_classifier(gen, sem, classes, cfg, toy_dataset.d_x)
+
+        noise = NoiseSpec(4, derive_seed(9, "classifier-noise"))
+        batch = generate(gen, sem, classes, 20, noise)
+        assert 58 * -(-len(batch.features) // 12) >= 400
+        expect = nn.mlp_init(
+            nn.classifier_specs(toy_dataset.d_x, len(classes), hidden=()),
+            nn.ROLE_CLASSIFIER,
+            derive_seed(2, "classifier-init"),
+        )
+        parent_fit_minibatch(
+            expect, batch.features, parent_ce_loss_on(np.searchsorted(classes, batch.cond_labels)), 58, 12,
+            lambda epoch: rng_for(2, "classifier-epoch", epoch).permutation(len(batch.features)), 1e-3,
+        )
+        assert np.array_equal(got_classes, classes)
+        assert_params_same_bits(got, expect)
+
+    def test_train_student_equals_the_old_loss_and_loop(self):
+        from azsl.client import TrainConfig, VerifiedBatch, train_student
+        from azsl.seeding import rng_for
+
+        rng = np.random.default_rng(43)
+        x = np.abs(rng.normal(size=(37, 5)))
+        targets = nn.softmax(rng.normal(size=(37, 3)) * 3.0)
+        targets[0] = [1.0, 0.0, 0.0]  # a zero probability: log_t's 1e-300 floor
+        verified = VerifiedBatch(x, targets.argmax(axis=1), targets, 1.0)
+        cfg = TrainConfig(t_s=80, batch_size=8, lr=1e-2, seed=3)
+        got, trace = train_student(small_net(seed=6, role=nn.ROLE_STUDENT), verified, cfg)
+
+        expect = small_net(seed=6, role=nn.ROLE_STUDENT)
+        history = parent_fit_minibatch(
+            expect, x, parent_student_loss(targets), 80, 8,
+            lambda epoch: rng_for(3, "student-epoch", epoch).permutation(37), 1e-2,
+        )
+        assert 80 * 5 >= 400
+        assert [(row["mse"], row["mse_logits"]) for row in trace] == history
+        assert_params_same_bits(got, expect)
+
+
+class TestLeanFitGuards:
+    def test_cache_gone_stale_after_a_layer_change_raises(self):
+        params = small_net(seed=44)
+        _, cache = nn.mlp_forward(params, np.ones((2, 5)))
+        params.layers[1] = nn.LayerSpec(7, 6, nn.ACT_RELU)
+        with pytest.raises(ValueError, match="cache"):
+            nn.mlp_backward(params, cache, np.zeros((2, 3)))
+
+    def test_backward_into_out_returns_out_with_fresh_values(self):
+        params = small_net(seed=45)
+        rng = np.random.default_rng(46)
+        out_buf = nn.MlpGrads.empty_like(params)
+        _, cache = nn.mlp_forward(params, rng.normal(size=(6, 5)))
+        upstream = rng.normal(size=(6, 3))
+        got, input_grad = nn.mlp_backward(params, cache, upstream, out=out_buf)
+        want, want_input = nn.mlp_backward(params, cache, upstream)
+        assert got is out_buf
+        assert_same_bits(got.buffer, want.buffer)
+        assert_same_bits(input_grad, want_input)
+
+    def test_wrong_shape_raises_after_good_steps(self):
+        params = small_net(seed=47)
+        state = nn.AdamState.for_params(params, lr=1e-3)
+        grads = nn.MlpGrads.zeros_like(params)
+        for _ in range(3):
+            nn.adam_step(params, grads, state)
+        bad = nn.MlpGrads.zeros_like(params)
+        bad.weights[0] = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="shape"):
+            nn.adam_step(params, bad, state)
+        grads.weights[0] = np.zeros((2, 2))  # the very grads object it stepped with
+        with pytest.raises(ValueError, match="shape"):
+            nn.adam_step(params, grads, state)
+        assert state.step == 3
+
+    def test_replaced_arrays_are_used_after_good_steps(self):
+        params = small_net(seed=48)
+        expect = params.copy()
+        state = nn.AdamState.for_params(params, lr=1e-3)
+        ref_state = nn.AdamState.for_params(expect, lr=1e-3)
+        grads = nn.MlpGrads.zeros_like(params)
+        rng = np.random.default_rng(49)
+        for step in range(6):
+            grads.buffer[:] = rng.normal(size=grads.buffer.size)
+            if step == 2:
+                grads.weights[1] = rng.normal(size=grads.weights[1].shape)  # no longer a view
+            if step == 4:  # new parameter arrays: the update slices must follow them
+                params.weights[0] = params.weights[0].copy()
+                expect.weights[0] = expect.weights[0].copy()
+            nn.adam_step(params, grads, state)
+            parent_adam_step(expect, grads, ref_state)
+            assert_params_same_bits(params, expect)
