@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .audit import load_transcript, summarize
 from .config import ConfigError, ExperimentConfig, parse_config, with_overrides
-from .data import DataError, make_synthetic, save_features
-from .experiment import resolve_data_seed, run_experiment, serve_experiment
+from .data import DataError, save_features
+from .experiment import build_dataset, resolve_data_seed, run_experiment, serve_experiment
 from .seeding import derive_seed
 from .wire import ProtocolError
 
@@ -126,7 +126,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args.spec)
     if cfg.synthetic is None:
         raise ConfigError("gen-data needs a synthetic dataset spec")
-    dataset = make_synthetic(cfg.synthetic, derive_seed(resolve_data_seed(cfg), "dataset"))
+    dataset = build_dataset(cfg)
     save_features(dataset, args.out)
     print(f"wrote {dataset.n} rows to {args.out}")
     return EXIT_OK

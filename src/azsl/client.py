@@ -94,21 +94,18 @@ class ClientSetup:
     d_x: int
     teacher_classes: np.ndarray
     all_classes: np.ndarray
-    unseen_classes: np.ndarray
     generator_hidden: tuple = (4096,)
     student_hidden: tuple = (1024, 512)
-    slope: float = 0.2
 
     def __post_init__(self):
         self.teacher_classes = np.asarray(sorted(self.teacher_classes), dtype=np.int64)
         self.all_classes = np.asarray(sorted(self.all_classes), dtype=np.int64)
-        self.unseen_classes = np.asarray(sorted(self.unseen_classes), dtype=np.int64)
 
 
-def generator_specs(noise_dim: int, d_a: int, d_x: int, hidden=(4096,), slope: float = 0.2) -> list[nn.LayerSpec]:
-    """Conditional generator: concat(z, a) -> hidden -> ReLU feature output."""
+def generator_specs(noise_dim: int, d_a: int, d_x: int, hidden=(4096,)) -> list[nn.LayerSpec]:
+    """Conditional generator: concat(z, a) -> leaky-ReLU hidden -> ReLU feature output."""
     dims = [noise_dim + d_a, *hidden]
-    specs = [nn.LayerSpec(a, b, nn.ACT_LEAKY_RELU, slope) for a, b in zip(dims[:-1], dims[1:])]
+    specs = [nn.LayerSpec(a, b, nn.ACT_LEAKY_RELU) for a, b in zip(dims[:-1], dims[1:])]
     specs.append(nn.LayerSpec(dims[-1], d_x, nn.ACT_RELU))
     return specs
 
@@ -273,61 +270,44 @@ def _request_softmax(channel, features: np.ndarray, labels: np.ndarray) -> np.nd
     return np.concatenate(rows)
 
 
-def ensure_quota(
-    gen: nn.MlpParams,
-    channel,
-    semantics: SemanticTable,
-    classes,
-    cfg: TrainConfig,
-    class_space=None,
-) -> QuotaResult:
+def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: TrainConfig) -> QuotaResult:
     """Generate per_class_count rows per class, verify, and retry decimated classes.
 
-    Classes still under quota after the retry cap are reported, never padded.
+    The teacher head's columns are the sorted classes. Kept rows come out class
+    by class, round by round within a class. Classes still under quota after
+    the retry cap are reported, never padded.
     """
-    classes = np.asarray(sorted(classes), dtype=np.int64)
-    kept: dict[int, list] = {int(c): [] for c in classes}
-    pending = list(classes)
-    rounds = 0
-    total_generated = 0
-    while pending and rounds <= cfg.regen_retry_cap:
-        noise = NoiseSpec(cfg.noise.dim, derive_seed(cfg.noise.seed, "quota-round", rounds))
+    classes = np.unique(np.asarray(classes, dtype=np.int64))
+    if classes.size == 0:
+        raise ValueError("empty class space")
+    kept = np.zeros(len(classes), dtype=np.int64)
+    rounds: list[VerifiedBatch] = []
+    generated = 0
+    pending = classes
+    while pending.size and len(rounds) <= cfg.regen_retry_cap:
+        noise = NoiseSpec(cfg.noise.dim, derive_seed(cfg.noise.seed, "quota-round", len(rounds)))
         batch = generate(gen, semantics, pending, cfg.per_class_count, noise)
-        total_generated += len(batch.features)
+        generated += len(batch.features)
         softmax = _request_softmax(channel, batch.features, batch.cond_labels)
         if cfg.verify:
-            vb = verify(batch, softmax, class_space)
+            vb = verify(batch, softmax, classes)
         else:
             vb = VerifiedBatch(batch.features, batch.cond_labels, softmax, 1.0)
-        for c in pending:
-            mask = vb.labels == c
-            if mask.any():
-                kept[int(c)].append((vb.features[mask], vb.teacher_softmax[mask]))
-        rounds += 1
-        pending = [
-            c for c in pending
-            if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified_per_class
-        ]
+        rounds.append(vb)
+        kept += np.bincount(np.searchsorted(classes, vb.labels), minlength=len(classes))
+        pending = classes[kept < cfg.min_verified_per_class]
 
-    features, labels, softmaxes = [], [], []
-    for c in classes:
-        for f, s in kept[int(c)]:
-            features.append(f)
-            labels.append(np.full(len(f), c, dtype=np.int64))
-            softmaxes.append(s)
-    n_kept = sum(len(f) for f in features)
+    labels = np.concatenate([vb.labels for vb in rounds])
+    order = np.argsort(labels, kind="stable")
     verified = VerifiedBatch(
-        features=np.concatenate(features) if features else np.zeros((0, gen.out_dim)),
-        labels=np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64),
-        teacher_softmax=np.concatenate(softmaxes) if softmaxes else np.zeros((0, 0)),
-        kept_fraction=n_kept / total_generated if total_generated else 0.0,
+        features=np.concatenate([vb.features for vb in rounds])[order],
+        labels=labels[order],
+        teacher_softmax=np.concatenate([vb.teacher_softmax for vb in rounds])[order],
+        kept_fraction=len(labels) / generated,
     )
-    shortfall = {
-        int(c): sum(len(f) for f, _ in kept[int(c)])
-        for c in classes
-        if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified_per_class
-    }
-    return QuotaResult(verified=verified, shortfall=shortfall, rounds=rounds)
+    short = kept < cfg.min_verified_per_class
+    shortfall = dict(zip(classes[short].tolist(), kept[short].tolist()))
+    return QuotaResult(verified=verified, shortfall=shortfall, rounds=len(rounds))
 
 
 def train_student(
@@ -444,12 +424,12 @@ def run_algorithm1(channel, semantics: SemanticTable, cfg: TrainConfig, setup: C
     additionally yields a classifier trained purely on generated features.
     """
     gen = nn.mlp_init(
-        generator_specs(cfg.noise.dim, semantics.d_a, setup.d_x, setup.generator_hidden, setup.slope),
+        generator_specs(cfg.noise.dim, semantics.d_a, setup.d_x, setup.generator_hidden),
         nn.ROLE_GENERATOR,
         derive_seed(cfg.seed, "gen-init"),
     )
     student = nn.mlp_init(
-        nn.classifier_specs(setup.d_x, len(setup.teacher_classes), setup.student_hidden, setup.slope),
+        nn.classifier_specs(setup.d_x, len(setup.teacher_classes), setup.student_hidden),
         nn.ROLE_STUDENT,
         derive_seed(cfg.seed, "student-init"),
     )
@@ -458,7 +438,7 @@ def run_algorithm1(channel, semantics: SemanticTable, cfg: TrainConfig, setup: C
     else:
         gen, student, gen_trace = train_black(gen, student, channel, semantics, setup.teacher_classes, cfg)
 
-    quota = ensure_quota(gen, channel, semantics, setup.teacher_classes, cfg, class_space=setup.teacher_classes)
+    quota = ensure_quota(gen, channel, semantics, setup.teacher_classes, cfg)
     student, student_trace = train_student(student, quota.verified, cfg)
 
     classifier = classifier_classes = None

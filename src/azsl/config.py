@@ -139,7 +139,7 @@ _KEYS: dict[str, tuple[str, callable]] = {
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
     synth_fields: dict[str, object] = {}
-    synth_requested = False
+    synth_flag, flag_line = None, 0
     seen_keys: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,18 +160,19 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{origin}:{line_no}: bad value for {key}: {exc}") from None
         if attr == "_synthetic_flag":
-            synth_requested = synth_requested or parsed
+            synth_flag, flag_line = parsed, line_no
         elif attr.startswith("synthetic."):
-            synth_requested = True
             synth_fields[attr.split(".", 1)[1]] = parsed
         else:
             setattr(cfg, attr, parsed)
-    if synth_requested:
+    if synth_flag is False and synth_fields:
+        raise ConfigError(f"{origin}:{flag_line}: dataset.synthetic = false contradicts the dataset.synthetic.* keys")
+    if synth_flag or synth_fields:
         try:
             cfg.synthetic = SyntheticSpec(**synth_fields)
         except Exception as exc:
             raise ConfigError(f"{origin}: invalid synthetic spec: {exc}") from None
-    _validate(cfg, origin)
+    validate(cfg, origin)
     return cfg
 
 
@@ -185,7 +186,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-def _validate(cfg: ExperimentConfig, origin: str) -> None:
+def validate(cfg: ExperimentConfig, origin: str = "config") -> None:
+    """Raise ConfigError unless every setting is in range; parsed and built configs alike."""
+
     def bad(msg: str):
         raise ConfigError(f"{origin}: {msg}")
 
@@ -248,5 +251,5 @@ def emit_config(cfg: ExperimentConfig) -> str:
 def with_overrides(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
     """A copy with some fields replaced, validated like a parsed config."""
     out = replace(cfg, **kw)
-    _validate(out, f"override of {', '.join(kw)}")
+    validate(out, f"override of {', '.join(kw)}")
     return out

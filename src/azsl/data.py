@@ -41,6 +41,8 @@ class SemanticTable:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise DataError(f"semantic table must be 2-D, got shape {self.vectors.shape}")
+        if self.vectors.shape[1] < 1:
+            raise DataError("semantic table needs at least one column")
         if not np.isfinite(self.vectors).all():
             raise DataError("semantic table contains non-finite values")
         if self.source == SEM_SYNTHETIC and len(self.vectors) > 1:
@@ -301,44 +303,35 @@ def _parse_float(token: str, path: Path, line_no: int) -> float:
     return v
 
 
-def _load_csv(path: Path) -> Dataset:
+def _read_table(path: Path) -> list[tuple[int, str, list[float]]]:
+    """(line number, id, values) for every non-blank row of an `id,v0,v1,...` file."""
     lines = path.read_text().splitlines()
-    if len(lines) < 2:
-        raise DataError(f"{path}: no rows")
-    raw_labels: list[str] = []
-    rows: list[list[float]] = []
-    d_x = len(lines[0].split(",")) - 1
-    if d_x < 1:
-        raise DataError(f"{path}:1: header needs at least one feature column")
+    width = len(lines[0].split(",")) if lines else 0
+    if width == 1:
+        raise DataError(f"{path}:1: header needs an id column and at least one value column")
+    rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != d_x + 1:
-            raise DataError(f"{path}:{line_no}: expected {d_x + 1} columns, got {len(parts)}")
-        raw_labels.append(parts[0].strip())
-        rows.append([_parse_float(t, path, line_no) for t in parts[1:]])
+        if len(parts) != width:
+            raise DataError(f"{path}:{line_no}: expected {width} columns, got {len(parts)}")
+        rows.append((line_no, parts[0].strip(), [_parse_float(t, path, line_no) for t in parts[1:]]))
     if not rows:
         raise DataError(f"{path}: no rows")
+    return rows
 
+
+def _load_csv(path: Path) -> Dataset:
+    rows = _read_table(path)
     sem_path = _sem_path(path)
     if not sem_path.exists():
         raise DataError(f"{sem_path}: semantic sidecar file missing")
-    sem_lines = sem_path.read_text().splitlines()
-    if len(sem_lines) < 2:
-        raise DataError(f"{sem_path}: no rows")
-    d_a = len(sem_lines[0].split(",")) - 1
     sem_rows: dict[str, list[float]] = {}
-    for line_no, line in enumerate(sem_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != d_a + 1:
-            raise DataError(f"{sem_path}:{line_no}: expected {d_a + 1} columns, got {len(parts)}")
-        cid = parts[0].strip()
+    for line_no, cid, values in _read_table(sem_path):
         if cid in sem_rows:
             raise DataError(f"{sem_path}:{line_no}: duplicate class id {cid!r}")
-        sem_rows[cid] = [_parse_float(t, sem_path, line_no) for t in parts[1:]]
+        sem_rows[cid] = values
 
     # dense 0..C-1 remap; original ids kept as class names
     try:
@@ -346,18 +339,13 @@ def _load_csv(path: Path) -> Dataset:
     except ValueError:
         order = sorted(sem_rows)
     remap = {cid: i for i, cid in enumerate(order)}
-    labels = []
-    for line_no, cid in enumerate(raw_labels, start=2):
+    for line_no, cid, _ in rows:
         if cid not in remap:
             raise DataError(f"{path}:{line_no}: unknown class id {cid!r}")
-        labels.append(remap[cid])
-    sem = np.empty((len(order), d_a))
-    for i, cid in enumerate(order):
-        sem[i] = sem_rows[cid]
     return Dataset(
-        features=np.asarray(rows),
-        labels=np.asarray(labels),
-        semantics=SemanticTable(sem, source=SEM_ATTRIBUTE),
+        features=np.asarray([values for _, _, values in rows]),
+        labels=np.asarray([remap[cid] for _, cid, _ in rows]),
+        semantics=SemanticTable([sem_rows[cid] for cid in order], source=SEM_ATTRIBUTE),
         class_names=order,
     )
 

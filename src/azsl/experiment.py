@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import InProcessChannel, TcpChannel
 from .client import ArtifactBundle, ClientSetup, NoiseSpec, TrainConfig, run_algorithm1
-from .config import ConfigError, ExperimentConfig, emit_config
+from .config import ConfigError, ExperimentConfig, emit_config, validate
 from .data import Dataset, SplitBundle, load_features, make_synthetic, split_azsl
 from .evaluate import EvalReport, eval_czsl, eval_gzsl, save_report
 from .regularizers import fit_regularizer
@@ -59,8 +59,8 @@ def build_split(cfg: ExperimentConfig, dataset: Dataset) -> SplitBundle:
     )
 
 
-def build_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> TeacherModel:
-    return train_teacher(
+def build_server(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> tuple[TeacherServer, TeacherModel]:
+    teacher = train_teacher(
         dataset,
         split,
         epochs=cfg.teacher_epochs,
@@ -69,10 +69,6 @@ def build_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -
         hidden=cfg.teacher_hidden,
         lr=cfg.lr,
     )
-
-
-def build_server(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> tuple[TeacherServer, TeacherModel]:
-    teacher = build_teacher(cfg, dataset, split)
     reg = fit_regularizer(dataset, split, cfg.regularizer, cfg.alpha)
     return TeacherServer(teacher, reg, cfg.scenario), teacher
 
@@ -100,21 +96,19 @@ def client_setup(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) ->
         d_x=dataset.d_x,
         teacher_classes=split.teacher_classes,
         all_classes=np.arange(dataset.n_classes),
-        unseen_classes=split.unseen_classes,
         generator_hidden=cfg.generator_hidden,
         student_hidden=cfg.teacher_hidden,
     )
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str | Path | None = None) -> RunResult:
-    """Full pipeline: teacher (or remote connection), client training, both evals."""
+    """Full pipeline: config checks (ConfigError), teacher or remote connection, client training, both evals."""
+    validate(cfg)
     dataset = build_dataset(cfg)
     split = build_split(cfg, dataset)
 
     teacher = None
     if cfg.channel == "tcp":
-        if cfg.synthetic is None:
-            raise ConfigError("remote runs need the synthetic dataset source")
         channel = TcpChannel(*cfg.endpoint)
     else:
         server, teacher = build_server(cfg, dataset, split)
@@ -158,6 +152,7 @@ def serve_experiment(
 
     The server transcript is flushed to <out>/server_transcript.json on exit.
     """
+    validate(cfg)
     if cfg.endpoint is None:
         raise ConfigError("serve requires endpoint = host:port")
     dataset = build_dataset(cfg)

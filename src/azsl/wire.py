@@ -126,9 +126,6 @@ class _Reader:
         self.off += n
         return out
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
 

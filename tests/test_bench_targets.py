@@ -91,3 +91,25 @@ def test_every_fit_step_calls_nn_through_its_module(mode):
             # the teacher's fit ends with one forward pass over its rows, for its train accuracy
             extra = 1 if (role, op) == ("teacher", "forward") else 0
             assert len(inside) == steps + extra, (role, op)
+
+
+@pytest.mark.parametrize("scenario", ["white", "black"])
+def test_quota_and_student_counters_match_the_transcript(scenario):
+    # the tracer reads client.quota.* off ensure_quota's result and student.steps
+    # off train_student's arguments; the transcript counts the same work apart
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cfg = tiny_config(scenario=scenario, t_g=8, t_s=4, min_verified=60, retry_cap=2)
+    with spans.patched(tracer, spans.layer_targets()):
+        result = run_experiment(cfg)
+    requests = [e for e in result.bundle.transcript.entries if e.kind == audit.KIND_FEEDBACK_REQUEST]
+    quota = requests[cfg.t_g :]  # each round fits one frame: 10 classes x 60 rows
+    assert tracer.counts["client.quota.rounds"] == len(quota) > 1
+    # a request frame is a 20-byte header, then per row d_x f64 features and one u32 label
+    rows = sum((e.size - 20) / (8 * result.dataset.d_x + 4) for e in quota)
+    generated = tracer.counts["rows_generated.phase.quota"]
+    assert generated == rows
+    assert tracer.counts["generator.rounds"] == cfg.t_g
+    kept = tracer.counts["client.quota.kept"]
+    assert 0 < kept <= generated
+    assert tracer.counts["student.steps"] == cfg.t_s * -(-kept // cfg.batch_size)

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from azsl import audit, cli, experiment
-from azsl.config import emit_config, with_overrides
+from azsl.config import ConfigError, emit_config, with_overrides
 from azsl.data import load_features
 from azsl.experiment import run_experiment, serve_experiment
 
@@ -114,6 +114,23 @@ class TestRun:
         assert not (tmp_path / "run").exists()
 
 
+class TestLibraryValidation:
+    # configs built in code, not parsed, get the same checks before any work
+    @pytest.mark.parametrize("entry", [run_experiment, serve_experiment])
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(lr=float("nan")), "train.lr must be finite"),
+            (dict(channel="tcp", synthetic=None, dataset_path="feats.azb"), "remote runs need the synthetic"),
+        ],
+    )
+    def test_built_config_is_validated_first(self, monkeypatch, entry, overrides, message):
+        monkeypatch.setattr(experiment, "train_teacher", lambda *a, **k: pytest.fail("the teacher was trained"))
+        cfg = tiny_config(endpoint=("127.0.0.1", 0), **overrides)
+        with pytest.raises(ConfigError, match=message):
+            entry(cfg)
+
+
 class TestExitCodes:
     def test_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE
@@ -126,6 +143,12 @@ class TestExitCodes:
 
     def test_runtime_error(self, tmp_path):
         assert cli.main(["audit", str(tmp_path / "missing.json")]) == cli.EXIT_RUNTIME
+
+    def test_synthetic_false_with_synthetic_keys_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.azsl"
+        path.write_text("dataset.synthetic.per_class = 50\ndataset.synthetic = false\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "exp.azsl:2: dataset.synthetic = false contradicts" in capsys.readouterr().err
 
     def test_port_out_of_range_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "srv.azsl"
@@ -263,6 +286,16 @@ class TestSweep:
 
 
 class TestFileBackedRun:
+    def test_semantic_file_without_value_columns_is_a_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "feats.csv").write_text("label,f0,f1\n0,1,2\n1,3,4\n2,5,6\n2,7,8\n")
+        (tmp_path / "feats.sem.csv").write_text("class\n0\n1\n2\n")
+        cfg = with_overrides(
+            tiny_config(out=str(tmp_path / "run")), synthetic=None, dataset_path=str(tmp_path / "feats.csv")
+        )
+        assert cli.main(["run", str(write_config(tmp_path, cfg))]) == cli.EXIT_RUNTIME
+        assert "feats.sem.csv:1: header needs an id column" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_run_from_azb_file(self, tmp_path):
         data_path = tmp_path / "data.azb"
         gen_cfg = write_config(tmp_path, tiny_config(), "gen.azsl")

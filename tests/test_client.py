@@ -10,7 +10,9 @@ from azsl.client import (
     ClientSetup,
     GenerationBatch,
     NoiseSpec,
+    QuotaResult,
     TrainConfig,
+    VerifiedBatch,
     black_batch_grads,
     ensure_quota,
     generate,
@@ -24,6 +26,7 @@ from azsl.client import (
 )
 from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer, reg_value_grad
+from azsl.seeding import derive_seed
 from azsl.server import TeacherServer, train_teacher
 
 
@@ -286,7 +289,7 @@ class TestQuota:
         gen = trained_generator(teacher_env)
         cfg = TrainConfig(per_class_count=30, min_verified_per_class=5, regen_retry_cap=3,
                           noise=NoiseSpec(NZ, 5), seed=5)
-        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg, class_space=np.arange(4))
+        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert quota.rounds == 1
         assert quota.shortfall == {}
 
@@ -297,7 +300,7 @@ class TestQuota:
             w[:] = 0.0  # all-zero features: teacher argmax is one fixed class
         cfg = TrainConfig(per_class_count=10, min_verified_per_class=5, regen_retry_cap=2,
                           noise=NoiseSpec(NZ, 6), seed=6)
-        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg, class_space=np.arange(4))
+        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert quota.rounds == 3  # initial + two retries
         assert len(quota.shortfall) >= 3  # only the argmax class can ever verify
         assert all(count < 5 for count in quota.shortfall.values())
@@ -307,7 +310,7 @@ class TestQuota:
         gen = tiny_generator(seed=14)
         cfg = TrainConfig(per_class_count=8, min_verified_per_class=8, regen_retry_cap=0,
                           noise=NoiseSpec(NZ, 7), seed=7)
-        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg, class_space=np.arange(4))
+        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert quota.rounds == 1
 
     def test_verification_disabled_keeps_everything(self, teacher_env):
@@ -315,9 +318,87 @@ class TestQuota:
         gen = tiny_generator(seed=15)
         cfg = TrainConfig(per_class_count=9, verify=False, noise=NoiseSpec(NZ, 8), seed=8,
                           min_verified_per_class=1, regen_retry_cap=2)
-        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg, class_space=np.arange(4))
+        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert len(quota.verified) == 36
         assert quota.verified.kept_fraction == 1.0
+
+
+def list_tally_quota(gen, channel, semantics, classes, cfg, class_space=None):
+    """The earlier ensure_quota: a list of kept blocks per class, re-summed at every check."""
+    classes = np.asarray(sorted(classes), dtype=np.int64)
+    kept: dict[int, list] = {int(c): [] for c in classes}
+    pending = list(classes)
+    rounds = 0
+    total_generated = 0
+    while pending and rounds <= cfg.regen_retry_cap:
+        noise = NoiseSpec(cfg.noise.dim, derive_seed(cfg.noise.seed, "quota-round", rounds))
+        batch = generate(gen, semantics, pending, cfg.per_class_count, noise)
+        total_generated += len(batch.features)
+        softmax = client_mod._request_softmax(channel, batch.features, batch.cond_labels)
+        if cfg.verify:
+            vb = verify(batch, softmax, class_space)
+        else:
+            vb = VerifiedBatch(batch.features, batch.cond_labels, softmax, 1.0)
+        for c in pending:
+            mask = vb.labels == c
+            if mask.any():
+                kept[int(c)].append((vb.features[mask], vb.teacher_softmax[mask]))
+        rounds += 1
+        pending = [
+            c for c in pending
+            if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified_per_class
+        ]
+
+    features, labels, softmaxes = [], [], []
+    for c in classes:
+        for f, s in kept[int(c)]:
+            features.append(f)
+            labels.append(np.full(len(f), c, dtype=np.int64))
+            softmaxes.append(s)
+    n_kept = sum(len(f) for f in features)
+    verified = VerifiedBatch(
+        features=np.concatenate(features) if features else np.zeros((0, gen.out_dim)),
+        labels=np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64),
+        teacher_softmax=np.concatenate(softmaxes) if softmaxes else np.zeros((0, 0)),
+        kept_fraction=n_kept / total_generated if total_generated else 0.0,
+    )
+    shortfall = {
+        int(c): sum(len(f) for f, _ in kept[int(c)])
+        for c in classes
+        if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified_per_class
+    }
+    return QuotaResult(verified=verified, shortfall=shortfall, rounds=rounds)
+
+
+class TestQuotaTally:
+    # a weak (untrained) generator, so that retries and shortfalls occur
+    @pytest.mark.parametrize("verify_rows", [True, False])
+    @pytest.mark.parametrize("min_verified,retry_cap", [(1, 2), (15, 3), (40, 1), (0, 0)])
+    def test_matches_list_tally(self, teacher_env, verify_rows, min_verified, retry_cap):
+        cfg = TrainConfig(per_class_count=10, min_verified_per_class=min_verified, regen_retry_cap=retry_cap,
+                          verify=verify_rows, noise=NoiseSpec(NZ, 17), seed=17)
+
+        def run(tally, **kw):
+            channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
+            result = tally(tiny_generator(seed=18), channel, semantics(), [3, 1, 0, 2], cfg, **kw)
+            return result, channel.transcript.digest()
+
+        (got, got_digest), (want, want_digest) = run(ensure_quota), run(list_tally_quota, class_space=np.arange(4))
+        for field_name in ("features", "labels", "teacher_softmax"):
+            a, b = getattr(got.verified, field_name), getattr(want.verified, field_name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field_name
+        assert got.verified.kept_fraction == want.verified.kept_fraction
+        assert (got.shortfall, got.rounds) == (want.shortfall, want.rounds)
+        assert got_digest == want_digest
+        if min_verified == 15:
+            assert got.rounds > 1  # the retry path ran
+        if min_verified == 40:
+            assert got.shortfall  # the shortfall path ran
+
+    def test_empty_class_list_rejected(self, teacher_env):
+        channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
+        with pytest.raises(ValueError, match="empty"):
+            ensure_quota(tiny_generator(), channel, semantics(), [], TrainConfig())
 
 
 def trained_generator(teacher_env, seed=20):
@@ -333,8 +414,6 @@ class TestStudentTraining:
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 7)
         x = np.abs(np.random.default_rng(5).normal(size=(12, D_X)))
         logits, _ = nn.mlp_forward(student, x)
-        from azsl.client import VerifiedBatch
-
         vb = VerifiedBatch(x, np.zeros(12, dtype=np.int64), nn.softmax(logits), 1.0)
         before = student.copy()
         trained, trace = train_student(student, vb, TrainConfig(t_s=3, batch_size=12, lr=1e-3, seed=1))
@@ -346,7 +425,7 @@ class TestStudentTraining:
         gen = trained_generator(teacher_env, seed=21)
         cfg = TrainConfig(per_class_count=40, t_s=12, batch_size=160, lr=1e-3,
                           noise=NoiseSpec(NZ, 10), seed=10)
-        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg, class_space=np.arange(4))
+        quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 8)
         _, trace = train_student(student, quota.verified, cfg)
         mse = [row["mse"] for row in trace]
@@ -368,8 +447,6 @@ class TestStudentTraining:
         assert nn.grad_check(student, closure, n_samples=200, seed=8) < 1e-4
 
     def test_empty_verified_batch_rejected(self):
-        from azsl.client import VerifiedBatch
-
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 10)
         empty = VerifiedBatch(np.zeros((0, D_X)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0.0)
         with pytest.raises(ValueError, match="empty"):
@@ -419,7 +496,6 @@ def derive_check_seed():
 
 class TestRunAlgorithm1:
     def run(self, teacher_env, scenario, seed=40):
-        _, split, teacher, reg = teacher_env
         channel = make_channel(teacher_env, scenario)
         cfg = TrainConfig(
             t_g=60, t_s=30, batch_size=32, per_class_count=30, alpha=1.0,
@@ -428,7 +504,7 @@ class TestRunAlgorithm1:
         )
         setup = ClientSetup(
             d_x=D_X, teacher_classes=np.arange(4), all_classes=np.arange(4),
-            unseen_classes=split.unseen_classes, generator_hidden=(32,), student_hidden=(32, 16),
+            generator_hidden=(32,), student_hidden=(32, 16),
         )
         return run_algorithm1(channel, semantics(), cfg, setup)
 

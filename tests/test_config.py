@@ -92,6 +92,15 @@ class TestParsing:
         assert cfg.synthetic.n_classes == 6
         assert cfg.synthetic.seen_count == 4
 
+    @pytest.mark.parametrize("order", ["flag first", "flag last"])
+    def test_synthetic_false_with_synthetic_keys_rejected(self, order):
+        lines = ["dataset.synthetic = false", "dataset.synthetic.per_class = 50"]
+        if order == "flag last":
+            lines.reverse()
+        line = lines.index("dataset.synthetic = false") + 1
+        with pytest.raises(ConfigError, match=rf":{line}: dataset.synthetic = false contradicts"):
+            parse_config_text("\n".join(lines) + "\n")
+
     def test_split_unseen_list(self):
         cfg = parse_config_text(MINIMAL + "split.unseen = 8,9\n")
         assert cfg.split_unseen == (8, 9)

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from azsl.data import (
+    AZB_MAGIC,
     DataError,
     Dataset,
     SemanticTable,
@@ -193,10 +196,31 @@ class TestFileFormats:
             load_features(tmp_path / "bad.csv")
 
     def test_unknown_class_id(self, tmp_path):
-        (tmp_path / "bad.csv").write_text("label,f0\n0,1\n7,2\n")
         (tmp_path / "bad.sem.csv").write_text("class,s0\n0,0.5\n")
-        with pytest.raises(DataError, match="unknown class id"):
-            load_features(tmp_path / "bad.csv")
+        # the error names the id's own line, blank lines included
+        for text, line in [("label,f0\n0,1\n7,2\n", 3), ("label,f0\n0,1\n\n7,2\n", 4)]:
+            (tmp_path / "bad.csv").write_text(text)
+            with pytest.raises(DataError, match=rf"bad\.csv:{line}: unknown class id '7'"):
+                load_features(tmp_path / "bad.csv")
+
+    def test_semantic_csv_without_value_columns(self, tmp_path):
+        (tmp_path / "bare.csv").write_text("label,f0\n0,1\n1,2\n")
+        (tmp_path / "bare.sem.csv").write_text("class\n0\n1\n")
+        with pytest.raises(DataError, match=r"bare\.sem\.csv:1: header needs an id column"):
+            load_features(tmp_path / "bare.csv")
+
+    def test_azb_without_semantic_columns(self, tmp_path):
+        path = tmp_path / "bare.azb"
+        feats, labels = np.ones((4, 2)), np.arange(4)
+        path.write_bytes(
+            AZB_MAGIC + struct.pack("<4I", 4, 2, 4, 0) + feats.astype("<f8").tobytes() + labels.astype("<u4").tobytes()
+        )
+        with pytest.raises(DataError, match="at least one column"):
+            load_features(path)
+
+    def test_semantic_table_without_columns(self):
+        with pytest.raises(DataError, match="at least one column"):
+            SemanticTable(np.zeros((4, 0)))
 
     def test_duplicate_semantic_class_id(self, tmp_path):
         # a repeated id would leave another class's semantic row unset
