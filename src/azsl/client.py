@@ -19,7 +19,7 @@ from .seeding import derive_seed, rng_for
 
 MAX_UPLOAD_ROWS = 2048  # keeps every request frame far below the payload cap
 
-TRACE_COLUMNS = ("phase", "epoch", "ce", "reg", "mse", "mse_logits")
+TRACE_COLUMNS = ("phase", "epoch", "ce", "reg", "mse")
 
 
 @dataclass
@@ -317,28 +317,16 @@ def train_student(
     if len(verified) == 0:
         raise ValueError("verified batch is empty; nothing to distill")
 
-    # shift-aligned logit-space distance, kept as a diagnostic only
-    log_t = np.log(np.maximum(verified.teacher_softmax, 1e-300))
-    centered_log_t = log_t - log_t.mean(axis=1, keepdims=True)
-
     def loss(logits, idx):
         probs = nn.softmax(logits)
         mse, grad_probs = nn.loss_mse(probs, verified.teacher_softmax[idx])
-        # nn.loss_mse's value without its gradient; sum / count is what mean() computes
-        centered = logits - logits.sum(axis=1, keepdims=True) / logits.shape[1]
-        centered -= centered_log_t[idx]
-        mse_logits = float((centered * centered).sum() / centered.size)
-        return (mse, mse_logits), nn.softmax_vjp(probs, grad_probs)
+        return mse, nn.softmax_vjp(probs, grad_probs)
 
     history = nn.fit_minibatch(
         student, verified.features, loss, cfg.t_s, cfg.batch_size,
         lambda epoch: rng_for(cfg.seed, "student-epoch", epoch).permutation(len(verified)), cfg.lr,
     )
-    trace = [
-        {"phase": "student", "epoch": epoch, "mse": mse, "mse_logits": mse_logits}
-        for epoch, (mse, mse_logits) in enumerate(history)
-    ]
-    return student, trace
+    return student, [{"phase": "student", "epoch": epoch, "mse": mse} for epoch, mse in enumerate(history)]
 
 
 def train_inductive_classifier(

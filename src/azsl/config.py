@@ -28,7 +28,7 @@ class ExperimentConfig:
     dataset_path: str | None = None
     dataset_format: str | None = None
     synthetic: SyntheticSpec | None = None
-    split_unseen: int | tuple[int, ...] = 2
+    split_unseen: int | tuple[int, ...] | None = None  # None: classes - seen (synthetic), else 2
     split_ratio: float = 0.8
     regularizer: str = "kl"
     alpha: float = 0.5
@@ -204,6 +204,14 @@ def validate(cfg: ExperimentConfig, origin: str = "config") -> None:
         bad(f"regularizer must be one of {REG_KINDS}")
     if not (math.isfinite(cfg.alpha) and cfg.alpha >= 0):
         bad("alpha must be finite and >= 0")
+    if cfg.synthetic is not None and cfg.split_unseen is not None:
+        want = cfg.synthetic.n_classes - cfg.synthetic.seen_count
+        got = cfg.split_unseen if isinstance(cfg.split_unseen, int) else len(set(cfg.split_unseen))
+        if got != want:
+            bad(
+                f"split.unseen gives {got} unseen classes, but dataset.synthetic.classes - "
+                f"dataset.synthetic.seen gives {want}"
+            )
     if not 0.0 < cfg.split_ratio < 1.0:
         bad("split.ratio must be in (0, 1)")
     if cfg.noise_dim < 1:

@@ -56,14 +56,9 @@ def per_class_top1(preds, labels, classes) -> float:
         raise ValueError("predictions and labels must align")
     if labels.size == 0:
         raise ValueError("empty evaluation set")
-    accs = []
-    for c in np.asarray(sorted(classes), dtype=np.int64):
-        mask = labels == c
-        if mask.any():
-            accs.append((preds[mask] == c).mean())
-    if not accs:
-        raise ValueError("no requested class appears in the evaluation set")
-    return float(np.mean(accs) * 100.0)
+    if min(preds.min(), labels.min()) < 0:
+        raise ValueError("class ids must be >= 0")
+    return _macro(_accuracy(_confusion(preds, labels, max(preds.max(), labels.max()) + 1)), classes)
 
 
 def harmonic_mean(u: float, s: float) -> float:
@@ -80,14 +75,37 @@ def _confusion(preds, labels, n_classes: int) -> np.ndarray:
     return m
 
 
-def _per_class_from_confusion(confusion: np.ndarray, classes) -> dict[int, float]:
-    out = {}
-    for c in classes:
-        row = confusion[c]
-        total = row.sum()
-        if total:
-            out[int(c)] = float(row[c] / total * 100.0)
-    return out
+def _accuracy(confusion: np.ndarray) -> dict[int, float]:
+    """Top-1 fraction k/n of each class (confusion row) that has rows."""
+    totals = confusion.sum(axis=1)
+    has = np.flatnonzero(totals)
+    return dict(zip(has.tolist(), (confusion[has, has] / totals[has]).tolist()))
+
+
+def _macro(accuracy: dict[int, float], classes) -> float:
+    """Mean accuracy in percent over those of classes that have rows."""
+    accs = [accuracy[c] for c in sorted(int(c) for c in classes) if c in accuracy]
+    if not accs:
+        raise ValueError("no requested class appears in the evaluation set")
+    return float(np.mean(accs) * 100.0)
+
+
+def _report(task: str, bundle: ArtifactBundle, split: SplitBundle, confusion: np.ndarray) -> EvalReport:
+    """u, and for GZSL s and H, plus the per-class table, all from one confusion matrix."""
+    accuracy = _accuracy(confusion)
+    u = _macro(accuracy, split.unseen_classes)
+    s = _macro(accuracy, split.seen_classes) if task == TASK_GZSL else None
+    return EvalReport(
+        task=task,
+        teacher_mode=split.teacher_mode,
+        scenario=bundle.cfg.scenario,
+        u=u,
+        s=s,
+        h=None if s is None else harmonic_mean(u, s),
+        per_class={c: a * 100.0 for c, a in accuracy.items()},
+        confusion=confusion,
+        transcript_digest=bundle.transcript.digest(),
+    )
 
 
 def _bundle_model(bundle: ArtifactBundle, split: SplitBundle):
@@ -111,20 +129,7 @@ def eval_czsl(
     else:
         space = split.unseen_classes
     preds = predict(model, dataset.features[rows], space, head)
-    labels = dataset.labels[rows]
-    u = per_class_top1(preds, labels, split.unseen_classes)
-    confusion = _confusion(preds, labels, dataset.n_classes)
-    return EvalReport(
-        task=TASK_CZSL,
-        teacher_mode=split.teacher_mode,
-        scenario=bundle.cfg.scenario,
-        u=u,
-        s=None,
-        h=None,
-        per_class=_per_class_from_confusion(confusion, split.unseen_classes),
-        confusion=confusion,
-        transcript_digest=bundle.transcript.digest(),
-    )
+    return _report(TASK_CZSL, bundle, split, _confusion(preds, dataset.labels[rows], dataset.n_classes))
 
 
 def eval_gzsl(bundle: ArtifactBundle, split: SplitBundle, dataset: Dataset) -> EvalReport:
@@ -132,28 +137,9 @@ def eval_gzsl(bundle: ArtifactBundle, split: SplitBundle, dataset: Dataset) -> E
     if split.client_eval_seen.size == 0 or split.client_eval_unseen.size == 0:
         raise ValueError("generalised evaluation needs both seen and unseen rows")
     model, head = _bundle_model(bundle, split)
-    space = np.arange(dataset.n_classes)
-    if split.teacher_mode == MODE_TRANSDUCTIVE:
-        space = bundle.student_classes  # transductive head already covers all classes
     rows = np.concatenate([split.client_eval_seen, split.client_eval_unseen])
-    preds = predict(model, dataset.features[rows], space, head)
-    labels = dataset.labels[rows]
-    n_seen = len(split.client_eval_seen)
-    s = per_class_top1(preds[:n_seen], labels[:n_seen], split.seen_classes)
-    u = per_class_top1(preds[n_seen:], labels[n_seen:], split.unseen_classes)
-    confusion = _confusion(preds, labels, dataset.n_classes)
-    present = sorted(set(labels.tolist()))
-    return EvalReport(
-        task=TASK_GZSL,
-        teacher_mode=split.teacher_mode,
-        scenario=bundle.cfg.scenario,
-        u=u,
-        s=s,
-        h=harmonic_mean(u, s),
-        per_class=_per_class_from_confusion(confusion, present),
-        confusion=confusion,
-        transcript_digest=bundle.transcript.digest(),
-    )
+    preds = predict(model, dataset.features[rows], np.arange(dataset.n_classes), head)
+    return _report(TASK_GZSL, bundle, split, _confusion(preds, dataset.labels[rows], dataset.n_classes))
 
 
 def render_report(report: EvalReport) -> str:

@@ -46,8 +46,8 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def build_split(cfg: ExperimentConfig, dataset: Dataset) -> SplitBundle:
     unseen = cfg.split_unseen
-    if cfg.synthetic is not None and isinstance(unseen, int):
-        unseen = cfg.synthetic.n_classes - cfg.synthetic.seen_count
+    if unseen is None:
+        unseen = 2 if cfg.synthetic is None else cfg.synthetic.n_classes - cfg.synthetic.seen_count
     if not isinstance(unseen, int):
         unseen = list(unseen)
     return split_azsl(

@@ -379,17 +379,17 @@ def _same_arrays(a: list, b) -> bool:
 def fit_minibatch(
     params: MlpParams,
     X: np.ndarray,
-    loss: Callable[[np.ndarray, np.ndarray], tuple[tuple[float, ...], np.ndarray]],
+    loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
     epochs: int,
     batch_size: int,
     order: Callable[[int], np.ndarray],
     lr: float,
-) -> list[tuple[float, ...]]:
+) -> list[float]:
     """Minibatch Adam over the rows of X, updating params in place.
 
     order(epoch) gives that epoch's row permutation; loss(logits, idx) gives
-    (terms, dL/d logits) for the rows X[idx]. Returns, per epoch, the
-    row-weighted mean of each term.
+    (value, dL/d logits) for the rows X[idx]. Returns, per epoch, the
+    row-weighted mean of the loss value.
     """
     state = AdamState.for_params(params, lr=lr)
     grads = MlpGrads.empty_like(params)  # rewritten by every step's backward pass
@@ -397,17 +397,15 @@ def fit_minibatch(
     history = []
     for epoch in range(epochs):
         perm = order(epoch)
-        sums: list[float] = []
+        total = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             logits, cache = mlp_forward(params, X[idx])
-            terms, grad_logits = loss(logits, idx)
+            value, grad_logits = loss(logits, idx)
             mlp_backward(params, cache, grad_logits, input_grad=False, out=grads)
             adam_step(params, grads, state)
-            sums = sums or [0.0] * len(terms)
-            for k, value in enumerate(terms):
-                sums[k] += value * len(idx)
-        history.append(tuple(s / n for s in sums))
+            total += value * len(idx)
+        history.append(total / n)
     return history
 
 
@@ -419,12 +417,7 @@ def ce_loss_on(labels: np.ndarray, n_classes: int):
     """
     labels = np.asarray(labels, dtype=np.int64)
     _check_labels(labels, n_classes)
-
-    def loss(logits: np.ndarray, idx: np.ndarray):
-        value, grad_logits = _ce_into(softmax(logits), labels[idx])
-        return (value,), grad_logits
-
-    return loss
+    return lambda logits, idx: _ce_into(softmax(logits), labels[idx])
 
 
 LossClosure = Callable[[MlpParams], tuple[float, MlpGrads]]

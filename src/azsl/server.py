@@ -7,8 +7,10 @@ that is the only mid-risk feedback kind.
 """
 from __future__ import annotations
 
+import select
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,8 @@ from . import audit, nn, wire
 from .data import Dataset, SplitBundle
 from .regularizers import RegularizerState, reg_value_grad
 from .seeding import rng_for
+
+IDLE_TIMEOUT_S = 300.0  # a connection silent this long is dropped
 
 
 @dataclass
@@ -64,11 +68,10 @@ def train_teacher(
     head_labels = model.head_index(labels)
 
     rng = rng_for(seed, "teacher-batches")  # one stream across all epochs
-    history = nn.fit_minibatch(
+    model.loss_trace = nn.fit_minibatch(
         params, feats, nn.ce_loss_on(head_labels, len(class_space)), epochs, batch_size,
         lambda _epoch: rng.permutation(len(feats)), lr,
     )
-    model.loss_trace = [value for (value,) in history]
 
     logits, _ = nn.mlp_forward(params, feats)
     model.train_accuracy = float((logits.argmax(axis=1) == head_labels).mean())
@@ -172,6 +175,8 @@ def serve(
     ready: "callable | None" = None,
 ) -> None:
     """Answer framed requests until stop_event is set; one request at a time."""
+    if stop_event is None:
+        stop_event = threading.Event()
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind(endpoint)
@@ -180,7 +185,7 @@ def serve(
     if ready is not None:
         ready(sock.getsockname())
     try:
-        while stop_event is None or not stop_event.is_set():
+        while not stop_event.is_set():
             try:
                 conn, _ = sock.accept()
             except socket.timeout:
@@ -188,8 +193,14 @@ def serve(
             with conn:
                 # generous idle timeout: clients legitimately go quiet during
                 # local training phases between requests
-                conn.settimeout(300.0)
+                conn.settimeout(IDLE_TIMEOUT_S)
+                last_frame = time.monotonic()
                 while True:
+                    # wait for a frame's first byte in short ticks, so that stop is seen while a client idles
+                    if not select.select([conn], [], [], 0.2)[0]:
+                        if stop_event.is_set() or time.monotonic() - last_frame > IDLE_TIMEOUT_S:
+                            break
+                        continue
                     try:
                         frame = wire.recv_frame(conn)
                     except wire.ProtocolError as exc:
@@ -200,7 +211,7 @@ def serve(
                             pass
                         break  # malformed framing: close the connection
                     except OSError:
-                        break  # idle timeout or reset: drop this connection only
+                        break  # a frame stalled past the timeout, or a reset: drop this connection only
                     if frame is None:
                         break  # the client closed between frames
                     out_kind, out_payload = server.handle_payload(*frame)
@@ -208,5 +219,6 @@ def serve(
                         conn.sendall(wire.frame(out_kind, out_payload))
                     except OSError:
                         break  # client went away; next connection
+                    last_frame = time.monotonic()
     finally:
         sock.close()

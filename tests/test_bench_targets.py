@@ -4,23 +4,40 @@ A rename under src/ should fail here, not in the middle of a traced benchmark ru
 """
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 from azsl import audit, wire
-from azsl.experiment import run_experiment
+from azsl.config import emit_config, parse_config_text, validate
+from azsl.experiment import build_dataset, build_split, run_experiment
 
 from conftest import tiny_config
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a module's dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("spans")
+
+
+@pytest.mark.parametrize("name", ["white-kl", "black-mmd", "black-kl-tcp", "inductive-sweep"])
+def test_workload_configs_are_valid_and_reparse_equal(name, tmp_path):
+    # the sweep and tcp workloads hand azsl an emitted config to parse back
+    cfg = _load("workloads").WORKLOADS[name].config(seed=201, out=str(tmp_path))
+    validate(cfg)
+    assert parse_config_text(emit_config(cfg)) == cfg
+    split = build_split(cfg, build_dataset(cfg))
+    assert split.unseen_classes.size == cfg.synthetic.n_classes - cfg.synthetic.seen_count
 
 
 def test_every_traced_attribute_exists():

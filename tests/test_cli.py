@@ -101,6 +101,13 @@ class TestRun:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "hidden layer sizes must be >= 1" in capsys.readouterr().err
 
+    def test_split_unseen_disagreeing_with_the_synthetic_spec_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))
+        path = write_config(tmp_path, tiny_config(out=str(tmp_path / "run")))
+        path.write_text(path.read_text() + "split.unseen = 4\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "split.unseen gives 4 unseen classes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line", ["train.lr = nan", "alpha = inf"])
     def test_non_finite_lr_or_alpha_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch, line):

@@ -529,7 +529,7 @@ class TestRunAlgorithm1:
         back = wire.decode_params((tmp_path / "gen.azw").read_bytes())
         assert nn.params_allclose(back, bundle.gen)
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
-        assert header == "phase,epoch,ce,reg,mse,mse_logits"
+        assert header == "phase,epoch,ce,reg,mse"
 
 
 class TestClientIsolation:

@@ -1,6 +1,8 @@
 import pytest
 
-from azsl.config import ConfigError, ExperimentConfig, emit_config, parse_config, parse_config_text
+from azsl.config import ConfigError, ExperimentConfig, emit_config, parse_config, parse_config_text, validate
+from azsl.data import SyntheticSpec, make_synthetic
+from azsl.experiment import build_split
 
 MINIMAL = """
 dataset.synthetic = true
@@ -128,11 +130,54 @@ class TestParsing:
             parse_config_text("dataset.synthetic = true\nscenario = gray\nteacher_mode = transductive\n")
 
 
+class TestSplitUnseen:
+    # the default synthetic spec has 10 classes, 8 of them seen
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "split.unseen = 4\n",
+            "dataset.synthetic.seen = 5\nsplit.unseen = 8,9\n",
+            "split.unseen = 9,9\n",
+        ],
+    )
+    def test_disagreeing_with_the_synthetic_spec_is_an_error(self, lines):
+        with pytest.raises(ConfigError, match="split.unseen gives .* dataset.synthetic.classes - dataset.synthetic.seen"):
+            parse_config_text(MINIMAL + lines)
+
+    @pytest.mark.parametrize(
+        "lines,unseen",
+        [
+            ("split.unseen = 2\n", 2),
+            ("split.unseen = 8,9\n", (8, 9)),
+            ("dataset.synthetic.seen = 5\nsplit.unseen = 5\n", 5),
+            ("dataset.synthetic.seen = 7\nsplit.unseen = 0,4,4,9\n", (0, 4, 4, 9)),
+        ],
+    )
+    def test_agreeing_values_parse(self, lines, unseen):
+        assert parse_config_text(MINIMAL + lines).split_unseen == unseen
+
+    def test_built_config_is_checked_too(self):
+        validate(ExperimentConfig(synthetic=SyntheticSpec(n_classes=6, seen_count=2), split_unseen=4))
+        with pytest.raises(ConfigError, match="split.unseen gives 2 unseen classes, .* gives 4"):
+            validate(ExperimentConfig(synthetic=SyntheticSpec(n_classes=6, seen_count=2), split_unseen=2))
+
+    def test_unset_is_left_out_of_the_emitted_config(self):
+        cfg = parse_config_text(MINIMAL)
+        assert cfg.split_unseen is None
+        assert "split.unseen" not in emit_config(cfg)
+
+    def test_unset_means_classes_minus_seen_or_two_for_feature_files(self):
+        spec = SyntheticSpec(n_classes=7, seen_count=3, per_class=10)
+        ds = make_synthetic(spec, seed=1)
+        assert build_split(ExperimentConfig(synthetic=spec), ds).unseen_classes.size == 4
+        assert build_split(ExperimentConfig(dataset_path="x.azb"), ds).unseen_classes.size == 2
+
+
 class TestCanonicalEmission:
     def test_round_trip_equality(self):
         cfg = parse_config_text(
             MINIMAL
-            + "alpha = 1.5\nnoise.dim = 24\nteacher.hidden = 64,32\nsplit.unseen = 3\n"
+            + "alpha = 1.5\nnoise.dim = 24\nteacher.hidden = 64,32\nsplit.unseen = 2\n"
             + "train.verify = false\nseed = 99\nregularizer = mmd\n"
         )
         again = parse_config_text(emit_config(cfg))
@@ -140,7 +185,7 @@ class TestCanonicalEmission:
 
     def test_round_trip_with_endpoint_and_lists(self):
         cfg = parse_config_text(
-            MINIMAL + "channel = tcp\nendpoint = 10.0.0.1:4242\nsplit.unseen = 7,8,9\n"
+            MINIMAL + "channel = tcp\nendpoint = 10.0.0.1:4242\nsplit.unseen = 8,9\n"
         )
         assert parse_config_text(emit_config(cfg)) == cfg
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azsl import nn
+from azsl import evaluate, nn
 from azsl.audit import RiskLog
 from azsl.client import ArtifactBundle, TrainConfig
-from azsl.data import SyntheticSpec, make_synthetic, split_azsl
+from azsl.data import Dataset, SemanticTable, SplitBundle, SyntheticSpec, make_synthetic, split_azsl
 from azsl.evaluate import (
     eval_czsl,
     eval_gzsl,
@@ -86,6 +86,10 @@ class TestPerClassTop1:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             per_class_top1([], [], [0])
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            per_class_top1([0, -1], [0, 1], [0, 1])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(2, 5))
@@ -174,6 +178,90 @@ def make_bundle(model, split, scenario="white", classifier=None, classifier_clas
         shortfall={},
         cfg=TrainConfig(scenario=scenario, teacher_mode=split.teacher_mode),
     )
+
+
+# The report arithmetic as it was before one confusion matrix fed every figure:
+# test-local copies of the old per_class_top1 and _per_class_from_confusion.
+def parent_per_class_top1(preds, labels, classes):
+    accs = []
+    for c in np.asarray(sorted(classes), dtype=np.int64):
+        mask = labels == c
+        if mask.any():
+            accs.append((preds[mask] == c).mean())
+    return float(np.mean(accs) * 100.0)
+
+
+def parent_per_class_from_confusion(confusion, classes):
+    out = {}
+    for c in classes:
+        row = confusion[c]
+        total = row.sum()
+        if total:
+            out[int(c)] = float(row[c] / total * 100.0)
+    return out
+
+
+class TestOneConfusionPerReport:
+    def test_reports_equal_the_old_arithmetic(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        calls = []
+
+        def fake_predict(params, features, class_space, head_classes=None):
+            # each row's one feature is its label; right 60% of the time where the space allows
+            space = np.asarray(sorted(class_space), dtype=np.int64)
+            true = features[:, 0].astype(np.int64)
+            guess = space[rng.integers(0, len(space), size=len(true))]
+            preds = np.where((rng.random(len(true)) < 0.6) & np.isin(true, space), true, guess)
+            calls.append(preds)
+            return preds
+
+        monkeypatch.setattr(evaluate, "predict", fake_predict)
+        checked = rowless = 0
+        while checked < 500:
+            n_classes = int(rng.integers(2, 13))
+            labels = np.repeat(np.arange(n_classes), rng.integers(0, 7, size=n_classes))
+            unseen = rng.choice(n_classes, size=int(rng.integers(1, n_classes)), replace=False)
+            is_unseen = np.isin(labels, unseen)
+            evaluated = rng.random(len(labels)) < 0.7
+            split = SplitBundle(
+                seen_classes=np.setdiff1d(np.arange(n_classes), unseen),
+                unseen_classes=unseen,
+                teacher_train=np.flatnonzero(~evaluated),
+                client_eval_seen=np.flatnonzero(evaluated & ~is_unseen),
+                client_eval_unseen=np.flatnonzero(evaluated & is_unseen),
+                teacher_mode=("transductive", "inductive")[checked % 2],
+                train_ratio=0.8,
+                seed=0,
+            )
+            if split.client_eval_seen.size == 0 or split.client_eval_unseen.size == 0:
+                continue
+            ds = Dataset(labels[:, None].astype(np.float64), labels, SemanticTable(np.eye(n_classes)))
+            model = linear_model(np.zeros((1, n_classes)))
+            bundle = make_bundle(model, split, classifier=model, classifier_classes=np.arange(n_classes))
+
+            czsl = eval_czsl(bundle, split, ds, masked=bool(rng.integers(0, 2)))
+            preds, y = calls[-1], labels[split.client_eval_unseen]
+            confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+            np.add.at(confusion, (y, preds), 1)
+            assert np.array_equal(czsl.confusion, confusion)
+            assert czsl.u == parent_per_class_top1(preds, y, split.unseen_classes)
+            assert czsl.per_class == parent_per_class_from_confusion(confusion, split.unseen_classes)
+            assert czsl.s is None and czsl.h is None
+
+            gzsl = eval_gzsl(bundle, split, ds)
+            preds = calls[-1]
+            y = labels[np.concatenate([split.client_eval_seen, split.client_eval_unseen])]
+            n_seen = len(split.client_eval_seen)
+            s = parent_per_class_top1(preds[:n_seen], y[:n_seen], split.seen_classes)
+            u = parent_per_class_top1(preds[n_seen:], y[n_seen:], split.unseen_classes)
+            confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+            np.add.at(confusion, (y, preds), 1)
+            assert np.array_equal(gzsl.confusion, confusion)
+            assert (gzsl.u, gzsl.s, gzsl.h) == (u, s, harmonic_mean(u, s))
+            assert gzsl.per_class == parent_per_class_from_confusion(confusion, sorted(set(y.tolist())))
+            rowless += len(np.unique(y)) < n_classes
+            checked += 1
+        assert rowless > 100  # classes without evaluation rows were covered
 
 
 class TestEvalProtocols:

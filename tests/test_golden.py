@@ -21,17 +21,17 @@ PINNED_OPENBLAS = "0.3.31"
 GOLDEN = {
     "white-kl": (
         {},
-        "eea6cd38786659e6bae82f2ad7d5431c37596dbfc3101d9b8cc6d2c5ab6b8e9c",
+        "15a02481c0617317848a97116c144d4d7fc03f029f9e31a478d35cada6ef9790",
         "292b407bbf1793573956c21f0b18627bec50346d0abe17561986d2d96ccc0c4b",
     ),
     "black-mmd": (
         {"scenario": "black", "regularizer": "mmd"},
-        "f4a7743f6bcb4a8392735462d59a19a78b286505783c6ddb2ccf7cd3fc86a062",
+        "528a7544c0e25828a345b4bad8f8147bafc94aa317b1ffc2b0ae6ce0c68dec1d",
         "c5be85f5fe07bdd01d630fe5cb88209ad4bf7f45d3809d56962cdd4dec817e70",
     ),
     "inductive-kl": (
         {"teacher_mode": "inductive"},
-        "dcb9da214a6f33f1b85bc7ff2be550691ef9cfcd7760dbcdeb2385cae276e97f",
+        "3351fa351322a0a86c9fd8d78dcce43675c2ca9ed47a6d08660254c294b8c515",
         "340c014e0c893aae67c18b1170ea7f8b7b67f9339d7dd240573ff9ce2583a716",
     ),
 }

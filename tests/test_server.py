@@ -470,6 +470,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
         assert local_frames == remote_frames
         assert local.transcript.digest() == remote.transcript.digest()
 
@@ -483,6 +484,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
         assert codes.count(0) == (3 if scenario == W else 1)
         assert len(remote.transcript.entries) == 2 * len(codes)
         assert _rows(remote.transcript) == _rows(server.log)
@@ -503,6 +505,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_bad_version_gets_error_frame_then_close(self, trained):
         _, stop, thread, port = self.start(trained)
@@ -518,6 +521,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     @pytest.mark.parametrize("scenario", [W, B])
     def test_framing_errors_pinned_in_server_log(self, trained, scenario):
@@ -530,6 +534,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
         assert _rows(server.log) == [
             (DOWN, ERR, 11, LOW, scenario, "ba8a4c794372f2ff"),  # bad magic
             (DOWN, ERR, 23, LOW, scenario, "7004f630b94606df"),  # unsupported version 2
@@ -557,6 +562,7 @@ class TestServeLoop:
         finally:
             thread.join(timeout=10)
             listener.close()
+        assert not thread.is_alive()
         assert got["frame"] == (wire.KIND_FEEDBACK_REQUEST, wire.encode_feedback_request(req))
 
     def test_oversized_frame_rejected(self, trained):
@@ -572,6 +578,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_weight_request_over_tcp(self, trained):
         _, _, teacher, _ = trained
@@ -584,6 +591,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_weight_request_refused_on_black_server(self, trained):
         server, stop, thread, port = self.start(trained, scenario=wire.SCENARIO_BLACK)
@@ -595,6 +603,7 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_survives_abrupt_disconnect_then_serves_next_client(self, trained):
         _, _, teacher, _ = trained
@@ -612,3 +621,15 @@ class TestServeLoop:
         finally:
             stop.set()
             thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_stop_ends_serve_while_a_client_idles(self, trained):
+        _, stop, thread, port = self.start(trained)
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as idle:
+            req = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((1, 10)), [0])
+            idle.sendall(wire.frame(wire.KIND_FEEDBACK_REQUEST, wire.encode_feedback_request(req)))
+            assert wire.recv_frame(idle)[0] == wire.KIND_FEEDBACK_RESPONSE  # accepted, now between frames
+            stop.set()
+            thread.join(2)
+            assert not thread.is_alive()
+            assert wire.recv_frame(idle) is None  # the server closed the idle connection
