@@ -15,8 +15,7 @@ from pathlib import Path
 from .audit import load_transcript, summarize
 from .config import ConfigError, ExperimentConfig, parse_config, with_overrides
 from .data import DataError, save_features
-from .experiment import build_dataset, resolve_data_seed, run_experiment, serve_experiment
-from .seeding import derive_seed
+from .experiment import build_dataset, build_split, fit_teacher, run_experiment, serve_experiment
 from .wire import ProtocolError
 
 EXIT_OK = 0
@@ -86,11 +85,17 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run the config once per value of one client-side knob (noise_dim or alpha).
+
+    Cells share the base config's seeds (common random numbers), so two rows
+    differ only in the swept value. In process they also share one teacher,
+    fitted once from the base config; each cell's config.azsl still
+    reproduces that cell byte for byte under `azsl run`.
+    """
     cfg = _load_config(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    shared_data_seed = resolve_data_seed(cfg)
     outdir = Path(cfg.out)
     cells = []  # every cell is built and validated before any of them runs
     for i, raw in enumerate(values):
@@ -101,18 +106,15 @@ def cmd_sweep(args) -> int:
                 overrides = {"alpha": float(raw)}
         except ValueError:
             raise ConfigError(f"bad sweep value {raw!r} for {args.param}") from None
-        cell = with_overrides(
-            cfg,
-            seed=derive_seed(cfg.seed, "sweep", i),
-            data_seed=shared_data_seed,
-            out=str(outdir / f"cell_{i:03d}"),
-            **overrides,
-        )
-        cells.append((raw, cell))
+        cells.append((raw, with_overrides(cfg, out=str(outdir / f"cell_{i:03d}"), **overrides)))
+    teacher = None
+    if cfg.channel != "tcp":
+        dataset = build_dataset(cfg)
+        teacher = fit_teacher(cfg, dataset, build_split(cfg, dataset))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["value,u,s,H"]
     for raw, cell in cells:
-        result = run_experiment(cell, outdir=cell.out)
+        result = run_experiment(cell, outdir=cell.out, teacher=teacher)
         r = result.report_gzsl
         rows.append(f"{raw},{r.u!r},{r.s!r},{r.h!r}")
         print(f"{args.param}={raw}: u={r.u:.2f} s={r.s:.2f} H={r.h:.2f}")

@@ -212,6 +212,11 @@ def validate(cfg: ExperimentConfig, origin: str = "config") -> None:
                 f"split.unseen gives {got} unseen classes, but dataset.synthetic.classes - "
                 f"dataset.synthetic.seen gives {want}"
             )
+        if not isinstance(cfg.split_unseen, int):
+            if len(set(cfg.split_unseen)) != len(cfg.split_unseen):
+                bad(f"split.unseen repeats a class id: {_join(cfg.split_unseen)}")
+            if not all(0 <= c < cfg.synthetic.n_classes for c in cfg.split_unseen):
+                bad(f"split.unseen ids must be in 0..{cfg.synthetic.n_classes - 1}: {_join(cfg.split_unseen)}")
     if not 0.0 < cfg.split_ratio < 1.0:
         bad("split.ratio must be in (0, 1)")
     if cfg.noise_dim < 1:

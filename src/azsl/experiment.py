@@ -3,7 +3,8 @@
 Every stage seeds itself from the master seed through labeled derivations, so
 a stored canonical config reproduces its run byte-for-byte. Dataset/split
 randomness derives from data_seed (defaults to a child of the master seed) so
-sweeps can share data while varying training seeds.
+runs can share data while varying training seeds. A fitted teacher can be
+handed to run_experiment: a sweep fits it once for all of its cells.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .client import ArtifactBundle, ClientSetup, NoiseSpec, TrainConfig, run_alg
 from .config import ConfigError, ExperimentConfig, emit_config, validate
 from .data import Dataset, SplitBundle, load_features, make_synthetic, split_azsl
 from .evaluate import EvalReport, eval_czsl, eval_gzsl, save_report
+from .nn import classifier_specs
 from .regularizers import fit_regularizer
 from .seeding import derive_seed
 from .server import TeacherModel, TeacherServer, serve, train_teacher
@@ -59,8 +61,8 @@ def build_split(cfg: ExperimentConfig, dataset: Dataset) -> SplitBundle:
     )
 
 
-def build_server(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> tuple[TeacherServer, TeacherModel]:
-    teacher = train_teacher(
+def fit_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> TeacherModel:
+    return train_teacher(
         dataset,
         split,
         epochs=cfg.teacher_epochs,
@@ -69,6 +71,24 @@ def build_server(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) ->
         hidden=cfg.teacher_hidden,
         lr=cfg.lr,
     )
+
+
+def _check_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle, teacher: TeacherModel) -> None:
+    """ValueError unless `teacher` has the seed, layers and class space `cfg` would fit it with."""
+    if teacher.params.seed != derive_seed(cfg.seed, "teacher"):
+        raise ValueError("given teacher was fitted from another seed")
+    if teacher.params.layers != classifier_specs(dataset.d_x, len(split.teacher_classes), cfg.teacher_hidden):
+        raise ValueError("given teacher's layers do not match d_x, teacher.hidden and the class count")
+    if not np.array_equal(teacher.class_space, split.teacher_classes):
+        raise ValueError("given teacher's class space differs from the split's teacher classes")
+
+
+def build_server(
+    cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle, teacher: TeacherModel | None = None
+) -> tuple[TeacherServer, TeacherModel]:
+    """A fresh server (own regularizer state, own log) around `teacher`, fitted here when not given."""
+    if teacher is None:
+        teacher = fit_teacher(cfg, dataset, split)
     reg = fit_regularizer(dataset, split, cfg.regularizer, cfg.alpha)
     return TeacherServer(teacher, reg, cfg.scenario), teacher
 
@@ -101,17 +121,26 @@ def client_setup(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) ->
     )
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: str | Path | None = None) -> RunResult:
-    """Full pipeline: config checks (ConfigError), teacher or remote connection, client training, both evals."""
+def run_experiment(
+    cfg: ExperimentConfig, outdir: str | Path | None = None, teacher: TeacherModel | None = None
+) -> RunResult:
+    """Full pipeline: config checks (ConfigError), teacher or remote connection, client training, both evals.
+
+    A given `teacher` must be the one `cfg` would fit (ValueError otherwise),
+    so the run's outputs are those of a run that fits its own.
+    """
     validate(cfg)
+    if teacher is not None and cfg.channel == "tcp":
+        raise ValueError("a fitted teacher cannot be given to a run against a remote teacher")
     dataset = build_dataset(cfg)
     split = build_split(cfg, dataset)
+    if teacher is not None:
+        _check_teacher(cfg, dataset, split, teacher)
 
-    teacher = None
     if cfg.channel == "tcp":
         channel = TcpChannel(*cfg.endpoint)
     else:
-        server, teacher = build_server(cfg, dataset, split)
+        server, teacher = build_server(cfg, dataset, split, teacher)
         channel = InProcessChannel(server)
 
     try:

@@ -19,6 +19,7 @@ from azsl.experiment import (
     build_server,
     build_split,
     client_setup,
+    fit_teacher,
     run_experiment,
     train_config,
 )
@@ -31,31 +32,45 @@ SEEDS = [101, 102, 103, 104, 105]
 _timings: dict[str, float] = {}
 
 
-def _timed_runs(name, **overrides):
+def _timed_runs(name, teachers=None, **overrides):
     start = time.time()
-    runs = [run_experiment(fast_config(seed=s, **overrides)) for s in SEEDS]
+    runs = [run_experiment(fast_config(seed=s, **overrides), teacher=(teachers or {}).get(s)) for s in SEEDS]
     _timings[name] = time.time() - start
     return runs
 
 
 @pytest.fixture(scope="module")
-def white_runs():
-    return _timed_runs("white", scenario="white", teacher_mode="transductive")
+def transductive_teachers():
+    """One teacher per seed: the transductive arms of a seed fit bit-identical ones."""
+    start = time.time()
+    teachers = {}
+    for s in SEEDS:
+        cfg = fast_config(seed=s, teacher_mode="transductive")
+        dataset = build_dataset(cfg)
+        teachers[s] = fit_teacher(cfg, dataset, build_split(cfg, dataset))
+    _timings["teachers"] = time.time() - start
+    return teachers
 
 
 @pytest.fixture(scope="module")
-def black_runs():
-    return _timed_runs("black", scenario="black", teacher_mode="transductive")
+def white_runs(transductive_teachers):
+    return _timed_runs("white", transductive_teachers, scenario="white", teacher_mode="transductive")
 
 
 @pytest.fixture(scope="module")
-def black_noverify_runs():
-    return _timed_runs("noverify", scenario="black", teacher_mode="transductive", verify=False)
+def black_runs(transductive_teachers):
+    return _timed_runs("black", transductive_teachers, scenario="black", teacher_mode="transductive")
 
 
 @pytest.fixture(scope="module")
-def black_noreg_runs():
-    return _timed_runs("noreg", scenario="black", teacher_mode="transductive",
+def black_noverify_runs(transductive_teachers):
+    return _timed_runs("noverify", transductive_teachers, scenario="black", teacher_mode="transductive",
+                       verify=False)
+
+
+@pytest.fixture(scope="module")
+def black_noreg_runs(transductive_teachers):
+    return _timed_runs("noreg", transductive_teachers, scenario="black", teacher_mode="transductive",
                        regularizer="none", alpha=0.0)
 
 
@@ -302,7 +317,7 @@ class TestCriterion6EndToEndWhiteTransductive:
         student_unseen = [r.report_czsl.u for r in white_runs]
         assert np.median(teacher_overall) >= 95.0
         assert np.median(student_unseen) >= 0.9 * np.median(teacher_unseen)
-        elapsed = _timings["white"] + time.time() - start
+        elapsed = _timings["teachers"] + _timings["white"] + time.time() - start
         assert elapsed < 300.0
         report(
             6,
@@ -320,7 +335,7 @@ class TestCriterion7ScenarioOrdering:
         chance = 100.0 / 10  # transductive evaluation keeps all 10 classes in play
         assert white_u >= black_u
         assert black_u >= 2 * chance
-        elapsed = _timings["white"] + _timings["black"] + time.time() - start
+        elapsed = _timings["teachers"] + _timings["white"] + _timings["black"] + time.time() - start
         assert elapsed < 600.0
         report(7, f"white {white_u:.1f} >= black {black_u:.1f} >= {2 * chance:.0f} (2 x chance)", elapsed)
 
@@ -334,7 +349,7 @@ class TestCriterion8AblationDirections:
         assert noverify <= full + 1.0  # verification direction
         assert noreg <= full + 1.0  # regularizer (distribution constraint) direction
         elapsed = (
-            _timings["black"] + _timings["noverify"] + _timings["noreg"] + time.time() - start
+            _timings["teachers"] + _timings["black"] + _timings["noverify"] + _timings["noreg"] + time.time() - start
         )
         assert elapsed < 900.0
         report(8, f"H full {full:.1f} vs no-verify {noverify:.1f} / no-reg {noreg:.1f}", elapsed)

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from azsl import audit, cli, experiment
-from azsl.config import ConfigError, emit_config, with_overrides
+from azsl.config import ConfigError, emit_config, parse_config, with_overrides
 from azsl.data import load_features
 from azsl.experiment import run_experiment, serve_experiment
 
@@ -107,6 +107,16 @@ class TestRun:
         path.write_text(path.read_text() + "split.unseen = 4\n")
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "split.unseen gives 4 unseen classes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("ids,message", [("8,99", "ids must be in 0..9"), ("8,8,9", "repeats a class id")])
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "alpha", "--values", "1"]], ids=["run", "sweep"])
+    def test_split_unseen_ids_out_of_range_or_repeated_exit_2(self, tmp_path, capsys, monkeypatch, argv, ids, message):
+        monkeypatch.setattr(experiment, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))
+        path = write_config(tmp_path, tiny_config(out=str(tmp_path / "run")))
+        path.write_text(path.read_text() + f"split.unseen = {ids}\n")
+        assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_CONFIG
+        assert f"split.unseen {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line", ["train.lr = nan", "alpha = inf"])
@@ -290,6 +300,49 @@ class TestSweep:
     def test_empty_values_rejected(self, tmp_path):
         path = write_config(tmp_path, tiny_config())
         assert cli.main(["sweep", str(path), "--param", "alpha", "--values", " "]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("param,values", [("noise_dim", "4,6"), ("alpha", "0.5,2")])
+    def test_cells_share_one_teacher_and_reproduce_under_run(self, tmp_path, monkeypatch, param, values):
+        fits, cells = [], []
+        train_teacher, run = experiment.train_teacher, cli.run_experiment
+
+        def counted_fit(*args, **kwargs):
+            fits.append(kwargs["seed"])
+            return train_teacher(*args, **kwargs)
+
+        def kept_run(*args, **kwargs):
+            cells.append(run(*args, **kwargs))
+            return cells[-1]
+
+        monkeypatch.setattr(experiment, "train_teacher", counted_fit)
+        monkeypatch.setattr(cli, "run_experiment", kept_run)
+        cfg = tiny_config(scenario="black", t_g=60, t_s=30, out=str(tmp_path / "sweep"))
+        assert cli.main(["sweep", str(write_config(tmp_path, cfg)), "--param", param, "--values", values]) == 0
+        assert len(fits) == 1
+        assert all(cell.teacher is cells[0].teacher for cell in cells)
+
+        for i, cell in enumerate(cells):
+            celldir = tmp_path / "sweep" / f"cell_{i:03d}"
+            alone = run_experiment(parse_config(celldir / "config.azsl"), outdir=tmp_path / f"alone_{i}")
+            for name in ("gen.azw", "student.azw", "report_czsl.txt", "report_gzsl.txt"):
+                assert (celldir / name).read_bytes() == (tmp_path / f"alone_{i}" / name).read_bytes(), name
+            # each cell's server logged only that cell's own exchanges
+            kept = audit.load_transcript(celldir / "transcript.json")
+            assert len(kept) == len(alone.bundle.transcript.entries)
+            assert cell.bundle.transcript.digest() == alone.bundle.transcript.digest()
+            assert cell.bundle.digest() == alone.bundle.digest()
+        assert len(fits) == 1 + len(cells)  # each standalone run fits its own
+
+    def test_remote_teacher_sweep_fits_none(self, tmp_path, monkeypatch):
+        closed = socket.socket()
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        closed.close()
+        monkeypatch.setattr(experiment, "train_teacher", lambda *a, **k: pytest.fail("a teacher was fitted"))
+        cfg = tiny_config(channel="tcp", endpoint=("127.0.0.1", port), out=str(tmp_path / "sweep"))
+        path = write_config(tmp_path, cfg)
+        # nothing listens on the port: the first cell's connection is refused
+        assert cli.main(["sweep", str(path), "--param", "alpha", "--values", "1"]) == cli.EXIT_RUNTIME
 
 
 class TestFileBackedRun:

@@ -150,11 +150,24 @@ class TestSplitUnseen:
             ("split.unseen = 2\n", 2),
             ("split.unseen = 8,9\n", (8, 9)),
             ("dataset.synthetic.seen = 5\nsplit.unseen = 5\n", 5),
-            ("dataset.synthetic.seen = 7\nsplit.unseen = 0,4,4,9\n", (0, 4, 4, 9)),
+            ("dataset.synthetic.seen = 7\nsplit.unseen = 0,4,9\n", (0, 4, 9)),
         ],
     )
     def test_agreeing_values_parse(self, lines, unseen):
         assert parse_config_text(MINIMAL + lines).split_unseen == unseen
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            ("8,99", r"split.unseen ids must be in 0..9: 8,99"),
+            ("-1,9", r"split.unseen ids must be in 0..9: -1,9"),
+            ("8,8,9", r"split.unseen repeats a class id: 8,8,9"),
+        ],
+    )
+    def test_ids_out_of_range_or_repeated_are_an_error(self, ids, message):
+        # each list names 2 distinct ids, as classes - seen asks, so only the ids themselves are wrong
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(MINIMAL + f"split.unseen = {ids}\n")
 
     def test_built_config_is_checked_too(self):
         validate(ExperimentConfig(synthetic=SyntheticSpec(n_classes=6, seen_count=2), split_unseen=4))
