@@ -8,9 +8,6 @@ generalised zero-shot evaluation.
 
 from .client import (
     ArtifactBundle,
-    ClientSetup,
-    NoiseSpec,
-    TrainConfig,
     ensure_quota,
     generate,
     run_algorithm1,

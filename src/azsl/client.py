@@ -7,31 +7,20 @@ imports the Dataset container.)
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn, wire
 from .audit import RiskLog
+from .config import ExperimentConfig
 from .data import SemanticTable
 from .seeding import derive_seed, rng_for
 
 MAX_UPLOAD_ROWS = 2048  # keeps every request frame far below the payload cap
 
 TRACE_COLUMNS = ("phase", "epoch", "ce", "reg", "mse")
-
-
-@dataclass
-class NoiseSpec:
-    """Standard-normal conditioning noise."""
-
-    dim: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("noise dim must be >= 1")
 
 
 @dataclass
@@ -60,48 +49,6 @@ class QuotaResult:
     rounds: int
 
 
-@dataclass
-class TrainConfig:
-    """Client-side training knobs; scenario/teacher-mode ride along for replay."""
-
-    t_g: int = 2000
-    t_s: int = 2000
-    batch_size: int = 64
-    per_class_count: int = 400
-    alpha: float = 0.5
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    scenario: str = wire.SCENARIO_WHITE
-    teacher_mode: str = "transductive"
-    min_verified_per_class: int = 1
-    regen_retry_cap: int = 2
-    verify: bool = True
-    lr: float = 1e-5
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.t_g, self.t_s, self.batch_size, self.per_class_count) < 1:
-            raise ValueError("epoch caps, batch size, and per-class count must be >= 1")
-        if self.regen_retry_cap < 0 or self.min_verified_per_class < 0:
-            raise ValueError("retry cap and verified quota must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-
-
-@dataclass
-class ClientSetup:
-    """Out-of-band protocol metadata: feature width, class spaces, architectures."""
-
-    d_x: int
-    teacher_classes: np.ndarray
-    all_classes: np.ndarray
-    generator_hidden: tuple = (4096,)
-    student_hidden: tuple = (1024, 512)
-
-    def __post_init__(self):
-        self.teacher_classes = np.asarray(sorted(self.teacher_classes), dtype=np.int64)
-        self.all_classes = np.asarray(sorted(self.all_classes), dtype=np.int64)
-
-
 def generator_specs(noise_dim: int, d_a: int, d_x: int, hidden=(4096,)) -> list[nn.LayerSpec]:
     """Conditional generator: concat(z, a) -> leaky-ReLU hidden -> ReLU feature output."""
     dims = [noise_dim + d_a, *hidden]
@@ -122,22 +69,22 @@ def generate(
     semantics: SemanticTable,
     classes,
     count_per_class: int,
-    noise: NoiseSpec,
+    noise_seed: int,
 ) -> GenerationBatch:
     """count_per_class draws per class, assembled in fixed (sorted) class order.
 
+    The noise fills the generator inputs that the semantic row leaves over.
     Noise streams are seeded per class position, so per-class blocks are
     reproducible independently of which other classes are requested.
     """
     classes = np.asarray(sorted(set(int(c) for c in np.asarray(classes).ravel())), dtype=np.int64)
-    if gen.in_dim != noise.dim + semantics.d_a:
-        raise ValueError(
-            f"generator expects {gen.in_dim} inputs, got noise {noise.dim} + semantics {semantics.d_a}"
-        )
+    noise_dim = gen.in_dim - semantics.d_a
+    if noise_dim < 1:
+        raise ValueError(f"generator has {gen.in_dim} inputs, no more than the {semantics.d_a} semantic columns")
     feats, labels = [], []
     for pos, c in enumerate(classes):
-        rng = rng_for(noise.seed, "noise", pos)
-        z = rng.standard_normal((count_per_class, noise.dim))
+        rng = rng_for(noise_seed, "noise", pos)
+        z = rng.standard_normal((count_per_class, noise_dim))
         sem_rows = np.tile(semantics.rows_for([c]), (count_per_class, 1))
         x, _ = _forward_generator(gen, z, sem_rows)
         feats.append(x)
@@ -187,15 +134,15 @@ def black_batch_grads(
 
 
 def train_generator_white(
-    gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: TrainConfig
+    gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig
 ) -> tuple[nn.MlpParams, list[dict]]:
     """White-box loop: upload a generated batch, download gradients, step the generator."""
     classes = np.asarray(sorted(classes), dtype=np.int64)
     state = nn.AdamState.for_params(gen, lr=cfg.lr)
     trace = []
     for epoch in range(cfg.t_g):
-        rng = rng_for(cfg.seed, "white-epoch", epoch)
-        labels, z = _sample_conditioning(rng, classes, cfg.batch_size, cfg.noise.dim)
+        rng = rng_for(cfg.client_seed, "white-epoch", epoch)
+        labels, z = _sample_conditioning(rng, classes, cfg.batch_size, cfg.noise_dim)
         sem_rows = semantics.rows_for(labels)
         features, cache = _forward_generator(gen, z, sem_rows)
         resp = channel.feedback(
@@ -213,7 +160,7 @@ def train_black(
     channel,
     semantics: SemanticTable,
     classes,
-    cfg: TrainConfig,
+    cfg: ExperimentConfig,
 ) -> tuple[nn.MlpParams, nn.MlpParams, list[dict]]:
     """Black-box loop: only softmax + regularizer feedback; generator and student
     update jointly with the teacher held out of backprop."""
@@ -222,8 +169,8 @@ def train_black(
     stu_state = nn.AdamState.for_params(student, lr=cfg.lr)
     trace = []
     for epoch in range(cfg.t_g):
-        rng = rng_for(cfg.seed, "black-epoch", epoch)
-        labels, z = _sample_conditioning(rng, classes, cfg.batch_size, cfg.noise.dim)
+        rng = rng_for(cfg.client_seed, "black-epoch", epoch)
+        labels, z = _sample_conditioning(rng, classes, cfg.batch_size, cfg.noise_dim)
         sem_rows = semantics.rows_for(labels)
         features, cache = _forward_generator(gen, z, sem_rows)
         resp = channel.feedback(
@@ -270,7 +217,7 @@ def _request_softmax(channel, features: np.ndarray, labels: np.ndarray) -> np.nd
     return np.concatenate(rows)
 
 
-def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: TrainConfig) -> QuotaResult:
+def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig) -> QuotaResult:
     """Generate per_class_count rows per class, verify, and retry decimated classes.
 
     The teacher head's columns are the sorted classes. Kept rows come out class
@@ -284,9 +231,9 @@ def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, 
     rounds: list[VerifiedBatch] = []
     generated = 0
     pending = classes
-    while pending.size and len(rounds) <= cfg.regen_retry_cap:
-        noise = NoiseSpec(cfg.noise.dim, derive_seed(cfg.noise.seed, "quota-round", len(rounds)))
-        batch = generate(gen, semantics, pending, cfg.per_class_count, noise)
+    while pending.size and len(rounds) <= cfg.retry_cap:
+        noise_seed = derive_seed(cfg.noise_seed, "quota-round", len(rounds))
+        batch = generate(gen, semantics, pending, cfg.per_class_count, noise_seed)
         generated += len(batch.features)
         softmax = _request_softmax(channel, batch.features, batch.cond_labels)
         if cfg.verify:
@@ -295,7 +242,7 @@ def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, 
             vb = VerifiedBatch(batch.features, batch.cond_labels, softmax, 1.0)
         rounds.append(vb)
         kept += np.bincount(np.searchsorted(classes, vb.labels), minlength=len(classes))
-        pending = classes[kept < cfg.min_verified_per_class]
+        pending = classes[kept < cfg.min_verified]
 
     labels = np.concatenate([vb.labels for vb in rounds])
     order = np.argsort(labels, kind="stable")
@@ -305,13 +252,13 @@ def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, 
         teacher_softmax=np.concatenate([vb.teacher_softmax for vb in rounds])[order],
         kept_fraction=len(labels) / generated,
     )
-    short = kept < cfg.min_verified_per_class
+    short = kept < cfg.min_verified
     shortfall = dict(zip(classes[short].tolist(), kept[short].tolist()))
     return QuotaResult(verified=verified, shortfall=shortfall, rounds=len(rounds))
 
 
 def train_student(
-    student: nn.MlpParams, verified: VerifiedBatch, cfg: TrainConfig
+    student: nn.MlpParams, verified: VerifiedBatch, cfg: ExperimentConfig
 ) -> tuple[nn.MlpParams, list[dict]]:
     """Distill the stored teacher softmax into the student (probability-space MSE)."""
     if len(verified) == 0:
@@ -324,7 +271,7 @@ def train_student(
 
     history = nn.fit_minibatch(
         student, verified.features, loss, cfg.t_s, cfg.batch_size,
-        lambda epoch: rng_for(cfg.seed, "student-epoch", epoch).permutation(len(verified)), cfg.lr,
+        lambda epoch: rng_for(cfg.client_seed, "student-epoch", epoch).permutation(len(verified)), cfg.lr,
     )
     return student, [{"phase": "student", "epoch": epoch, "mse": mse} for epoch, mse in enumerate(history)]
 
@@ -333,25 +280,23 @@ def train_inductive_classifier(
     gen: nn.MlpParams,
     semantics: SemanticTable,
     class_space,
-    cfg: TrainConfig,
-    d_x: int,
+    cfg: ExperimentConfig,
 ) -> tuple[nn.MlpParams, np.ndarray]:
     """Softmax classifier (single linear layer) trained on generated features."""
     classes = np.asarray(sorted(class_space), dtype=np.int64)
     if classes.size == 0:
         raise ValueError("empty class space")
-    noise = NoiseSpec(cfg.noise.dim, derive_seed(cfg.noise.seed, "classifier-noise"))
-    batch = generate(gen, semantics, classes, cfg.per_class_count, noise)
+    batch = generate(gen, semantics, classes, cfg.per_class_count, derive_seed(cfg.noise_seed, "classifier-noise"))
     head_labels = np.searchsorted(classes, batch.cond_labels)
 
     params = nn.mlp_init(
-        nn.classifier_specs(d_x, len(classes), hidden=()),
+        nn.classifier_specs(gen.out_dim, len(classes), hidden=()),
         nn.ROLE_CLASSIFIER,
-        derive_seed(cfg.seed, "classifier-init"),
+        derive_seed(cfg.client_seed, "classifier-init"),
     )
     nn.fit_minibatch(
         params, batch.features, nn.ce_loss_on(head_labels, len(classes)), cfg.t_s, cfg.batch_size,
-        lambda epoch: rng_for(cfg.seed, "classifier-epoch", epoch).permutation(len(batch.features)), cfg.lr,
+        lambda epoch: rng_for(cfg.client_seed, "classifier-epoch", epoch).permutation(len(batch.features)), cfg.lr,
     )
     return params, classes
 
@@ -368,7 +313,7 @@ class ArtifactBundle:
     traces: list[dict]
     transcript: RiskLog
     shortfall: dict[int, int]
-    cfg: TrainConfig
+    cfg: ExperimentConfig
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -403,7 +348,9 @@ def trace_csv(traces: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_algorithm1(channel, semantics: SemanticTable, cfg: TrainConfig, setup: ClientSetup) -> ArtifactBundle:
+def run_algorithm1(
+    channel, semantics: SemanticTable, cfg: ExperimentConfig, d_x: int, teacher_classes
+) -> ArtifactBundle:
     """Full client-side training procedure for either scenario.
 
     White-box: generator against gradient feedback, then verification, then
@@ -411,33 +358,34 @@ def run_algorithm1(channel, semantics: SemanticTable, cfg: TrainConfig, setup: C
     feedback, then verification and student refinement. An inductive teacher
     additionally yields a classifier trained purely on generated features.
     """
+    teacher_classes = np.asarray(sorted(teacher_classes), dtype=np.int64)
     gen = nn.mlp_init(
-        generator_specs(cfg.noise.dim, semantics.d_a, setup.d_x, setup.generator_hidden),
+        generator_specs(cfg.noise_dim, semantics.d_a, d_x, cfg.generator_hidden),
         nn.ROLE_GENERATOR,
-        derive_seed(cfg.seed, "gen-init"),
+        derive_seed(cfg.client_seed, "gen-init"),
     )
     student = nn.mlp_init(
-        nn.classifier_specs(setup.d_x, len(setup.teacher_classes), setup.student_hidden),
+        nn.classifier_specs(d_x, len(teacher_classes), cfg.teacher_hidden),
         nn.ROLE_STUDENT,
-        derive_seed(cfg.seed, "student-init"),
+        derive_seed(cfg.client_seed, "student-init"),
     )
     if cfg.scenario == wire.SCENARIO_WHITE:
-        gen, gen_trace = train_generator_white(gen, channel, semantics, setup.teacher_classes, cfg)
+        gen, gen_trace = train_generator_white(gen, channel, semantics, teacher_classes, cfg)
     else:
-        gen, student, gen_trace = train_black(gen, student, channel, semantics, setup.teacher_classes, cfg)
+        gen, student, gen_trace = train_black(gen, student, channel, semantics, teacher_classes, cfg)
 
-    quota = ensure_quota(gen, channel, semantics, setup.teacher_classes, cfg)
+    quota = ensure_quota(gen, channel, semantics, teacher_classes, cfg)
     student, student_trace = train_student(student, quota.verified, cfg)
 
     classifier = classifier_classes = None
     if cfg.teacher_mode == "inductive":
         classifier, classifier_classes = train_inductive_classifier(
-            gen, semantics, setup.all_classes, cfg, setup.d_x
+            gen, semantics, np.arange(semantics.n_classes), cfg
         )
     return ArtifactBundle(
         gen=gen,
         student=student,
-        student_classes=setup.teacher_classes,
+        student_classes=teacher_classes,
         classifier=classifier,
         classifier_classes=classifier_classes,
         traces=gen_trace + student_trace,

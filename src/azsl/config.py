@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .data import MODE_TRANSDUCTIVE, SyntheticSpec, TEACHER_MODES
 from .regularizers import REG_KINDS
+from .seeding import derive_seed
 from .wire import SCENARIOS
 
 
@@ -50,6 +51,16 @@ class ExperimentConfig:
     out: str = "azsl_out"
     seed: int = 1
     data_seed: int | None = None
+
+    @property
+    def client_seed(self) -> int:
+        """Seeds the client's inits, epoch batches and shuffles."""
+        return derive_seed(self.seed, "client")
+
+    @property
+    def noise_seed(self) -> int:
+        """Seeds the generator noise drawn for the quota and the inductive classifier."""
+        return derive_seed(self.seed, "noise")
 
 
 def _parse_bool(v: str) -> bool:
@@ -204,19 +215,25 @@ def validate(cfg: ExperimentConfig, origin: str = "config") -> None:
         bad(f"regularizer must be one of {REG_KINDS}")
     if not (math.isfinite(cfg.alpha) and cfg.alpha >= 0):
         bad("alpha must be finite and >= 0")
-    if cfg.synthetic is not None and cfg.split_unseen is not None:
+    unseen = cfg.split_unseen
+    if cfg.synthetic is not None and unseen is not None:
         want = cfg.synthetic.n_classes - cfg.synthetic.seen_count
-        got = cfg.split_unseen if isinstance(cfg.split_unseen, int) else len(set(cfg.split_unseen))
+        got = unseen if isinstance(unseen, int) else len(set(unseen))
         if got != want:
             bad(
                 f"split.unseen gives {got} unseen classes, but dataset.synthetic.classes - "
                 f"dataset.synthetic.seen gives {want}"
             )
-        if not isinstance(cfg.split_unseen, int):
-            if len(set(cfg.split_unseen)) != len(cfg.split_unseen):
-                bad(f"split.unseen repeats a class id: {_join(cfg.split_unseen)}")
-            if not all(0 <= c < cfg.synthetic.n_classes for c in cfg.split_unseen):
-                bad(f"split.unseen ids must be in 0..{cfg.synthetic.n_classes - 1}: {_join(cfg.split_unseen)}")
+    if unseen is not None and not isinstance(unseen, int):
+        if not unseen:
+            bad("split.unseen lists no class ids")
+        if len(set(unseen)) != len(unseen):
+            bad(f"split.unseen repeats a class id: {_join(unseen)}")
+        if cfg.synthetic is None:  # a feature file's class count is known only once it is read
+            if min(unseen) < 0:
+                bad(f"split.unseen ids must be >= 0: {_join(unseen)}")
+        elif not all(0 <= c < cfg.synthetic.n_classes for c in unseen):
+            bad(f"split.unseen ids must be in 0..{cfg.synthetic.n_classes - 1}: {_join(unseen)}")
     if not 0.0 < cfg.split_ratio < 1.0:
         bad("split.ratio must be in (0, 1)")
     if cfg.noise_dim < 1:

@@ -16,7 +16,6 @@ import numpy as np
 from .seeding import rng_for
 
 SEM_ATTRIBUTE = "attribute"
-SEM_WORD_EMBEDDING = "word-embedding"
 SEM_SYNTHETIC = "synthetic"
 
 MODE_INDUCTIVE = "inductive"

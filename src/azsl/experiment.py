@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import InProcessChannel, TcpChannel
-from .client import ArtifactBundle, ClientSetup, NoiseSpec, TrainConfig, run_algorithm1
+from .client import ArtifactBundle, run_algorithm1
 from .config import ConfigError, ExperimentConfig, emit_config, validate
 from .data import Dataset, SplitBundle, load_features, make_synthetic, split_azsl
 from .evaluate import EvalReport, eval_czsl, eval_gzsl, save_report
@@ -93,34 +93,6 @@ def build_server(
     return TeacherServer(teacher, reg, cfg.scenario), teacher
 
 
-def train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(
-        t_g=cfg.t_g,
-        t_s=cfg.t_s,
-        batch_size=cfg.batch_size,
-        per_class_count=cfg.per_class_count,
-        alpha=cfg.alpha,
-        noise=NoiseSpec(cfg.noise_dim, derive_seed(cfg.seed, "noise")),
-        scenario=cfg.scenario,
-        teacher_mode=cfg.teacher_mode,
-        min_verified_per_class=cfg.min_verified,
-        regen_retry_cap=cfg.retry_cap,
-        verify=cfg.verify,
-        lr=cfg.lr,
-        seed=derive_seed(cfg.seed, "client"),
-    )
-
-
-def client_setup(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> ClientSetup:
-    return ClientSetup(
-        d_x=dataset.d_x,
-        teacher_classes=split.teacher_classes,
-        all_classes=np.arange(dataset.n_classes),
-        generator_hidden=cfg.generator_hidden,
-        student_hidden=cfg.teacher_hidden,
-    )
-
-
 def run_experiment(
     cfg: ExperimentConfig, outdir: str | Path | None = None, teacher: TeacherModel | None = None
 ) -> RunResult:
@@ -144,7 +116,7 @@ def run_experiment(
         channel = InProcessChannel(server)
 
     try:
-        bundle = run_algorithm1(channel, dataset.semantics, train_config(cfg), client_setup(cfg, dataset, split))
+        bundle = run_algorithm1(channel, dataset.semantics, cfg, dataset.d_x, split.teacher_classes)
     finally:
         channel.close()
 

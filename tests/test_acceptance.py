@@ -18,10 +18,8 @@ from azsl.experiment import (
     build_dataset,
     build_server,
     build_split,
-    client_setup,
     fit_teacher,
     run_experiment,
-    train_config,
 )
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.server import serve, train_teacher
@@ -243,7 +241,7 @@ class TestCriterion4ProtocolParity:
         server_a, _ = build_server(cfg, ds, split)
         local = InProcessChannel(server_a)
         local_frames = record_frames(local)
-        run_algorithm1(local, ds.semantics, train_config(cfg), client_setup(cfg, ds, split))
+        run_algorithm1(local, ds.semantics, cfg, ds.d_x, split.teacher_classes)
 
         import threading
 
@@ -263,7 +261,7 @@ class TestCriterion4ProtocolParity:
         try:
             remote = TcpChannel("127.0.0.1", bound["port"])
             remote_frames = record_frames(remote)
-            run_algorithm1(remote, ds.semantics, train_config(cfg), client_setup(cfg, ds, split))
+            run_algorithm1(remote, ds.semantics, cfg, ds.d_x, split.teacher_classes)
             remote.close()
         finally:
             stop.set()
@@ -300,7 +298,7 @@ class TestCriterion5PrivacyAudit:
         split = build_split(white, ds)
         server, _ = build_server(white, ds, split)
         channel = InProcessChannel(server)
-        run_algorithm1(channel, ds.semantics, train_config(white), client_setup(white, ds, split))
+        run_algorithm1(channel, ds.semantics, white, ds.d_x, split.teacher_classes)
         channel.fetch_weights()  # exercise the weight-blob disclosure path too
         mid_kinds = {e.kind for e in channel.transcript.entries if e.risk == audit.RISK_MID}
         assert mid_kinds == {audit.KIND_CE_GRAD, audit.KIND_WEIGHT_BLOB}

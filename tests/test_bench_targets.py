@@ -130,3 +130,15 @@ def test_quota_and_student_counters_match_the_transcript(scenario):
     kept = tracer.counts["client.quota.kept"]
     assert 0 < kept <= generated
     assert tracer.counts["student.steps"] == cfg.t_s * -(-kept // cfg.batch_size)
+
+
+@pytest.mark.parametrize("scenario", ["white", "black"])
+def test_transcript_check_reads_the_bundle_config(scenario, tmp_path):
+    # the benchmark's output checks read scenario, t_g and batch_size off
+    # bundle.cfg; a renamed attribute should fail here, not in a benchmark run
+    result = run_experiment(tiny_config(scenario=scenario), outdir=tmp_path / "run")
+    tc, d_x, n_head = result.bundle.cfg, result.dataset.d_x, len(result.split.teacher_classes)
+    failures = _load("checks").check_transcript(
+        result.outdir / "transcript.json", tc.scenario, tc.t_g, tc.batch_size, d_x, n_head
+    )
+    assert failures == []

@@ -109,11 +109,25 @@ class TestRun:
         assert "split.unseen gives 4 unseen classes" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("ids,message", [("8,99", "ids must be in 0..9"), ("8,8,9", "repeats a class id")])
+    @pytest.mark.parametrize(
+        "csv,ids,message",
+        [
+            pytest.param(False, "8,99", "ids must be in 0..9", id="8,99-ids must be in 0..9"),
+            pytest.param(False, "8,8,9", "repeats a class id", id="8,8,9-repeats a class id"),
+            pytest.param(True, "1,1,2", "repeats a class id", id="csv-1,1,2-repeats a class id"),
+            pytest.param(True, "-1,2", "ids must be >= 0", id="csv--1,2-ids must be >= 0"),
+        ],
+    )
     @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "alpha", "--values", "1"]], ids=["run", "sweep"])
-    def test_split_unseen_ids_out_of_range_or_repeated_exit_2(self, tmp_path, capsys, monkeypatch, argv, ids, message):
+    def test_split_unseen_ids_out_of_range_or_repeated_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv, csv, ids, message
+    ):
         monkeypatch.setattr(experiment, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))
-        path = write_config(tmp_path, tiny_config(out=str(tmp_path / "run")))
+        cfg = tiny_config(out=str(tmp_path / "run"))
+        if csv:  # a feature file's class count is unknown to the check, but not its ids
+            (tmp_path / "feats.csv").write_text("label,f0,f1\n0,1,2\n1,3,4\n2,5,6\n2,7,8\n")
+            cfg = with_overrides(cfg, synthetic=None, dataset_path=str(tmp_path / "feats.csv"))
+        path = write_config(tmp_path, cfg)
         path.write_text(path.read_text() + f"split.unseen = {ids}\n")
         assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_CONFIG
         assert f"split.unseen {message}" in capsys.readouterr().err
@@ -204,7 +218,7 @@ class TestAudit:
     def test_byte_totals_match_recorded_payloads(self, tmp_path, capsys):
         # recompute up/down totals from the raw frames the channel recorded
         from azsl.channel import InProcessChannel
-        from azsl.experiment import build_dataset, build_server, build_split, client_setup, train_config
+        from azsl.experiment import build_dataset, build_server, build_split
         from azsl.client import run_algorithm1
 
         cfg = tiny_config(scenario="black", t_g=10, t_s=5, out=str(tmp_path / "x"))
@@ -213,7 +227,7 @@ class TestAudit:
         server, _ = build_server(cfg, ds, split)
         channel = InProcessChannel(server)
         sent, received = record_frames(channel)
-        run_algorithm1(channel, ds.semantics, train_config(cfg), client_setup(cfg, ds, split))
+        run_algorithm1(channel, ds.semantics, cfg, ds.d_x, split.teacher_classes)
         channel.transcript.save(tmp_path / "t.json")
         assert cli.main(["audit", str(tmp_path / "t.json")]) == 0
         out = capsys.readouterr().out

@@ -7,11 +7,8 @@ from azsl import client as client_mod
 from azsl import audit, nn, wire
 from azsl.channel import InProcessChannel
 from azsl.client import (
-    ClientSetup,
     GenerationBatch,
-    NoiseSpec,
     QuotaResult,
-    TrainConfig,
     VerifiedBatch,
     black_batch_grads,
     ensure_quota,
@@ -24,6 +21,7 @@ from azsl.client import (
     train_student,
     verify,
 )
+from azsl.config import ExperimentConfig
 from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.seeding import derive_seed
@@ -35,6 +33,11 @@ D_X, D_A, NZ = 10, 4, 6
 
 def tiny_generator(seed=0, hidden=(16,)):
     return nn.mlp_init(generator_specs(NZ, D_A, D_X, hidden), nn.ROLE_GENERATOR, seed)
+
+
+def client_cfg(**kw):
+    """A run config for the tiny generator; its client and noise seeds derive from `seed`."""
+    return ExperimentConfig(noise_dim=NZ, **kw)
 
 
 def semantics(n_classes=4):
@@ -64,33 +67,33 @@ class TestGenerate:
         gen = tiny_generator()
         for w in gen.weights:
             w[:] = 0.0
-        batch = generate(gen, semantics(), classes=[0, 1], count_per_class=5, noise=NoiseSpec(NZ, 0))
+        batch = generate(gen, semantics(), classes=[0, 1], count_per_class=5, noise_seed=0)
         assert (batch.features == 0).all()  # ReLU(0) = 0
 
     def test_row_count_follows_request(self):
         gen = tiny_generator()
-        batch = generate(gen, semantics(10), classes=range(10), count_per_class=400, noise=NoiseSpec(NZ, 1))
+        batch = generate(gen, semantics(10), classes=range(10), count_per_class=400, noise_seed=1)
         assert batch.features.shape == (4000, D_X)
         assert all((batch.cond_labels == c).sum() == 400 for c in range(10))
 
     def test_identical_semantics_shared_noise_identical_blocks(self):
         gen = tiny_generator(seed=3)
         table = SemanticTable(np.vstack([np.ones((1, D_A)), np.ones((1, D_A)) * 2, np.ones((1, D_A))]), source="attribute")
-        a = generate(gen, table, classes=[0], count_per_class=7, noise=NoiseSpec(NZ, 5))
-        b = generate(gen, table, classes=[2], count_per_class=7, noise=NoiseSpec(NZ, 5))
+        a = generate(gen, table, classes=[0], count_per_class=7, noise_seed=5)
+        b = generate(gen, table, classes=[2], count_per_class=7, noise_seed=5)
         assert np.array_equal(a.features, b.features)
 
     def test_deterministic_per_seed(self):
         gen = tiny_generator(seed=4)
-        a = generate(gen, semantics(), [0, 1, 2], 6, NoiseSpec(NZ, 9))
-        b = generate(gen, semantics(), [0, 1, 2], 6, NoiseSpec(NZ, 9))
-        c = generate(gen, semantics(), [0, 1, 2], 6, NoiseSpec(NZ, 10))
+        a = generate(gen, semantics(), [0, 1, 2], 6, 9)
+        b = generate(gen, semantics(), [0, 1, 2], 6, 9)
+        c = generate(gen, semantics(), [0, 1, 2], 6, 10)
         assert np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
     def test_outputs_nonnegative(self):
         gen = tiny_generator(seed=5)
-        batch = generate(gen, semantics(), [0, 1, 2, 3], 20, NoiseSpec(NZ, 2))
+        batch = generate(gen, semantics(), [0, 1, 2, 3], 20, 2)
         assert batch.features.min() >= 0.0
 
     def test_missing_semantic_row(self):
@@ -98,12 +101,19 @@ class TestGenerate:
         from azsl.data import DataError
 
         with pytest.raises(DataError):
-            generate(gen, semantics(2), classes=[5], count_per_class=3, noise=NoiseSpec(NZ, 0))
+            generate(gen, semantics(2), classes=[5], count_per_class=3, noise_seed=0)
+
+    @pytest.mark.parametrize("in_dim", [D_A, D_A - 1])
+    def test_no_room_for_noise_rejected_before_any_forward(self, monkeypatch, in_dim):
+        gen = nn.mlp_init([nn.LayerSpec(in_dim, D_X, nn.ACT_RELU)], nn.ROLE_GENERATOR, 0)
+        monkeypatch.setattr(nn, "mlp_forward", lambda *a: pytest.fail("the generator ran"))
+        with pytest.raises(ValueError, match=f"{in_dim} inputs, no more than the {D_A} semantic columns"):
+            generate(gen, semantics(), [0], 2, 0)
 
     def test_wrong_role_rejected(self):
         not_gen = nn.mlp_init([nn.LayerSpec(NZ + D_A, D_X, nn.ACT_RELU)], nn.ROLE_STUDENT, 0)
         with pytest.raises(ValueError, match="generator"):
-            generate(not_gen, semantics(), [0], 2, NoiseSpec(NZ, 0))
+            generate(not_gen, semantics(), [0], 2, 0)
 
 
 class TestVerify:
@@ -197,7 +207,7 @@ class TestWhiteTraining:
     def test_loss_trace_decreases(self, teacher_env):
         channel = make_channel(teacher_env)
         gen = tiny_generator(seed=8, hidden=(32,))
-        cfg = TrainConfig(t_g=150, batch_size=32, alpha=1.0, noise=NoiseSpec(NZ, 3), lr=1e-3, seed=3)
+        cfg = client_cfg(t_g=150, batch_size=32, alpha=1.0, lr=1e-3, seed=3)
         gen, trace = train_generator_white(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         ce = np.array([row["ce"] for row in trace])
         k = 20
@@ -277,8 +287,7 @@ class TestBlackTraining:
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = tiny_generator(seed=12, hidden=(16,))
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 6)
-        cfg = TrainConfig(t_g=20, batch_size=16, alpha=1.0, noise=NoiseSpec(NZ, 4), lr=1e-3, seed=4,
-                          scenario=wire.SCENARIO_BLACK)
+        cfg = client_cfg(t_g=20, batch_size=16, alpha=1.0, lr=1e-3, seed=4, scenario=wire.SCENARIO_BLACK)
         train_black(gen, student, channel, semantics(), [0, 1, 2, 3], cfg)
         assert all(e.risk == audit.RISK_LOW for e in channel.transcript.entries)
 
@@ -287,8 +296,7 @@ class TestQuota:
     def test_perfect_generator_single_round(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = trained_generator(teacher_env)
-        cfg = TrainConfig(per_class_count=30, min_verified_per_class=5, regen_retry_cap=3,
-                          noise=NoiseSpec(NZ, 5), seed=5)
+        cfg = client_cfg(per_class_count=30, min_verified=5, retry_cap=3, seed=5)
         quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert quota.rounds == 1
         assert quota.shortfall == {}
@@ -298,8 +306,7 @@ class TestQuota:
         gen = tiny_generator(seed=13)
         for w in gen.weights:
             w[:] = 0.0  # all-zero features: teacher argmax is one fixed class
-        cfg = TrainConfig(per_class_count=10, min_verified_per_class=5, regen_retry_cap=2,
-                          noise=NoiseSpec(NZ, 6), seed=6)
+        cfg = client_cfg(per_class_count=10, min_verified=5, retry_cap=2, seed=6)
         quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert quota.rounds == 3  # initial + two retries
         assert len(quota.shortfall) >= 3  # only the argmax class can ever verify
@@ -308,16 +315,14 @@ class TestQuota:
     def test_retry_cap_zero_is_single_pass(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = tiny_generator(seed=14)
-        cfg = TrainConfig(per_class_count=8, min_verified_per_class=8, regen_retry_cap=0,
-                          noise=NoiseSpec(NZ, 7), seed=7)
+        cfg = client_cfg(per_class_count=8, min_verified=8, retry_cap=0, seed=7)
         quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert quota.rounds == 1
 
     def test_verification_disabled_keeps_everything(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = tiny_generator(seed=15)
-        cfg = TrainConfig(per_class_count=9, verify=False, noise=NoiseSpec(NZ, 8), seed=8,
-                          min_verified_per_class=1, regen_retry_cap=2)
+        cfg = client_cfg(per_class_count=9, verify=False, seed=8, min_verified=1, retry_cap=2)
         quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         assert len(quota.verified) == 36
         assert quota.verified.kept_fraction == 1.0
@@ -330,9 +335,9 @@ def list_tally_quota(gen, channel, semantics, classes, cfg, class_space=None):
     pending = list(classes)
     rounds = 0
     total_generated = 0
-    while pending and rounds <= cfg.regen_retry_cap:
-        noise = NoiseSpec(cfg.noise.dim, derive_seed(cfg.noise.seed, "quota-round", rounds))
-        batch = generate(gen, semantics, pending, cfg.per_class_count, noise)
+    while pending and rounds <= cfg.retry_cap:
+        noise_seed = derive_seed(cfg.noise_seed, "quota-round", rounds)
+        batch = generate(gen, semantics, pending, cfg.per_class_count, noise_seed)
         total_generated += len(batch.features)
         softmax = client_mod._request_softmax(channel, batch.features, batch.cond_labels)
         if cfg.verify:
@@ -346,7 +351,7 @@ def list_tally_quota(gen, channel, semantics, classes, cfg, class_space=None):
         rounds += 1
         pending = [
             c for c in pending
-            if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified_per_class
+            if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified
         ]
 
     features, labels, softmaxes = [], [], []
@@ -365,7 +370,7 @@ def list_tally_quota(gen, channel, semantics, classes, cfg, class_space=None):
     shortfall = {
         int(c): sum(len(f) for f, _ in kept[int(c)])
         for c in classes
-        if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified_per_class
+        if sum(len(f) for f, _ in kept[int(c)]) < cfg.min_verified
     }
     return QuotaResult(verified=verified, shortfall=shortfall, rounds=rounds)
 
@@ -375,8 +380,8 @@ class TestQuotaTally:
     @pytest.mark.parametrize("verify_rows", [True, False])
     @pytest.mark.parametrize("min_verified,retry_cap", [(1, 2), (15, 3), (40, 1), (0, 0)])
     def test_matches_list_tally(self, teacher_env, verify_rows, min_verified, retry_cap):
-        cfg = TrainConfig(per_class_count=10, min_verified_per_class=min_verified, regen_retry_cap=retry_cap,
-                          verify=verify_rows, noise=NoiseSpec(NZ, 17), seed=17)
+        cfg = client_cfg(per_class_count=10, min_verified=min_verified, retry_cap=retry_cap,
+                         verify=verify_rows, seed=17)
 
         def run(tally, **kw):
             channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
@@ -398,13 +403,13 @@ class TestQuotaTally:
     def test_empty_class_list_rejected(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         with pytest.raises(ValueError, match="empty"):
-            ensure_quota(tiny_generator(), channel, semantics(), [], TrainConfig())
+            ensure_quota(tiny_generator(), channel, semantics(), [], client_cfg())
 
 
 def trained_generator(teacher_env, seed=20):
     channel = make_channel(teacher_env)
     gen = tiny_generator(seed=seed, hidden=(32,))
-    cfg = TrainConfig(t_g=200, batch_size=32, alpha=1.0, noise=NoiseSpec(NZ, 9), lr=1e-3, seed=9)
+    cfg = client_cfg(t_g=200, batch_size=32, alpha=1.0, lr=1e-3, seed=9)
     gen, _ = train_generator_white(gen, channel, semantics(), [0, 1, 2, 3], cfg)
     return gen
 
@@ -416,15 +421,14 @@ class TestStudentTraining:
         logits, _ = nn.mlp_forward(student, x)
         vb = VerifiedBatch(x, np.zeros(12, dtype=np.int64), nn.softmax(logits), 1.0)
         before = student.copy()
-        trained, trace = train_student(student, vb, TrainConfig(t_s=3, batch_size=12, lr=1e-3, seed=1))
+        trained, trace = train_student(student, vb, client_cfg(t_s=3, batch_size=12, lr=1e-3, seed=1))
         assert trace[0]["mse"] == pytest.approx(0.0, abs=1e-30)
         assert nn.params_allclose(trained, before)
 
     def test_loss_decreases_early(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
         gen = trained_generator(teacher_env, seed=21)
-        cfg = TrainConfig(per_class_count=40, t_s=12, batch_size=160, lr=1e-3,
-                          noise=NoiseSpec(NZ, 10), seed=10)
+        cfg = client_cfg(per_class_count=40, t_s=12, batch_size=160, lr=1e-3, seed=10)
         quota = ensure_quota(gen, channel, semantics(), [0, 1, 2, 3], cfg)
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 8)
         _, trace = train_student(student, quota.verified, cfg)
@@ -450,16 +454,16 @@ class TestStudentTraining:
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 10)
         empty = VerifiedBatch(np.zeros((0, D_X)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0.0)
         with pytest.raises(ValueError, match="empty"):
-            train_student(student, empty, TrainConfig())
+            train_student(student, empty, client_cfg())
 
 
 class TestInductiveClassifier:
     def test_head_sizes(self, teacher_env):
         gen = trained_generator(teacher_env, seed=22)
-        cfg = TrainConfig(per_class_count=20, t_s=5, batch_size=32, lr=1e-3, noise=NoiseSpec(NZ, 11), seed=11)
-        czsl, czsl_classes = train_inductive_classifier(gen, semantics(), [3], cfg, D_X)
+        cfg = client_cfg(per_class_count=20, t_s=5, batch_size=32, lr=1e-3, seed=11)
+        czsl, czsl_classes = train_inductive_classifier(gen, semantics(), [3], cfg)
         assert czsl.out_dim == 1 and czsl_classes.tolist() == [3]
-        gzsl, gzsl_classes = train_inductive_classifier(gen, semantics(), range(4), cfg, D_X)
+        gzsl, gzsl_classes = train_inductive_classifier(gen, semantics(), range(4), cfg)
         assert gzsl.out_dim == 4 and gzsl_classes.tolist() == [0, 1, 2, 3]
 
     def test_separated_clusters_reach_high_train_accuracy(self):
@@ -471,9 +475,9 @@ class TestInductiveClassifier:
         gen.weights[0][NZ:, :] = 2.0 * rng.normal(size=(D_A, 16))
         gen.weights[1][:] = rng.normal(size=(16, D_X))
         table = SemanticTable(8.0 * np.eye(4), source="attribute")
-        cfg = TrainConfig(per_class_count=60, t_s=150, batch_size=60, lr=1e-2, noise=NoiseSpec(NZ, 12), seed=12)
-        params, classes = train_inductive_classifier(gen, table, range(4), cfg, D_X)
-        batch = generate(gen, table, range(4), 60, NoiseSpec(NZ, derive_check_seed()))
+        cfg = client_cfg(per_class_count=60, t_s=150, batch_size=60, lr=1e-2, seed=12)
+        params, classes = train_inductive_classifier(gen, table, range(4), cfg)
+        batch = generate(gen, table, range(4), 60, derive_check_seed())
         # centroid oracle on the same generated set confirms the clusters separate
         cents = np.stack([batch.features[batch.cond_labels == c].mean(axis=0) for c in range(4)])
         d2 = ((batch.features[:, None, :] - cents[None]) ** 2).sum(axis=2)
@@ -485,7 +489,7 @@ class TestInductiveClassifier:
     def test_empty_class_space(self, teacher_env):
         gen = tiny_generator()
         with pytest.raises(ValueError, match="empty"):
-            train_inductive_classifier(gen, semantics(), [], TrainConfig(), D_X)
+            train_inductive_classifier(gen, semantics(), [], client_cfg())
 
 
 def derive_check_seed():
@@ -497,16 +501,12 @@ def derive_check_seed():
 class TestRunAlgorithm1:
     def run(self, teacher_env, scenario, seed=40):
         channel = make_channel(teacher_env, scenario)
-        cfg = TrainConfig(
+        cfg = client_cfg(
             t_g=60, t_s=30, batch_size=32, per_class_count=30, alpha=1.0,
-            noise=NoiseSpec(NZ, 13), scenario=scenario, teacher_mode="transductive",
-            lr=1e-3, seed=seed, min_verified_per_class=1, regen_retry_cap=1,
+            scenario=scenario, teacher_mode="transductive", lr=1e-3, seed=seed,
+            min_verified=1, retry_cap=1, generator_hidden=(32,), teacher_hidden=(32, 16),
         )
-        setup = ClientSetup(
-            d_x=D_X, teacher_classes=np.arange(4), all_classes=np.arange(4),
-            generator_hidden=(32,), student_hidden=(32, 16),
-        )
-        return run_algorithm1(channel, semantics(), cfg, setup)
+        return run_algorithm1(channel, semantics(), cfg, D_X, np.arange(4))
 
     def test_black_transcript_digest_only_low_kinds(self, teacher_env):
         bundle = self.run(teacher_env, wire.SCENARIO_BLACK)

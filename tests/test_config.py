@@ -9,6 +9,17 @@ dataset.synthetic = true
 scenario = white
 teacher_mode = transductive
 """
+FILE_SOURCE = "dataset.path = feats.csv\n"
+
+# (dataset source, split.unseen value, error)
+UNSEEN_ID_ERRORS = [
+    (MINIMAL, "8,99", r"split.unseen ids must be in 0..9: 8,99"),
+    (MINIMAL, "-1,9", r"split.unseen ids must be in 0..9: -1,9"),
+    (MINIMAL, "8,8,9", r"split.unseen repeats a class id: 8,8,9"),
+    (FILE_SOURCE, "1,1,2", r"split.unseen repeats a class id: 1,1,2"),
+    (FILE_SOURCE, "-1,2", r"split.unseen ids must be >= 0: -1,2"),
+    (FILE_SOURCE, "", r"split.unseen lists no class ids"),
+]
 
 
 class TestParsing:
@@ -157,17 +168,15 @@ class TestSplitUnseen:
         assert parse_config_text(MINIMAL + lines).split_unseen == unseen
 
     @pytest.mark.parametrize(
-        "ids,message",
-        [
-            ("8,99", r"split.unseen ids must be in 0..9: 8,99"),
-            ("-1,9", r"split.unseen ids must be in 0..9: -1,9"),
-            ("8,8,9", r"split.unseen repeats a class id: 8,8,9"),
-        ],
+        "source,ids,message",
+        UNSEEN_ID_ERRORS,
+        ids=[("csv-" if src == FILE_SOURCE else "") + f"{ids}-{msg}" for src, ids, msg in UNSEEN_ID_ERRORS],
     )
-    def test_ids_out_of_range_or_repeated_are_an_error(self, ids, message):
-        # each list names 2 distinct ids, as classes - seen asks, so only the ids themselves are wrong
+    def test_ids_out_of_range_or_repeated_are_an_error(self, source, ids, message):
+        # each synthetic list names 2 distinct ids, as classes - seen asks, so only the ids themselves are wrong;
+        # a feature file's class count is known only at run time, so its lists are checked for all but the top id
         with pytest.raises(ConfigError, match=message):
-            parse_config_text(MINIMAL + f"split.unseen = {ids}\n")
+            parse_config_text(source + f"split.unseen = {ids}\n")
 
     def test_built_config_is_checked_too(self):
         validate(ExperimentConfig(synthetic=SyntheticSpec(n_classes=6, seen_count=2), split_unseen=4))

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from azsl import evaluate, nn
 from azsl.audit import RiskLog
-from azsl.client import ArtifactBundle, TrainConfig
+from azsl.client import ArtifactBundle
+from azsl.config import ExperimentConfig
 from azsl.data import Dataset, SemanticTable, SplitBundle, SyntheticSpec, make_synthetic, split_azsl
 from azsl.evaluate import (
     eval_czsl,
@@ -176,7 +177,7 @@ def make_bundle(model, split, scenario="white", classifier=None, classifier_clas
         traces=[],
         transcript=RiskLog(),
         shortfall={},
-        cfg=TrainConfig(scenario=scenario, teacher_mode=split.teacher_mode),
+        cfg=ExperimentConfig(scenario=scenario, teacher_mode=split.teacher_mode),
     )
 
 

@@ -527,14 +527,15 @@ class TestFitMinibatch:
         assert calls == [0, 1, 2]
 
     def test_student_fit_equals_the_hand_written_loop(self):
-        from azsl.client import TrainConfig, VerifiedBatch, train_student
+        from azsl.client import VerifiedBatch, train_student
+        from azsl.config import ExperimentConfig
         from azsl.seeding import rng_for
 
         rng = np.random.default_rng(8)
         x = np.abs(rng.normal(size=(37, 5)))
         targets = nn.softmax(rng.normal(size=(37, 3)))
         verified = VerifiedBatch(x, targets.argmax(axis=1), targets, 1.0)
-        cfg = TrainConfig(t_s=4, batch_size=8, lr=1e-2, seed=3)
+        cfg = ExperimentConfig(t_s=4, batch_size=8, lr=1e-2, seed=3)
 
         # the student distillation loop as it was written out before fit_minibatch
         expect = small_net(seed=6, role=nn.ROLE_STUDENT)
@@ -542,7 +543,7 @@ class TestFitMinibatch:
         expect_trace = []
         n = len(verified)
         for epoch in range(cfg.t_s):
-            order = rng_for(cfg.seed, "student-epoch", epoch).permutation(n)
+            order = rng_for(cfg.client_seed, "student-epoch", epoch).permutation(n)
             epoch_mse = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
@@ -766,32 +767,33 @@ class TestLeanFitStep:
         assert_params_same_bits(got.params, expect)
 
     def test_train_inductive_classifier_equals_the_old_loop(self, toy_dataset):
-        from azsl.client import NoiseSpec, TrainConfig, generate, generator_specs, train_inductive_classifier
+        from azsl.client import generate, generator_specs, train_inductive_classifier
+        from azsl.config import ExperimentConfig
         from azsl.seeding import derive_seed, rng_for
 
         sem = toy_dataset.semantics
         gen = nn.mlp_init(generator_specs(4, sem.d_a, toy_dataset.d_x, hidden=(16,)), nn.ROLE_GENERATOR, 5)
-        cfg = TrainConfig(t_s=58, batch_size=12, per_class_count=20, noise=NoiseSpec(4, 9), lr=1e-3, seed=2)
+        cfg = ExperimentConfig(t_s=58, batch_size=12, per_class_count=20, noise_dim=4, lr=1e-3, seed=2)
         classes = np.unique(toy_dataset.labels)
-        got, got_classes = train_inductive_classifier(gen, sem, classes, cfg, toy_dataset.d_x)
+        got, got_classes = train_inductive_classifier(gen, sem, classes, cfg)
 
-        noise = NoiseSpec(4, derive_seed(9, "classifier-noise"))
-        batch = generate(gen, sem, classes, 20, noise)
+        batch = generate(gen, sem, classes, 20, derive_seed(cfg.noise_seed, "classifier-noise"))
         assert 58 * -(-len(batch.features) // 12) >= 400
         expect = nn.mlp_init(
             nn.classifier_specs(toy_dataset.d_x, len(classes), hidden=()),
             nn.ROLE_CLASSIFIER,
-            derive_seed(2, "classifier-init"),
+            derive_seed(cfg.client_seed, "classifier-init"),
         )
         parent_fit_minibatch(
             expect, batch.features, parent_ce_loss_on(np.searchsorted(classes, batch.cond_labels)), 58, 12,
-            lambda epoch: rng_for(2, "classifier-epoch", epoch).permutation(len(batch.features)), 1e-3,
+            lambda epoch: rng_for(cfg.client_seed, "classifier-epoch", epoch).permutation(len(batch.features)), 1e-3,
         )
         assert np.array_equal(got_classes, classes)
         assert_params_same_bits(got, expect)
 
     def test_train_student_equals_the_old_loss_and_loop(self):
-        from azsl.client import TrainConfig, VerifiedBatch, train_student
+        from azsl.client import VerifiedBatch, train_student
+        from azsl.config import ExperimentConfig
         from azsl.seeding import rng_for
 
         rng = np.random.default_rng(43)
@@ -799,13 +801,13 @@ class TestLeanFitStep:
         targets = nn.softmax(rng.normal(size=(37, 3)) * 3.0)
         targets[0] = [1.0, 0.0, 0.0]  # a one-hot target row
         verified = VerifiedBatch(x, targets.argmax(axis=1), targets, 1.0)
-        cfg = TrainConfig(t_s=80, batch_size=8, lr=1e-2, seed=3)
+        cfg = ExperimentConfig(t_s=80, batch_size=8, lr=1e-2, seed=3)
         got, trace = train_student(small_net(seed=6, role=nn.ROLE_STUDENT), verified, cfg)
 
         expect = small_net(seed=6, role=nn.ROLE_STUDENT)
         history = parent_fit_minibatch(
             expect, x, parent_student_loss(targets), 80, 8,
-            lambda epoch: rng_for(3, "student-epoch", epoch).permutation(37), 1e-2,
+            lambda epoch: rng_for(cfg.client_seed, "student-epoch", epoch).permutation(37), 1e-2,
         )
         assert 80 * 5 >= 400
         assert trace == [{"phase": "student", "epoch": epoch, "mse": mse} for epoch, (mse,) in enumerate(history)]
