@@ -15,7 +15,7 @@ from pathlib import Path
 from .audit import load_transcript, summarize
 from .config import ConfigError, ExperimentConfig, parse_config, with_overrides
 from .data import DataError, save_features
-from .experiment import build_dataset, build_split, fit_teacher, run_experiment, serve_experiment
+from .experiment import build_dataset, run_experiment, serve_experiment
 from .wire import ProtocolError
 
 EXIT_OK = 0
@@ -88,9 +88,9 @@ def cmd_sweep(args) -> int:
     """Run the config once per value of one client-side knob (noise_dim or alpha).
 
     Cells share the base config's seeds (common random numbers), so two rows
-    differ only in the swept value. In process they also share one teacher,
-    fitted once from the base config; each cell's config.azsl still
-    reproduces that cell byte for byte under `azsl run`.
+    differ only in the swept value. In process they also share one teacher:
+    the first cell fits it and hands it to the cells after it. Each cell's
+    config.azsl still reproduces that cell byte for byte under `azsl run`.
     """
     cfg = _load_config(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -107,14 +107,12 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise ConfigError(f"bad sweep value {raw!r} for {args.param}") from None
         cells.append((raw, with_overrides(cfg, out=str(outdir / f"cell_{i:03d}"), **overrides)))
-    teacher = None
-    if cfg.channel != "tcp":
-        dataset = build_dataset(cfg)
-        teacher = fit_teacher(cfg, dataset, build_split(cfg, dataset))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["value,u,s,H"]
+    teacher = None  # a remote cell's result.teacher stays None
     for raw, cell in cells:
         result = run_experiment(cell, outdir=cell.out, teacher=teacher)
+        teacher = result.teacher
         r = result.report_gzsl
         rows.append(f"{raw},{r.u!r},{r.s!r},{r.h!r}")
         print(f"{args.param}={raw}: u={r.u:.2f} s={r.s:.2f} H={r.h:.2f}")

@@ -74,8 +74,8 @@ def generate(
     """count_per_class draws per class, assembled in fixed (sorted) class order.
 
     The noise fills the generator inputs that the semantic row leaves over.
-    Noise streams are seeded per class position, so per-class blocks are
-    reproducible independently of which other classes are requested.
+    Each class's noise is seeded by its rank in the sorted request, so its
+    block depends on the other classes requested ([1, 2] vs [2] for class 2).
     """
     classes = np.asarray(sorted(set(int(c) for c in np.asarray(classes).ravel())), dtype=np.int64)
     noise_dim = gen.in_dim - semantics.d_a
@@ -90,12 +90,6 @@ def generate(
         feats.append(x)
         labels.append(np.full(count_per_class, c, dtype=np.int64))
     return GenerationBatch(features=np.concatenate(feats), cond_labels=np.concatenate(labels))
-
-
-def _sample_conditioning(rng: np.random.Generator, classes: np.ndarray, batch_size: int, noise_dim: int):
-    labels = classes[rng.integers(0, len(classes), size=batch_size)]
-    z = rng.standard_normal((batch_size, noise_dim))
-    return labels, z
 
 
 def white_batch_grads(
@@ -133,25 +127,36 @@ def black_batch_grads(
     return mse, gen_grads, student_grads
 
 
+def _generator_rounds(
+    gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig, scenario: str, step
+) -> list[dict]:
+    """The t_g feedback rounds of either scenario; `step(features, cache, resp)`
+    applies one round's response and returns its trace values."""
+    classes = np.asarray(sorted(classes), dtype=np.int64)
+    trace = []
+    for epoch in range(cfg.t_g):
+        rng = rng_for(cfg.client_seed, f"{scenario}-epoch", epoch)
+        labels = classes[rng.integers(0, len(classes), size=cfg.batch_size)]
+        z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
+        features, cache = _forward_generator(gen, z, semantics.rows_for(labels))
+        resp = channel.feedback(
+            wire.FeedbackRequest(scenario, features, labels, want_softmax=scenario == wire.SCENARIO_BLACK)
+        )
+        trace.append({"phase": "generator", "epoch": epoch, **step(features, cache, resp), "reg": resp.reg_value})
+    return trace
+
+
 def train_generator_white(
     gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig
 ) -> tuple[nn.MlpParams, list[dict]]:
     """White-box loop: upload a generated batch, download gradients, step the generator."""
-    classes = np.asarray(sorted(classes), dtype=np.int64)
     state = nn.AdamState.for_params(gen, lr=cfg.lr)
-    trace = []
-    for epoch in range(cfg.t_g):
-        rng = rng_for(cfg.client_seed, "white-epoch", epoch)
-        labels, z = _sample_conditioning(rng, classes, cfg.batch_size, cfg.noise_dim)
-        sem_rows = semantics.rows_for(labels)
-        features, cache = _forward_generator(gen, z, sem_rows)
-        resp = channel.feedback(
-            wire.FeedbackRequest(wire.SCENARIO_WHITE, features, labels, want_softmax=False)
-        )
-        grads = white_batch_grads(gen, cache, resp, cfg.alpha)
-        nn.adam_step(gen, grads, state)
-        trace.append({"phase": "generator", "epoch": epoch, "ce": resp.ce_value, "reg": resp.reg_value})
-    return gen, trace
+
+    def step(features, cache, resp):
+        nn.adam_step(gen, white_batch_grads(gen, cache, resp, cfg.alpha), state)
+        return {"ce": resp.ce_value}
+
+    return gen, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_WHITE, step)
 
 
 def train_black(
@@ -164,38 +169,31 @@ def train_black(
 ) -> tuple[nn.MlpParams, nn.MlpParams, list[dict]]:
     """Black-box loop: only softmax + regularizer feedback; generator and student
     update jointly with the teacher held out of backprop."""
-    classes = np.asarray(sorted(classes), dtype=np.int64)
     gen_state = nn.AdamState.for_params(gen, lr=cfg.lr)
     stu_state = nn.AdamState.for_params(student, lr=cfg.lr)
-    trace = []
-    for epoch in range(cfg.t_g):
-        rng = rng_for(cfg.client_seed, "black-epoch", epoch)
-        labels, z = _sample_conditioning(rng, classes, cfg.batch_size, cfg.noise_dim)
-        sem_rows = semantics.rows_for(labels)
-        features, cache = _forward_generator(gen, z, sem_rows)
-        resp = channel.feedback(
-            wire.FeedbackRequest(wire.SCENARIO_BLACK, features, labels, want_softmax=True)
-        )
+
+    def step(features, cache, resp):
         mse, gen_grads, stu_grads = black_batch_grads(
             gen, cache, student, features, resp.softmax, resp.reg_grad, cfg.alpha
         )
         nn.adam_step(gen, gen_grads, gen_state)
         nn.adam_step(student, stu_grads, stu_state)
-        trace.append({"phase": "generator", "epoch": epoch, "mse": mse, "reg": resp.reg_value})
-    return gen, student, trace
+        return {"mse": mse}
+
+    return gen, student, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_BLACK, step)
 
 
-def verify(batch: GenerationBatch, softmax: np.ndarray, class_space=None) -> VerifiedBatch:
+def verify(batch: GenerationBatch, softmax: np.ndarray, class_space) -> VerifiedBatch:
     """Keep rows whose teacher argmax equals the conditioning class.
 
-    class_space maps softmax columns back to global class ids when the teacher
-    head does not cover the full label space (inductive teacher).
+    class_space maps softmax columns back to global class ids: the teacher head
+    covers only the seen classes under an inductive teacher.
     """
     probs = np.asarray(softmax, dtype=np.float64)
     if probs.shape[0] != len(batch.cond_labels):
         raise ValueError("softmax rows must align with the generated batch")
     head = probs.argmax(axis=1)  # ties resolve to the lowest index
-    pred = head if class_space is None else np.asarray(class_space, dtype=np.int64)[head]
+    pred = np.asarray(class_space, dtype=np.int64)[head]
     keep = pred == batch.cond_labels
     return VerifiedBatch(
         features=batch.features[keep],
@@ -276,40 +274,36 @@ def train_student(
     return student, [{"phase": "student", "epoch": epoch, "mse": mse} for epoch, mse in enumerate(history)]
 
 
-def train_inductive_classifier(
-    gen: nn.MlpParams,
-    semantics: SemanticTable,
-    class_space,
-    cfg: ExperimentConfig,
-) -> tuple[nn.MlpParams, np.ndarray]:
-    """Softmax classifier (single linear layer) trained on generated features."""
-    classes = np.asarray(sorted(class_space), dtype=np.int64)
-    if classes.size == 0:
-        raise ValueError("empty class space")
-    batch = generate(gen, semantics, classes, cfg.per_class_count, derive_seed(cfg.noise_seed, "classifier-noise"))
-    head_labels = np.searchsorted(classes, batch.cond_labels)
-
+def train_inductive_classifier(gen: nn.MlpParams, semantics: SemanticTable, cfg: ExperimentConfig) -> nn.MlpParams:
+    """Softmax classifier (single linear layer) trained on generated features
+    of every class; head column c is class c."""
+    n_classes = semantics.n_classes
+    noise_seed = derive_seed(cfg.noise_seed, "classifier-noise")
+    batch = generate(gen, semantics, range(n_classes), cfg.per_class_count, noise_seed)
     params = nn.mlp_init(
-        nn.classifier_specs(gen.out_dim, len(classes), hidden=()),
+        nn.classifier_specs(gen.out_dim, n_classes, hidden=()),
         nn.ROLE_CLASSIFIER,
         derive_seed(cfg.client_seed, "classifier-init"),
     )
     nn.fit_minibatch(
-        params, batch.features, nn.ce_loss_on(head_labels, len(classes)), cfg.t_s, cfg.batch_size,
+        params, batch.features, nn.ce_loss_on(batch.cond_labels, n_classes), cfg.t_s, cfg.batch_size,
         lambda epoch: rng_for(cfg.client_seed, "classifier-epoch", epoch).permutation(len(batch.features)), cfg.lr,
     )
-    return params, classes
+    return params
 
 
 @dataclass
 class ArtifactBundle:
-    """Everything a run produces client-side; serializes to a directory."""
+    """Everything a run produces client-side; serializes to a directory.
+
+    The evaluated head covers every class, and its column c is class c: the
+    student's under a transductive teacher, whose classes are all of them, and
+    the classifier's under an inductive one.
+    """
 
     gen: nn.MlpParams
     student: nn.MlpParams
-    student_classes: np.ndarray
     classifier: nn.MlpParams | None
-    classifier_classes: np.ndarray | None
     traces: list[dict]
     transcript: RiskLog
     shortfall: dict[int, int]
@@ -377,17 +371,11 @@ def run_algorithm1(
     quota = ensure_quota(gen, channel, semantics, teacher_classes, cfg)
     student, student_trace = train_student(student, quota.verified, cfg)
 
-    classifier = classifier_classes = None
-    if cfg.teacher_mode == "inductive":
-        classifier, classifier_classes = train_inductive_classifier(
-            gen, semantics, np.arange(semantics.n_classes), cfg
-        )
+    classifier = train_inductive_classifier(gen, semantics, cfg) if cfg.teacher_mode == "inductive" else None
     return ArtifactBundle(
         gen=gen,
         student=student,
-        student_classes=teacher_classes,
         classifier=classifier,
-        classifier_classes=classifier_classes,
         traces=gen_trace + student_trace,
         transcript=channel.transcript,
         shortfall=quota.shortfall,

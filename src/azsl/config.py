@@ -224,6 +224,8 @@ def validate(cfg: ExperimentConfig, origin: str = "config") -> None:
                 f"split.unseen gives {got} unseen classes, but dataset.synthetic.classes - "
                 f"dataset.synthetic.seen gives {want}"
             )
+    if isinstance(unseen, int) and unseen < 1:
+        bad(f"split.unseen count must be >= 1, got {unseen}")
     if unseen is not None and not isinstance(unseen, int):
         if not unseen:
             bad("split.unseen lists no class ids")

@@ -2,7 +2,8 @@
 
 Transductive runs evaluate the student over the full class space (even for the
 conventional task); inductive runs evaluate the generated-feature classifier.
-Accuracies are macro-averaged per class and reported in percent.
+Either head covers every class, and its column c is class c. Accuracies are
+macro-averaged per class and reported in percent.
 """
 from __future__ import annotations
 
@@ -33,19 +34,13 @@ class EvalReport:
     transcript_digest: str = ""
 
 
-def predict(params: nn.MlpParams, features: np.ndarray, class_space, head_classes=None) -> np.ndarray:
-    """Argmax over the head columns restricted to class_space; ties -> lowest id."""
+def predict(params: nn.MlpParams, features: np.ndarray, class_space) -> np.ndarray:
+    """Argmax over the head columns of class_space (column c is class c); ties -> lowest id."""
     class_space = np.asarray(sorted(class_space), dtype=np.int64)
-    head = (
-        np.arange(params.out_dim, dtype=np.int64)
-        if head_classes is None
-        else np.asarray(head_classes, dtype=np.int64)
-    )
-    cols = np.searchsorted(head, class_space)
-    if cols.size == 0 or (cols >= len(head)).any() or (head[np.minimum(cols, len(head) - 1)] != class_space).any():
+    if class_space.size == 0 or class_space[0] < 0 or class_space[-1] >= params.out_dim:
         raise ValueError("class space not covered by the model head")
     logits, _ = nn.mlp_forward(params, features)
-    return class_space[logits[:, cols].argmax(axis=1)]
+    return class_space[logits[:, class_space].argmax(axis=1)]
 
 
 def per_class_top1(preds, labels, classes) -> float:
@@ -90,8 +85,14 @@ def _macro(accuracy: dict[int, float], classes) -> float:
     return float(np.mean(accs) * 100.0)
 
 
-def _report(task: str, bundle: ArtifactBundle, split: SplitBundle, confusion: np.ndarray) -> EvalReport:
-    """u, and for GZSL s and H, plus the per-class table, all from one confusion matrix."""
+def _evaluate(task: str, bundle: ArtifactBundle, split: SplitBundle, dataset: Dataset, rows, space) -> EvalReport:
+    """Predict `rows` over `space` with the evaluated head; u, and for GZSL s
+    and H, plus the per-class table, all from one confusion matrix."""
+    model = bundle.student if split.teacher_mode == MODE_TRANSDUCTIVE else bundle.classifier
+    if model is None:
+        raise ValueError("inductive evaluation needs the generated-feature classifier")
+    preds = predict(model, dataset.features[rows], space)
+    confusion = _confusion(preds, dataset.labels[rows], dataset.n_classes)
     accuracy = _accuracy(confusion)
     u = _macro(accuracy, split.unseen_classes)
     s = _macro(accuracy, split.seen_classes) if task == TASK_GZSL else None
@@ -108,38 +109,20 @@ def _report(task: str, bundle: ArtifactBundle, split: SplitBundle, confusion: np
     )
 
 
-def _bundle_model(bundle: ArtifactBundle, split: SplitBundle):
-    if split.teacher_mode == MODE_TRANSDUCTIVE:
-        return bundle.student, bundle.student_classes
-    if bundle.classifier is None:
-        raise ValueError("inductive evaluation needs the generated-feature classifier")
-    return bundle.classifier, bundle.classifier_classes
-
-
-def eval_czsl(
-    bundle: ArtifactBundle, split: SplitBundle, dataset: Dataset, masked: bool = False
-) -> EvalReport:
-    """Unseen-row evaluation. Transductive keeps the full class space unless masked."""
-    rows = split.client_eval_unseen
-    if rows.size == 0:
+def eval_czsl(bundle: ArtifactBundle, split: SplitBundle, dataset: Dataset) -> EvalReport:
+    """Unseen-row evaluation: transductive over the full class space, inductive over the unseen classes."""
+    if split.client_eval_unseen.size == 0:
         raise ValueError("no unseen evaluation rows")
-    model, head = _bundle_model(bundle, split)
-    if split.teacher_mode == MODE_TRANSDUCTIVE:
-        space = split.unseen_classes if masked else bundle.student_classes
-    else:
-        space = split.unseen_classes
-    preds = predict(model, dataset.features[rows], space, head)
-    return _report(TASK_CZSL, bundle, split, _confusion(preds, dataset.labels[rows], dataset.n_classes))
+    space = np.arange(dataset.n_classes) if split.teacher_mode == MODE_TRANSDUCTIVE else split.unseen_classes
+    return _evaluate(TASK_CZSL, bundle, split, dataset, split.client_eval_unseen, space)
 
 
 def eval_gzsl(bundle: ArtifactBundle, split: SplitBundle, dataset: Dataset) -> EvalReport:
     """Seen + unseen evaluation over the full class space; reports u, s, H."""
     if split.client_eval_seen.size == 0 or split.client_eval_unseen.size == 0:
         raise ValueError("generalised evaluation needs both seen and unseen rows")
-    model, head = _bundle_model(bundle, split)
     rows = np.concatenate([split.client_eval_seen, split.client_eval_unseen])
-    preds = predict(model, dataset.features[rows], np.arange(dataset.n_classes), head)
-    return _report(TASK_GZSL, bundle, split, _confusion(preds, dataset.labels[rows], dataset.n_classes))
+    return _evaluate(TASK_GZSL, bundle, split, dataset, rows, np.arange(dataset.n_classes))
 
 
 def render_report(report: EvalReport) -> str:

@@ -95,7 +95,7 @@ def test_every_fit_step_calls_nn_through_its_module(mode):
         "student": ("phase.student", cfg.t_s, int(tracer.counts["client.quota.kept"]), cfg.batch_size),
     }
     if mode == "inductive":
-        n_classes = len(result.bundle.classifier_classes)
+        n_classes = result.dataset.n_classes
         fits["classifier"] = ("phase.classifier", cfg.t_s, n_classes * cfg.per_class_count, cfg.batch_size)
     for role, (phase, epochs, rows, batch) in fits.items():
         steps = epochs * -(-rows // batch)
@@ -108,6 +108,22 @@ def test_every_fit_step_calls_nn_through_its_module(mode):
             # the teacher's fit ends with one forward pass over its rows, for its train accuracy
             extra = 1 if (role, op) == ("teacher", "forward") else 0
             assert len(inside) == steps + extra, (role, op)
+
+
+@pytest.mark.parametrize("mode", ["transductive", "inductive"])
+def test_each_run_opens_one_generator_phase_and_two_eval_phases(mode):
+    # phase.eval wraps experiment.eval_czsl and eval_gzsl, and eval.predict
+    # wraps evaluate.predict; a run that reached the evaluation by another
+    # route would leave its eval time outside every phase span
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.patched(tracer, spans.layer_targets()):
+        run_experiment(tiny_config(scenario="white", teacher_mode=mode))
+    names = [s[spans.NAME] for s in tracer.spans]
+    evals = [i for i, name in enumerate(names) if name == "phase.eval"]
+    predict_parents = [s[spans.PARENT] for s in tracer.spans if s[spans.NAME] == "eval.predict"]
+    assert names.count("phase.generator") == 1
+    assert len(evals) == 2 and predict_parents == evals
 
 
 @pytest.mark.parametrize("scenario", ["white", "black"])

@@ -116,6 +116,8 @@ class TestRun:
             pytest.param(False, "8,8,9", "repeats a class id", id="8,8,9-repeats a class id"),
             pytest.param(True, "1,1,2", "repeats a class id", id="csv-1,1,2-repeats a class id"),
             pytest.param(True, "-1,2", "ids must be >= 0", id="csv--1,2-ids must be >= 0"),
+            pytest.param(True, "0", "count must be >= 1", id="csv-0-count must be >= 1"),
+            pytest.param(True, "-1", "count must be >= 1", id="csv--1-count must be >= 1"),
         ],
     )
     @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "alpha", "--values", "1"]], ids=["run", "sweep"])

@@ -115,6 +115,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="generator"):
             generate(not_gen, semantics(), [0], 2, 0)
 
+    def test_noise_is_seeded_by_rank_in_the_request(self):
+        # class 2 is rank 1 of [1, 2] but rank 0 of [2] and [2, 3]: its block
+        # follows its rank, not its id
+        gen = tiny_generator(seed=6)
+        pair = generate(gen, semantics(), [1, 2], 5, 3)
+        alone = generate(gen, semantics(), [2], 5, 3)
+        first = generate(gen, semantics(), [2, 3], 5, 3)
+        assert not np.array_equal(pair.features[pair.cond_labels == 2], alone.features)
+        assert np.array_equal(first.features[first.cond_labels == 2], alone.features)
+
 
 class TestVerify:
     def make_batch(self, labels):
@@ -124,7 +134,7 @@ class TestVerify:
     def test_all_correct(self):
         batch = self.make_batch([0, 1, 2])
         softmax = np.eye(3)
-        vb = verify(batch, softmax)
+        vb = verify(batch, softmax, range(3))
         assert vb.kept_fraction == 1.0
         assert np.array_equal(vb.features, batch.features)
         assert np.array_equal(vb.teacher_softmax, softmax)
@@ -132,7 +142,7 @@ class TestVerify:
     def test_all_misclassified(self):
         batch = self.make_batch([0, 0, 0])
         softmax = np.tile([0.1, 0.9, 0.0], (3, 1))
-        vb = verify(batch, softmax)
+        vb = verify(batch, softmax, range(3))
         assert len(vb) == 0 and vb.kept_fraction == 0.0
 
     def test_mixed_fixture_hand_enumerated(self):
@@ -147,7 +157,7 @@ class TestVerify:
                 [0.3, 0.4, 0.3],  # -> 1 == 1 keep
             ]
         )
-        vb = verify(batch, softmax)
+        vb = verify(batch, softmax, range(3))
         assert vb.kept_fraction == pytest.approx(3 / 5)
         assert np.array_equal(vb.labels, [0, 2, 1])
         assert np.array_equal(vb.features, batch.features[[0, 2, 4]])
@@ -156,7 +166,7 @@ class TestVerify:
     def test_tie_breaks_to_lowest_class(self):
         batch = self.make_batch([0, 1])
         softmax = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        vb = verify(batch, softmax)  # both rows argmax -> class 0
+        vb = verify(batch, softmax, range(3))  # both rows argmax -> class 0
         assert np.array_equal(vb.labels, [0])
 
     def test_head_mapping_for_partial_class_space(self):
@@ -328,7 +338,7 @@ class TestQuota:
         assert quota.verified.kept_fraction == 1.0
 
 
-def list_tally_quota(gen, channel, semantics, classes, cfg, class_space=None):
+def list_tally_quota(gen, channel, semantics, classes, cfg, class_space):
     """The earlier ensure_quota: a list of kept blocks per class, re-summed at every check."""
     classes = np.asarray(sorted(classes), dtype=np.int64)
     kept: dict[int, list] = {int(c): [] for c in classes}
@@ -461,10 +471,8 @@ class TestInductiveClassifier:
     def test_head_sizes(self, teacher_env):
         gen = trained_generator(teacher_env, seed=22)
         cfg = client_cfg(per_class_count=20, t_s=5, batch_size=32, lr=1e-3, seed=11)
-        czsl, czsl_classes = train_inductive_classifier(gen, semantics(), [3], cfg)
-        assert czsl.out_dim == 1 and czsl_classes.tolist() == [3]
-        gzsl, gzsl_classes = train_inductive_classifier(gen, semantics(), range(4), cfg)
-        assert gzsl.out_dim == 4 and gzsl_classes.tolist() == [0, 1, 2, 3]
+        assert train_inductive_classifier(gen, semantics(), cfg).out_dim == 4
+        assert train_inductive_classifier(gen, semantics(6), cfg).out_dim == 6
 
     def test_separated_clusters_reach_high_train_accuracy(self):
         # hand-built generator: semantics dominate, noise barely perturbs, so the
@@ -476,20 +484,14 @@ class TestInductiveClassifier:
         gen.weights[1][:] = rng.normal(size=(16, D_X))
         table = SemanticTable(8.0 * np.eye(4), source="attribute")
         cfg = client_cfg(per_class_count=60, t_s=150, batch_size=60, lr=1e-2, seed=12)
-        params, classes = train_inductive_classifier(gen, table, range(4), cfg)
+        params = train_inductive_classifier(gen, table, cfg)
         batch = generate(gen, table, range(4), 60, derive_check_seed())
         # centroid oracle on the same generated set confirms the clusters separate
         cents = np.stack([batch.features[batch.cond_labels == c].mean(axis=0) for c in range(4)])
         d2 = ((batch.features[:, None, :] - cents[None]) ** 2).sum(axis=2)
         assert (d2.argmin(axis=1) == batch.cond_labels).mean() >= 0.99
         logits, _ = nn.mlp_forward(params, batch.features)
-        preds = classes[logits.argmax(axis=1)]
-        assert (preds == batch.cond_labels).mean() >= 0.99
-
-    def test_empty_class_space(self, teacher_env):
-        gen = tiny_generator()
-        with pytest.raises(ValueError, match="empty"):
-            train_inductive_classifier(gen, semantics(), [], client_cfg())
+        assert (logits.argmax(axis=1) == batch.cond_labels).mean() >= 0.99  # column c is class c
 
 
 def derive_check_seed():

@@ -62,11 +62,6 @@ class TestPredict:
         with pytest.raises(ValueError, match="head"):
             predict(model, np.zeros((1, 3)), class_space=[5])
 
-    def test_partial_head_mapping(self):
-        model = linear_model(np.eye(2))
-        x = np.array([[0.0, 1.0]])
-        assert predict(model, x, class_space=[4, 9], head_classes=[4, 9]).tolist() == [9]
-
 
 class TestPerClassTop1:
     def test_simple_average(self):
@@ -166,14 +161,12 @@ def eval_env():
     return ds, split
 
 
-def make_bundle(model, split, scenario="white", classifier=None, classifier_classes=None):
+def make_bundle(model, split, scenario="white", classifier=None):
     gen = nn.mlp_init([nn.LayerSpec(3, 8, nn.ACT_RELU)], nn.ROLE_GENERATOR, 0)
     return ArtifactBundle(
         gen=gen,
         student=model,
-        student_classes=np.arange(split.seen_classes.size + split.unseen_classes.size),
         classifier=classifier,
-        classifier_classes=classifier_classes,
         traces=[],
         transcript=RiskLog(),
         shortfall={},
@@ -207,7 +200,7 @@ class TestOneConfusionPerReport:
         rng = np.random.default_rng(11)
         calls = []
 
-        def fake_predict(params, features, class_space, head_classes=None):
+        def fake_predict(params, features, class_space):
             # each row's one feature is its label; right 60% of the time where the space allows
             space = np.asarray(sorted(class_space), dtype=np.int64)
             true = features[:, 0].astype(np.int64)
@@ -238,9 +231,9 @@ class TestOneConfusionPerReport:
                 continue
             ds = Dataset(labels[:, None].astype(np.float64), labels, SemanticTable(np.eye(n_classes)))
             model = linear_model(np.zeros((1, n_classes)))
-            bundle = make_bundle(model, split, classifier=model, classifier_classes=np.arange(n_classes))
+            bundle = make_bundle(model, split, classifier=model)
 
-            czsl = eval_czsl(bundle, split, ds, masked=bool(rng.integers(0, 2)))
+            czsl = eval_czsl(bundle, split, ds)
             preds, y = calls[-1], labels[split.client_eval_unseen]
             confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
             np.add.at(confusion, (y, preds), 1)
@@ -290,8 +283,6 @@ class TestEvalProtocols:
         biased = linear_model(np.zeros((8, 5)), biases=np.eye(5)[int(split.seen_classes[0])] * 10.0)
         bundle = make_bundle(biased, split)
         assert eval_czsl(bundle, split, ds).u == 0.0
-        # the masked (conventional) protocol would hide that failure
-        assert eval_czsl(bundle, split, ds, masked=True).u > 0.0
 
     def test_fixed_seen_predictor_zeroes_u_and_h(self, eval_env):
         ds, split = eval_env
@@ -328,9 +319,7 @@ class TestEvalProtocols:
         ds, _ = eval_env
         split = split_azsl(ds, "inductive", unseen=1, seed=13)
         clf = centroid_model(ds, range(5), role=nn.ROLE_CLASSIFIER)
-        bundle = make_bundle(
-            centroid_model(ds, range(5)), split, classifier=clf, classifier_classes=np.arange(5)
-        )
+        bundle = make_bundle(centroid_model(ds, range(5)), split, classifier=clf)
         assert eval_czsl(bundle, split, ds).u == pytest.approx(100.0)
 
     def test_render_is_deterministic_and_parseable(self, eval_env):
