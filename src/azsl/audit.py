@@ -124,11 +124,12 @@ class RiskLog:
 
 def load_transcript(path: str | Path) -> list[RiskEntry]:
     """A saved transcript's entries, once they hash to its stored digest."""
+    raw = Path(path).read_bytes()  # an unreadable file is an OSError, not a corrupt transcript
     try:
-        body = json.loads(Path(path).read_text())
+        body = json.loads(raw)
         entries = [RiskEntry(**e) for e in body["entries"]]
         stored = body["digest"]
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"corrupt transcript {path}: {exc}") from exc
     if _digest(entries) != stored:
         raise ValueError(f"corrupt transcript {path}: its entries do not match its digest")

@@ -78,6 +78,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise DataError("features must be 2-D")
+        if self.features.shape[1] < 1:
+            raise DataError("features need at least one column")
         if self.labels.shape != (self.features.shape[0],):
             raise DataError("one label per feature row required")
         if not np.isfinite(self.features).all():
@@ -356,7 +358,8 @@ def _load_azb(path: Path) -> Dataset:
     n, d_x, c, d_a = struct.unpack("<4I", blob[4:20])
     need = 20 + 8 * n * d_x + 4 * n + 8 * c * d_a
     if len(blob) != need:
-        raise DataError(f"{path}: truncated (expected {need} bytes, got {len(blob)})")
+        what = "truncated" if len(blob) < need else "too long"
+        raise DataError(f"{path}: {what} (expected {need} bytes, got {len(blob)})")
     off = 20
     feats = np.frombuffer(blob, dtype="<f8", count=n * d_x, offset=off).reshape(n, d_x).copy()
     off += 8 * n * d_x

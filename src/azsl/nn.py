@@ -6,10 +6,13 @@ graph, just hand-written backward passes verified against finite differences
 (see grad_check). The teacher, the student and the inductive classifier are
 all fitted by the one minibatch-Adam loop, fit_minibatch; only the generator
 loops, which step on channel feedback, live elsewhere.
+
+Each network's parameters live in one flat float64 buffer: every layer's
+weights in order, then every layer's biases. Parameters, gradients and the
+Adam moments all share that layout, and the per-layer arrays are views of it.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,15 +48,32 @@ class LayerSpec:
             raise ValueError(f"slope must be in (0, 1), got {self.slope}")
 
 
+def _views(buffer: np.ndarray, layers) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer weight (in_dim, out_dim) and bias (out_dim,) views of a flat buffer."""
+    shapes = [(s.in_dim, s.out_dim) for s in layers] + [(s.out_dim,) for s in layers]
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return tuple(views[: len(layers)]), tuple(views[len(layers) :])
+
+
 @dataclass
 class MlpParams:
-    """Weights/biases of a role-tagged MLP. weights[i] is (in_dim, out_dim)."""
+    """Weights/biases of a role-tagged MLP. weights[i] is (in_dim, out_dim).
+
+    The given arrays are copied into one flat buffer, weights first, then
+    biases; weights and biases become tuples of views of it. Write parameters
+    in place (params.weights[0][...] = w): an array cannot be rebound.
+    """
 
     role: str
     layers: list[LayerSpec]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     seed: int
+    buffer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -66,6 +86,8 @@ class MlpParams:
                 raise ValueError(f"weight shape {w.shape} != spec {(spec.in_dim, spec.out_dim)}")
             if b.shape != (spec.out_dim,):
                 raise ValueError(f"bias shape {b.shape} != ({spec.out_dim},)")
+        self.buffer = np.concatenate([np.ravel(a) for a in (*self.weights, *self.biases)], dtype=np.float64)
+        self.weights, self.biases = _views(self.buffer, self.layers)
 
     @property
     def in_dim(self) -> int:
@@ -76,50 +98,36 @@ class MlpParams:
         return self.layers[-1].out_dim
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.buffer.size
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            role=self.role,
-            layers=list(self.layers),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            seed=self.seed,
-        )
+        """A net with its own buffer (MlpParams copies what it is given)."""
+        return MlpParams(self.role, list(self.layers), self.weights, self.biases, self.seed)
 
 
 @dataclass
 class MlpGrads:
-    """Parameter gradients, shaped exactly like the MlpParams they belong to.
+    """Parameter gradients in the MlpParams layout of the net they were made for.
 
-    Gradients made by zeros_like, empty_like or mlp_backward are views of one
-    flat buffer, weights first, then biases: the layout adam_step steps on.
+    weights and biases are tuples of views of buffer, weights first, then
+    biases. Made by zeros_like, empty_like and mlp_backward.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
+    buffer: np.ndarray
+    layers: tuple[LayerSpec, ...]
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _views(self.buffer, self.layers)
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls._views_of(np.zeros(params.n_params()), params)
+        return cls(np.zeros(params.n_params()), tuple(params.layers))
 
     @classmethod
     def empty_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls._views_of(np.empty(params.n_params()), params)
-
-    @classmethod
-    def _views_of(cls, buffer: np.ndarray, params: MlpParams) -> "MlpGrads":
-        views = _split_flat(buffer, _param_views(params))
-        k = len(params.weights)
-        return cls(weights=views[:k], biases=views[k:], buffer=buffer)
-
-    def flat(self) -> np.ndarray:
-        """All gradients as one vector: the buffer itself while every array is still a view of it."""
-        arrays = self.weights + self.biases
-        if self.buffer is not None and all(a.base is self.buffer for a in arrays):
-            return self.buffer
-        return np.concatenate([a.ravel() for a in arrays])
+        return cls(np.empty(params.n_params()), tuple(params.layers))
 
 
 @dataclass
@@ -297,7 +305,7 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, flat in MlpGrads.flat's layout."""
+    """Adam moment accumulators, flat in the MlpParams.buffer layout."""
 
     lr: float = 1e-5
     beta1: float = 0.9
@@ -308,10 +316,6 @@ class AdamState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # two work vectors, so that a step allocates no parameter-sized temporaries
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
-    # what adam_step last checked: the grad arrays, the param arrays, the flat
-    # buffer the grads are views of (None if they are not) and (param, slice
-    # of the update) pairs; a step that meets the same arrays skips the checks
-    checked: tuple = field(init=False, repr=False, compare=False, default=((), (), None, ()))
 
     def __post_init__(self):
         self.scratch = np.empty((2, self.m.size))
@@ -325,28 +329,15 @@ class AdamState:
 def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[MlpParams, AdamState]:
     """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980), applied in place.
 
-    Runs on the flat gradient, with the operations of
+    Runs on the flat buffers, with the operations of
         m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         param -= lr (m / c1) / (sqrt(v / c2) + eps)
-    in that order (a product only swaps its operands, which is exact); each
-    parameter array then subtracts its slice of the update. Once c1 rounds to
-    1.0 the division by it is skipped: m / 1.0 == m exactly.
+    in that order (a product only swaps its operands, which is exact). Once c1
+    rounds to 1.0 the division by it is skipped: m / 1.0 == m exactly.
     """
-    garrays = grads.weights + grads.biases
-    arrays = params.weights + params.biases
-    seen_grads, seen_params, shared, pairs = state.checked
-    if not (_same_arrays(garrays, seen_grads) and _same_arrays(arrays, seen_params)):
-        if len(garrays) != len(arrays):
-            raise ValueError(f"{len(garrays)} grad arrays for {len(arrays)} params")
-        for a, ga in zip(arrays, garrays):
-            if a.shape != ga.shape:
-                raise ValueError(f"grad shape {ga.shape} does not match param {a.shape}")
-        g = grads.flat()
-        shared = g if g is grads.buffer else None
-        pairs = tuple(zip(arrays, _split_flat(state.scratch[1], arrays)))
-        state.checked = (garrays, arrays, shared, pairs)
-    else:
-        g = shared if shared is not None else grads.flat()
+    if grads.layers != tuple(params.layers):
+        raise ValueError("grads were made for another net (layer specs differ)")
+    g = grads.buffer
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
@@ -367,13 +358,8 @@ def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[Mlp
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
     update /= tmp
-    for a, u in pairs:
-        a -= u
+    params.buffer -= update
     return params, state
-
-
-def _same_arrays(a: list, b) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 def fit_minibatch(
@@ -423,19 +409,6 @@ def ce_loss_on(labels: np.ndarray, n_classes: int):
 LossClosure = Callable[[MlpParams], tuple[float, MlpGrads]]
 
 
-def _param_views(params: MlpParams) -> list[np.ndarray]:
-    return list(params.weights) + list(params.biases)
-
-
-def _split_flat(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of consecutive slices of flat, shaped like the arrays in like."""
-    views, start = [], 0
-    for a in like:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return views
-
-
 def grad_check(
     params: MlpParams,
     loss_closure: LossClosure,
@@ -449,38 +422,25 @@ def grad_check(
     loss_closure must be deterministic in params.
     """
     _, analytic = loss_closure(params)
-    flat_analytic = analytic.flat()
-    total = flat_analytic.size
+    total = analytic.buffer.size
     rng = np.random.default_rng(seed)
     idx = np.arange(total) if total <= n_samples else rng.choice(total, size=n_samples, replace=False)
 
     work = params.copy()
-    views = _param_views(work)
-    sizes = [v.size for v in views]
-    offsets = np.cumsum([0] + sizes)
-
     worst = 0.0
-    for flat_i in idx:
-        k = int(np.searchsorted(offsets, flat_i, side="right") - 1)
-        local = int(flat_i - offsets[k])
-        view = views[k].reshape(-1)
-        orig = view[local]
-        view[local] = orig + epsilon
+    for i in idx:
+        orig = work.buffer[i]
+        work.buffer[i] = orig + epsilon
         hi, _ = loss_closure(work)
-        view[local] = orig - epsilon
+        work.buffer[i] = orig - epsilon
         lo, _ = loss_closure(work)
-        view[local] = orig
+        work.buffer[i] = orig
         numeric = (hi - lo) / (2.0 * epsilon)
-        a = flat_analytic[flat_i]
+        a = analytic.buffer[i]
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         worst = max(worst, err)
     return worst
 
 
 def params_allclose(a: MlpParams, b: MlpParams, rtol: float = 0.0, atol: float = 0.0) -> bool:
-    if a.layers != b.layers:
-        return False
-    return all(
-        np.allclose(x, y, rtol=rtol, atol=atol)
-        for x, y in zip(_param_views(a), _param_views(b))
-    )
+    return a.layers == b.layers and np.allclose(a.buffer, b.buffer, rtol=rtol, atol=atol)

@@ -277,6 +277,13 @@ class TestAudit:
         bad.write_text("{not json")
         assert cli.main(["audit", str(bad)]) == cli.EXIT_RUNTIME
 
+    def test_missing_transcript_is_an_os_error_not_corrupt(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.json"
+        assert cli.main(["audit", str(missing)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err
+        assert "corrupt" not in err
+
 
 class TestSweep:
     def test_single_value_single_row(self, tmp_path, capsys):

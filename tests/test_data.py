@@ -218,6 +218,32 @@ class TestFileFormats:
         with pytest.raises(DataError, match="at least one column"):
             load_features(path)
 
+    def test_azb_without_feature_columns(self, tmp_path):
+        # d_x = 0 used to load and fail only when the teacher was built
+        path = tmp_path / "nofeat.azb"
+        labels, sem = np.arange(4) % 2, np.eye(2)
+        path.write_bytes(
+            AZB_MAGIC + struct.pack("<4I", 4, 0, 2, 2) + labels.astype("<u4").tobytes() + sem.astype("<f8").tobytes()
+        )
+        with pytest.raises(DataError, match="features need at least one column"):
+            load_features(path)
+        with pytest.raises(DataError, match="features need at least one column"):
+            Dataset(features=np.zeros((4, 0)), labels=labels, semantics=SemanticTable(sem))
+
+    def test_azb_size_mismatch_names_both_sizes(self, tmp_path):
+        ds = Dataset(features=np.ones((1, 2)), labels=np.array([0]), semantics=SemanticTable(np.array([[0.5, 1.0]])))
+        path = tmp_path / "one.azb"
+        save_features(ds, path)
+        blob = path.read_bytes()
+        assert len(blob) == 56
+        path.write_bytes(blob + b"\x00\x00")
+        with pytest.raises(DataError, match=r"too long \(expected 56 bytes, got 58\)") as exc:
+            load_features(path)
+        assert "truncated" not in str(exc.value)
+        path.write_bytes(blob[:-2])
+        with pytest.raises(DataError, match=r"truncated \(expected 56 bytes, got 54\)"):
+            load_features(path)
+
     def test_semantic_table_without_columns(self):
         with pytest.raises(DataError, match="at least one column"):
             SemanticTable(np.zeros((4, 0)))

@@ -22,8 +22,8 @@ from azsl.evaluate import (
 def linear_model(weights, biases=None, role=nn.ROLE_STUDENT):
     w = np.asarray(weights, dtype=np.float64)
     params = nn.mlp_init([nn.LayerSpec(w.shape[0], w.shape[1], nn.ACT_IDENTITY)], role, 0)
-    params.weights[0] = w
-    params.biases[0] = np.zeros(w.shape[1]) if biases is None else np.asarray(biases, dtype=np.float64)
+    params.weights[0][...] = w
+    params.biases[0][...] = 0.0 if biases is None else biases
     return params
 
 
@@ -293,7 +293,7 @@ class TestEvalProtocols:
     def test_report_consistent_with_confusion(self, eval_env):
         ds, split = eval_env
         noisy = centroid_model(ds, range(5))
-        noisy.weights[0] += np.random.default_rng(3).normal(size=noisy.weights[0].shape) * 0.5
+        noisy.weights[0][...] += np.random.default_rng(3).normal(size=noisy.weights[0].shape) * 0.5
         report = eval_gzsl(make_bundle(noisy, split), split, ds)
         u2 = np.mean([report.confusion[c, c] / report.confusion[c].sum() for c in split.unseen_classes]) * 100
         s2 = np.mean([report.confusion[c, c] / report.confusion[c].sum() for c in split.seen_classes]) * 100

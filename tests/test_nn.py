@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,15 +271,15 @@ class TestBackward:
         assert np.array_equal(input_grad, full_input)
         for a, b in zip(grads.weights + grads.biases, full_grads.weights + full_grads.biases):
             assert np.array_equal(a, b)
-        assert np.array_equal(grads.flat(), full_grads.flat())
+        assert np.array_equal(grads.buffer, full_grads.buffer)
 
     def test_grads_are_views_of_one_flat_buffer(self):
         params = small_net(seed=24)
         out, cache = nn.mlp_forward(params, np.ones((3, 5)))
         grads, _ = nn.mlp_backward(params, cache, np.ones_like(out))
-        assert grads.flat() is grads.buffer
-        expect = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
-        assert np.array_equal(grads.flat(), expect)
+        arrays = grads.weights + grads.biases
+        assert all(a.base is grads.buffer for a in arrays)
+        assert np.array_equal(grads.buffer, np.concatenate([a.ravel() for a in arrays]))
 
 
 def where_leaky(z, slope):
@@ -366,7 +367,7 @@ class TestLeakyRelu:
         upstream[3] = -0.0
         grads, input_grad = nn.mlp_backward(params, cache, upstream)
         ref_gw, ref_gb, ref_input = where_backward(params, ref_inputs, ref_preacts, upstream)
-        for got, want in zip(grads.weights + grads.biases + [input_grad], ref_gw + ref_gb + [ref_input]):
+        for got, want in zip((*grads.weights, *grads.biases, input_grad), ref_gw + ref_gb + [ref_input]):
             assert_same_bits(got, want)
 
 
@@ -426,30 +427,26 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = small_net()
-        grads = nn.MlpGrads.zeros_like(params)
-        grads.weights[0] = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="shape"):
+        grads = nn.MlpGrads.zeros_like(nn.mlp_init([nn.LayerSpec(5, 2)], nn.ROLE_TEACHER, 0))
+        with pytest.raises(ValueError, match="another net"):
             nn.adam_step(params, grads, nn.AdamState.for_params(params))
 
     def test_finite_grads_never_nan(self):
         params = small_net(seed=1)
         state = nn.AdamState.for_params(params, lr=1e-3)
         rng = np.random.default_rng(0)
+        grads = nn.MlpGrads.zeros_like(params)
         for _ in range(20):
-            grads = nn.MlpGrads(
-                weights=[rng.normal(size=w.shape) * 1e6 for w in params.weights],
-                biases=[rng.normal(size=b.shape) * 1e6 for b in params.biases],
-            )
+            grads.buffer[:] = rng.normal(size=grads.buffer.size) * 1e6
             nn.adam_step(params, grads, state)
-        assert all(np.isfinite(w).all() for w in params.weights)
+        assert np.isfinite(params.buffer).all()
 
 
     @pytest.mark.parametrize("specs", [
         nn.classifier_specs(64, 20, hidden=(128, 64)),  # student
         [nn.LayerSpec(36, 256, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(256, 64, nn.ACT_RELU)],  # generator
     ])
-    @pytest.mark.parametrize("from_lists", [False, True])
-    def test_flat_step_equals_per_array_adam(self, specs, from_lists):
+    def test_flat_step_equals_per_array_adam(self, specs):
         params = nn.mlp_init(specs, nn.ROLE_STUDENT, 31)
         expect = params.copy()
         state = nn.AdamState.for_params(params, lr=1e-3)
@@ -462,28 +459,11 @@ class TestAdam:
         for _ in range(200):
             out, cache = nn.mlp_forward(params, np.abs(rng.normal(size=(8, params.in_dim))))
             grads, _ = nn.mlp_backward(params, cache, rng.normal(size=out.shape), input_grad=False)
-            if from_lists:
-                grads = nn.MlpGrads(weights=[w.copy() for w in grads.weights], biases=[b.copy() for b in grads.biases])
             per_array_adam_step(expect, grads, ref_state)
             nn.adam_step(params, grads, state)
         for a, b in zip(params.weights + params.biases, expect.weights + expect.biases):
             assert np.array_equal(a, b)
 
-    def test_replaced_grad_array_is_used(self):
-        params = small_net(seed=33)
-        before = params.copy()
-        grads = nn.MlpGrads.zeros_like(params)
-        grads.weights[1] = np.ones_like(grads.weights[1])  # no longer a view of the buffer
-        nn.adam_step(params, grads, nn.AdamState.for_params(params, lr=1e-3))
-        assert (params.weights[1] < before.weights[1]).all()
-        assert np.array_equal(params.weights[0], before.weights[0])
-
-    def test_grad_count_mismatch(self):
-        params = small_net()
-        grads = nn.MlpGrads.zeros_like(params)
-        grads.biases.pop()
-        with pytest.raises(ValueError, match="grad arrays"):
-            nn.adam_step(params, grads, nn.AdamState.for_params(params))
 
 class TestClassifierSpecs:
     def test_leaky_hidden_layers_and_linear_head(self):
@@ -615,7 +595,7 @@ def parent_adam_step(params, grads, state):
     for a, ga in zip(arrays, garrays):
         if a.shape != ga.shape:
             raise ValueError(f"grad shape {ga.shape} does not match param {a.shape}")
-    g = grads.flat()
+    g = grads.buffer
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
@@ -839,29 +819,90 @@ class TestLeanFitGuards:
         grads = nn.MlpGrads.zeros_like(params)
         for _ in range(3):
             nn.adam_step(params, grads, state)
-        bad = nn.MlpGrads.zeros_like(params)
-        bad.weights[0] = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="shape"):
+        bad = nn.MlpGrads.zeros_like(nn.mlp_init([nn.LayerSpec(5, 2)], nn.ROLE_TEACHER, 0))
+        with pytest.raises(ValueError, match="another net"):
             nn.adam_step(params, bad, state)
-        grads.weights[0] = np.zeros((2, 2))  # the very grads object it stepped with
-        with pytest.raises(ValueError, match="shape"):
-            nn.adam_step(params, grads, state)
-        assert state.step == 3
+        with pytest.raises(TypeError):
+            grads.weights[0] = np.zeros((2, 2))  # the very grads object it stepped with
+        nn.adam_step(params, grads, state)
+        assert state.step == 4
 
-    def test_replaced_arrays_are_used_after_good_steps(self):
-        params = small_net(seed=48)
-        expect = params.copy()
-        state = nn.AdamState.for_params(params, lr=1e-3)
-        ref_state = nn.AdamState.for_params(expect, lr=1e-3)
+
+class TestOneBuffer:
+    """Parameters live in one flat buffer, weights first, then biases; the arrays are views of it."""
+
+    def test_given_arrays_are_copied(self):
+        rng = np.random.default_rng(50)
+        weights = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
+        biases = [rng.normal(size=4), rng.normal(size=2)]
+        specs = [nn.LayerSpec(3, 4, nn.ACT_LEAKY_RELU), nn.LayerSpec(4, 2)]
+        params = nn.MlpParams(nn.ROLE_STUDENT, specs, weights, biases, seed=0)
+        before = params.buffer.copy()
+        for a in weights + biases:
+            a += 1.0
+        assert_same_bits(params.buffer, before)
+        assert all(not np.shares_memory(a, params.buffer) for a in weights + biases)
+
+    def test_arrays_are_views_of_the_buffer_weights_then_biases(self):
+        params = small_net(seed=51)
+        arrays = params.weights + params.biases
+        assert all(a.base is params.buffer for a in arrays)
+        assert params.n_params() == params.buffer.size == 5 * 7 + 7 * 6 + 6 * 3 + 7 + 6 + 3
+        assert_same_bits(params.buffer, np.concatenate([a.ravel() for a in arrays]))
+        params.buffer[0] = 9.0
+        params.buffer[5 * 7] = 8.0
+        params.buffer[-1] = -9.0
+        assert params.weights[0][0, 0] == 9.0 and params.weights[1][0, 0] == 8.0
+        assert params.biases[-1][-1] == -9.0
+
+    def test_arrays_cannot_be_rebound(self):
+        params = small_net()
         grads = nn.MlpGrads.zeros_like(params)
-        rng = np.random.default_rng(49)
-        for step in range(6):
-            grads.buffer[:] = rng.normal(size=grads.buffer.size)
-            if step == 2:
-                grads.weights[1] = rng.normal(size=grads.weights[1].shape)  # no longer a view
-            if step == 4:  # new parameter arrays: the update slices must follow them
-                params.weights[0] = params.weights[0].copy()
-                expect.weights[0] = expect.weights[0].copy()
-            nn.adam_step(params, grads, state)
-            parent_adam_step(expect, grads, ref_state)
-            assert_params_same_bits(params, expect)
+        for arrays in (params.weights, params.biases, grads.weights, grads.biases):
+            with pytest.raises(TypeError):
+                arrays[0] = np.zeros_like(arrays[0])
+
+    def test_copy_owns_a_new_buffer(self):
+        params = small_net(seed=52)
+        dup = params.copy()
+        assert not np.shares_memory(dup.buffer, params.buffer)
+        assert all(a.base is dup.buffer for a in dup.weights + dup.biases)
+        assert_same_bits(dup.buffer, params.buffer)
+        dup.weights[0][0, 0] += 1.0
+        assert not nn.params_allclose(dup, params)
+
+    def test_wire_round_trip_keeps_the_buffer_bits(self):
+        from azsl import wire
+
+        params = small_net(seed=53)
+        params.biases[0][0] = -0.0
+        got = wire.decode_params(wire.encode_params(params))
+        assert got.buffer.tobytes() == params.buffer.tobytes()
+        assert got.layers == params.layers
+
+    def test_adam_rejects_grads_of_another_net_with_the_same_count(self):
+        params = small_net(seed=54)
+        other = nn.mlp_init([nn.LayerSpec(36, 3)], nn.ROLE_TEACHER, 0)  # 36 * 3 + 3 == 111
+        assert other.n_params() == params.n_params()
+        state = nn.AdamState.for_params(params, lr=1e-3)
+        before = params.copy()
+        with pytest.raises(ValueError, match="another net"):
+            nn.adam_step(params, nn.MlpGrads.zeros_like(other), state)
+        assert state.step == 0
+        assert_same_bits(params.buffer, before.buffer)
+
+    def test_adam_step_allocates_no_parameter_sized_arrays(self):
+        specs = [nn.LayerSpec(36, 256, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(256, 64, nn.ACT_RELU)]
+        params = nn.mlp_init(specs, nn.ROLE_GENERATOR, 55)
+        grads = nn.MlpGrads.zeros_like(params)
+        grads.buffer[:] = np.random.default_rng(56).normal(size=grads.buffer.size)
+        state = nn.AdamState.for_params(params, lr=1e-3)
+        nn.adam_step(params, grads, state)
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                nn.adam_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.buffer.nbytes / 10

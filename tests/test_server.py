@@ -108,8 +108,8 @@ class TestFeedback:
         # saturate the head so the batch sits at the cross-entropy minimum
         ds, split, teacher, reg = trained
         sharp = teacher.params.copy()
-        sharp.weights[-1] *= 30.0
-        sharp.biases[-1] *= 30.0
+        sharp.weights[-1][...] *= 30.0
+        sharp.biases[-1][...] *= 30.0
         sharp_teacher = TeacherModel(sharp, teacher.class_space, teacher.train_accuracy)
         batch = np.abs(np.random.default_rng(3).normal(size=(32, 10))) * 2.0
         logits, _ = nn.mlp_forward(sharp, batch)
