@@ -15,7 +15,7 @@ from pathlib import Path
 from .audit import load_transcript, summarize
 from .config import ConfigError, ExperimentConfig, parse_config, with_overrides
 from .data import DataError, save_features
-from .experiment import build_dataset, run_experiment, serve_experiment
+from .experiment import build_dataset, build_side, run_experiment, serve_experiment
 from .wire import ProtocolError
 
 EXIT_OK = 0
@@ -88,9 +88,10 @@ def cmd_sweep(args) -> int:
     """Run the config once per value of one client-side knob (noise_dim or alpha).
 
     Cells share the base config's seeds (common random numbers), so two rows
-    differ only in the swept value. In process they also share one teacher:
-    the first cell fits it and hands it to the cells after it. Each cell's
-    config.azsl still reproduces that cell byte for byte under `azsl run`.
+    differ only in the swept value. They also share one teacher side: the
+    dataset, the split and, in process, the teacher are built once for the
+    first cell and handed to every cell. Each cell's config.azsl still
+    reproduces that cell byte for byte under `azsl run`.
     """
     cfg = _load_config(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -109,10 +110,9 @@ def cmd_sweep(args) -> int:
         cells.append((raw, with_overrides(cfg, out=str(outdir / f"cell_{i:03d}"), **overrides)))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["value,u,s,H"]
-    teacher = None  # a remote cell's result.teacher stays None
+    side = build_side(cells[0][1])
     for raw, cell in cells:
-        result = run_experiment(cell, outdir=cell.out, teacher=teacher)
-        teacher = result.teacher
+        result = run_experiment(cell, outdir=cell.out, side=side)
         r = result.report_gzsl
         rows.append(f"{raw},{r.u!r},{r.s!r},{r.h!r}")
         print(f"{args.param}={raw}: u={r.u:.2f} s={r.s:.2f} H={r.h:.2f}")

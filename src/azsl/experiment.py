@@ -3,23 +3,21 @@
 Every stage seeds itself from the master seed through labeled derivations, so
 a stored canonical config reproduces its run byte-for-byte. Dataset/split
 randomness derives from data_seed (defaults to a child of the master seed) so
-runs can share data while varying training seeds. A fitted teacher can be
-handed to run_experiment: a sweep fits it once for all of its cells.
+runs can share data while varying training seeds. The data owner's side (the
+dataset, its split and the fitted teacher) is built once by build_side and can
+be handed to run_experiment: a sweep builds it once for all of its cells.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .channel import InProcessChannel, TcpChannel
 from .client import ArtifactBundle, run_algorithm1
 from .config import ConfigError, ExperimentConfig, emit_config, validate
 from .data import Dataset, SplitBundle, load_features, make_synthetic, split_azsl
 from .evaluate import EvalReport, eval_czsl, eval_gzsl, save_report
-from .nn import classifier_specs
 from .regularizers import fit_regularizer
 from .seeding import derive_seed
 from .server import TeacherModel, TeacherServer, serve, train_teacher
@@ -46,16 +44,18 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_features(cfg.dataset_path, cfg.dataset_format)
 
 
+def _unseen(cfg: ExperimentConfig) -> int | tuple[int, ...]:
+    """split.unseen, with its default resolved: a count of unseen classes or their ids."""
+    if cfg.split_unseen is None:
+        return 2 if cfg.synthetic is None else cfg.synthetic.n_classes - cfg.synthetic.seen_count
+    return cfg.split_unseen if isinstance(cfg.split_unseen, int) else tuple(cfg.split_unseen)
+
+
 def build_split(cfg: ExperimentConfig, dataset: Dataset) -> SplitBundle:
-    unseen = cfg.split_unseen
-    if unseen is None:
-        unseen = 2 if cfg.synthetic is None else cfg.synthetic.n_classes - cfg.synthetic.seen_count
-    if not isinstance(unseen, int):
-        unseen = list(unseen)
     return split_azsl(
         dataset,
         cfg.teacher_mode,
-        unseen=unseen,
+        unseen=_unseen(cfg),
         unseen_train_ratio=cfg.split_ratio,
         seed=derive_seed(resolve_data_seed(cfg), "split"),
     )
@@ -73,14 +73,56 @@ def fit_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> 
     )
 
 
-def _check_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle, teacher: TeacherModel) -> None:
-    """ValueError unless `teacher` has the seed, layers and class space `cfg` would fit it with."""
-    if teacher.params.seed != derive_seed(cfg.seed, "teacher"):
-        raise ValueError("given teacher was fitted from another seed")
-    if teacher.params.layers != classifier_specs(dataset.d_x, len(split.teacher_classes), cfg.teacher_hidden):
-        raise ValueError("given teacher's layers do not match d_x, teacher.hidden and the class count")
-    if not np.array_equal(teacher.class_space, split.teacher_classes):
-        raise ValueError("given teacher's class space differs from the split's teacher classes")
+def side_key(cfg: ExperimentConfig) -> tuple[tuple[str, object], ...]:
+    """(config key, value) of every field the dataset, split and teacher are built from."""
+    return (
+        ("dataset.synthetic", None if cfg.synthetic is None else astuple(cfg.synthetic)),
+        ("dataset.path", cfg.dataset_path),
+        ("dataset.format", cfg.dataset_format),
+        ("data_seed", resolve_data_seed(cfg)),
+        ("split.unseen", _unseen(cfg)),
+        ("split.ratio", cfg.split_ratio),
+        ("teacher_mode", cfg.teacher_mode),
+        ("channel", cfg.channel),
+        ("seed", cfg.seed),
+        ("teacher.hidden", tuple(cfg.teacher_hidden)),
+        ("teacher.epochs", cfg.teacher_epochs),
+        ("teacher.batch_size", cfg.teacher_batch),
+        ("train.lr", cfg.lr),
+    )
+
+
+@dataclass(frozen=True)
+class TeacherSide:
+    """The data owner's side of a run: the dataset, its split and the fitted teacher.
+
+    `teacher` is None for channel = tcp, where the remote server holds it. `key`
+    is the side_key of the config it was built from. Runs that share one side
+    share these objects: none of them writes to the data or the teacher.
+    """
+
+    key: tuple[tuple[str, object], ...]
+    dataset: Dataset
+    split: SplitBundle
+    teacher: TeacherModel | None
+
+    def check(self, cfg: ExperimentConfig) -> None:
+        """ValueError unless this side was built from cfg's values of every side_key field."""
+        differ = [name for (name, have), (_, want) in zip(self.key, side_key(cfg)) if have != want]
+        if differ:
+            raise ValueError(f"given side was built for another config ({', '.join(differ)} differ)")
+
+
+def build_side(cfg: ExperimentConfig) -> TeacherSide:
+    """Build the dataset and split of `cfg` and fit its teacher (not for channel = tcp).
+
+    Each part is built through this module's build_dataset, build_split and
+    train_teacher, the names the benchmark's tracer wraps.
+    """
+    dataset = build_dataset(cfg)
+    split = build_split(cfg, dataset)
+    teacher = None if cfg.channel == "tcp" else fit_teacher(cfg, dataset, split)
+    return TeacherSide(side_key(cfg), dataset, split, teacher)
 
 
 def build_server(
@@ -94,25 +136,27 @@ def build_server(
 
 
 def run_experiment(
-    cfg: ExperimentConfig, outdir: str | Path | None = None, teacher: TeacherModel | None = None
+    cfg: ExperimentConfig, outdir: str | Path | None = None, side: TeacherSide | None = None
 ) -> RunResult:
-    """Full pipeline: config checks (ConfigError), teacher or remote connection, client training, both evals.
+    """Full pipeline: config checks (ConfigError), teacher side or remote connection, client training, both evals.
 
-    A given `teacher` must be the one `cfg` would fit (ValueError otherwise),
-    so the run's outputs are those of a run that fits its own.
+    Without `side` the run builds its own with build_side. A given side must
+    have been built from cfg's values of every side_key field, else
+    ValueError before any training, so the run's outputs are those of a run
+    that builds its own. Either way the run gets its own server: its own
+    regularizer state and transcript.
     """
     validate(cfg)
-    if teacher is not None and cfg.channel == "tcp":
-        raise ValueError("a fitted teacher cannot be given to a run against a remote teacher")
-    dataset = build_dataset(cfg)
-    split = build_split(cfg, dataset)
-    if teacher is not None:
-        _check_teacher(cfg, dataset, split, teacher)
+    if side is None:
+        side = build_side(cfg)
+    else:
+        side.check(cfg)
+    dataset, split = side.dataset, side.split
 
     if cfg.channel == "tcp":
         channel = TcpChannel(*cfg.endpoint)
     else:
-        server, teacher = build_server(cfg, dataset, split, teacher)
+        server, _ = build_server(cfg, dataset, split, side.teacher)
         channel = InProcessChannel(server)
 
     try:
@@ -136,7 +180,7 @@ def run_experiment(
     return RunResult(
         dataset=dataset,
         split=split,
-        teacher=teacher,
+        teacher=side.teacher,
         bundle=bundle,
         report_czsl=report_czsl,
         report_gzsl=report_gzsl,
@@ -156,9 +200,8 @@ def serve_experiment(
     validate(cfg)
     if cfg.endpoint is None:
         raise ConfigError("serve requires endpoint = host:port")
-    dataset = build_dataset(cfg)
-    split = build_split(cfg, dataset)
-    server, _ = build_server(cfg, dataset, split)
+    side = build_side(cfg)
+    server, _ = build_server(cfg, side.dataset, side.split, side.teacher)
     try:
         serve(cfg.endpoint, server, stop_event=stop_event, ready=ready)
     finally:

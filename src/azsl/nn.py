@@ -64,12 +64,13 @@ class MlpParams:
     """Weights/biases of a role-tagged MLP. weights[i] is (in_dim, out_dim).
 
     The given arrays are copied into one flat buffer, weights first, then
-    biases; weights and biases become tuples of views of it. Write parameters
-    in place (params.weights[0][...] = w): an array cannot be rebound.
+    biases; weights and biases become tuples of views of it, and layers a
+    tuple of the specs it was laid out for. Write parameters in place
+    (params.weights[0][...] = w): neither an array nor a spec can be replaced.
     """
 
     role: str
-    layers: list[LayerSpec]
+    layers: tuple[LayerSpec, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     seed: int
@@ -78,6 +79,7 @@ class MlpParams:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
+        self.layers = tuple(self.layers)
         _check_chain(self.layers)
         if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
             raise ValueError("one weight/bias pair per layer required")
@@ -102,7 +104,7 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         """A net with its own buffer (MlpParams copies what it is given)."""
-        return MlpParams(self.role, list(self.layers), self.weights, self.biases, self.seed)
+        return MlpParams(self.role, self.layers, self.weights, self.biases, self.seed)
 
 
 @dataclass
@@ -123,11 +125,11 @@ class MlpGrads:
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls(np.zeros(params.n_params()), tuple(params.layers))
+        return cls(np.zeros(params.n_params()), params.layers)
 
     @classmethod
     def empty_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls(np.empty(params.n_params()), tuple(params.layers))
+        return cls(np.empty(params.n_params()), params.layers)
 
 
 @dataclass
@@ -139,7 +141,7 @@ class ForwardCache:
     layers: tuple[LayerSpec, ...]
 
 
-def _check_chain(layers: list[LayerSpec]) -> None:
+def _check_chain(layers) -> None:
     if not layers:
         raise ValueError("at least one layer required")
     for a, b in zip(layers, layers[1:]):
@@ -163,7 +165,7 @@ def mlp_init(specs: list[LayerSpec], role: str, seed: int) -> MlpParams:
         bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         weights.append(rng.uniform(-bound, bound, size=(spec.in_dim, spec.out_dim)))
         biases.append(np.zeros(spec.out_dim))
-    return MlpParams(role=role, layers=list(specs), weights=weights, biases=biases, seed=seed)
+    return MlpParams(role=role, layers=specs, weights=weights, biases=biases, seed=seed)
 
 
 def classifier_specs(d_in: int, n_out: int, hidden=(1024, 512), slope: float = 0.2) -> list[LayerSpec]:
@@ -213,7 +215,7 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, Forwa
         z += b
         preacts.append(z)
         x = _activate(z, spec)
-    return x, ForwardCache(inputs=inputs, preacts=preacts, layers=tuple(params.layers))
+    return x, ForwardCache(inputs=inputs, preacts=preacts, layers=params.layers)
 
 
 def mlp_backward(
@@ -230,7 +232,7 @@ def mlp_backward(
     The parameter grads are written into out when it is given (and out is
     returned), else into a fresh MlpGrads.
     """
-    if cache.layers != tuple(params.layers):
+    if cache.layers != params.layers:
         raise ValueError("cache does not match these params (stale or from another net)")
     g = _as_batch(upstream_grad)
     if g.shape != (cache.inputs[0].shape[0], params.out_dim):
@@ -335,7 +337,7 @@ def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[Mlp
     in that order (a product only swaps its operands, which is exact). Once c1
     rounds to 1.0 the division by it is skipped: m / 1.0 == m exactly.
     """
-    if grads.layers != tuple(params.layers):
+    if grads.layers != params.layers:
         raise ValueError("grads were made for another net (layer specs differ)")
     g = grads.buffer
     state.step += 1

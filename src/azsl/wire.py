@@ -116,10 +116,10 @@ class _Writer:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)  # so that taking a slice copies nothing
         self.off = 0
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         if self.off + n > len(self.data):
             raise ProtocolError("truncated payload", code=ERR_BAD_FRAME)
         out = self.data[self.off : self.off + n]
@@ -135,19 +135,21 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self, copy: bool = True) -> np.ndarray:
+        """The next matrix: an array of its own, or with copy=False a read-only view of the payload."""
         rows, cols = self.u32(), self.u32()
         if rows * cols * 8 > MAX_PAYLOAD:
             raise ProtocolError("matrix exceeds payload cap", code=ERR_BAD_FRAME)
-        flat = np.frombuffer(self._take(rows * cols * 8), dtype="<f8")
-        return flat.reshape(rows, cols).copy()
+        m = np.frombuffer(self._take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+        return m.copy() if copy else m
 
     def u32_list(self) -> np.ndarray:
         n = self.u32()
         return np.frombuffer(self._take(4 * n), dtype="<u4").astype(np.int64)
 
-    def f64_array(self, n: int) -> np.ndarray:
-        return np.frombuffer(self._take(8 * n), dtype="<f8").copy()
+    def f64_view(self, n: int) -> np.ndarray:
+        """The next n f64 values, as a read-only view of the payload."""
+        return np.frombuffer(self._take(8 * n), dtype="<f8")
 
     def done(self):
         if self.off != len(self.data):
@@ -246,6 +248,8 @@ def encode_params(params: nn.MlpParams) -> bytes:
 
 
 def decode_params(payload: bytes) -> nn.MlpParams:
+    """The net of an encode_params blob. Its arrays are read as views of the
+    payload, which MlpParams copies into its one buffer: each net is held once."""
     r = _Reader(payload)
     role = _ROLE_NAME.get(r.u32())
     if role is None:
@@ -261,8 +265,8 @@ def decode_params(payload: bytes) -> nn.MlpParams:
         specs.append(nn.LayerSpec(in_dim, out_dim, _ACT_NAME[act], slope))
     weights, biases = [], []
     for spec in specs:
-        weights.append(r.matrix())
-        biases.append(r.f64_array(r.u32()))
+        weights.append(r.matrix(copy=False))
+        biases.append(r.f64_view(r.u32()))
     r.done()
     return nn.MlpParams(role=role, layers=specs, weights=weights, biases=biases, seed=seed)
 

@@ -17,8 +17,8 @@ from azsl.evaluate import harmonic_mean, per_class_top1
 from azsl.experiment import (
     build_dataset,
     build_server,
+    build_side,
     build_split,
-    fit_teacher,
     run_experiment,
 )
 from azsl.regularizers import fit_regularizer, reg_value_grad
@@ -30,45 +30,41 @@ SEEDS = [101, 102, 103, 104, 105]
 _timings: dict[str, float] = {}
 
 
-def _timed_runs(name, teachers=None, **overrides):
+def _timed_runs(name, sides=None, **overrides):
     start = time.time()
-    runs = [run_experiment(fast_config(seed=s, **overrides), teacher=(teachers or {}).get(s)) for s in SEEDS]
+    runs = [run_experiment(fast_config(seed=s, **overrides), side=(sides or {}).get(s)) for s in SEEDS]
     _timings[name] = time.time() - start
     return runs
 
 
 @pytest.fixture(scope="module")
-def transductive_teachers():
-    """One teacher per seed: the transductive arms of a seed fit bit-identical ones."""
+def transductive_sides():
+    """One teacher side per seed: the transductive arms of a seed build bit-identical ones."""
     start = time.time()
-    teachers = {}
-    for s in SEEDS:
-        cfg = fast_config(seed=s, teacher_mode="transductive")
-        dataset = build_dataset(cfg)
-        teachers[s] = fit_teacher(cfg, dataset, build_split(cfg, dataset))
-    _timings["teachers"] = time.time() - start
-    return teachers
+    sides = {s: build_side(fast_config(seed=s, teacher_mode="transductive")) for s in SEEDS}
+    _timings["sides"] = time.time() - start
+    return sides
 
 
 @pytest.fixture(scope="module")
-def white_runs(transductive_teachers):
-    return _timed_runs("white", transductive_teachers, scenario="white", teacher_mode="transductive")
+def white_runs(transductive_sides):
+    return _timed_runs("white", transductive_sides, scenario="white", teacher_mode="transductive")
 
 
 @pytest.fixture(scope="module")
-def black_runs(transductive_teachers):
-    return _timed_runs("black", transductive_teachers, scenario="black", teacher_mode="transductive")
+def black_runs(transductive_sides):
+    return _timed_runs("black", transductive_sides, scenario="black", teacher_mode="transductive")
 
 
 @pytest.fixture(scope="module")
-def black_noverify_runs(transductive_teachers):
-    return _timed_runs("noverify", transductive_teachers, scenario="black", teacher_mode="transductive",
+def black_noverify_runs(transductive_sides):
+    return _timed_runs("noverify", transductive_sides, scenario="black", teacher_mode="transductive",
                        verify=False)
 
 
 @pytest.fixture(scope="module")
-def black_noreg_runs(transductive_teachers):
-    return _timed_runs("noreg", transductive_teachers, scenario="black", teacher_mode="transductive",
+def black_noreg_runs(transductive_sides):
+    return _timed_runs("noreg", transductive_sides, scenario="black", teacher_mode="transductive",
                        regularizer="none", alpha=0.0)
 
 
@@ -315,7 +311,7 @@ class TestCriterion6EndToEndWhiteTransductive:
         student_unseen = [r.report_czsl.u for r in white_runs]
         assert np.median(teacher_overall) >= 95.0
         assert np.median(student_unseen) >= 0.9 * np.median(teacher_unseen)
-        elapsed = _timings["teachers"] + _timings["white"] + time.time() - start
+        elapsed = _timings["sides"] + _timings["white"] + time.time() - start
         assert elapsed < 300.0
         report(
             6,
@@ -333,7 +329,7 @@ class TestCriterion7ScenarioOrdering:
         chance = 100.0 / 10  # transductive evaluation keeps all 10 classes in play
         assert white_u >= black_u
         assert black_u >= 2 * chance
-        elapsed = _timings["teachers"] + _timings["white"] + _timings["black"] + time.time() - start
+        elapsed = _timings["sides"] + _timings["white"] + _timings["black"] + time.time() - start
         assert elapsed < 600.0
         report(7, f"white {white_u:.1f} >= black {black_u:.1f} >= {2 * chance:.0f} (2 x chance)", elapsed)
 
@@ -347,7 +343,7 @@ class TestCriterion8AblationDirections:
         assert noverify <= full + 1.0  # verification direction
         assert noreg <= full + 1.0  # regularizer (distribution constraint) direction
         elapsed = (
-            _timings["teachers"] + _timings["black"] + _timings["noverify"] + _timings["noreg"] + time.time() - start
+            _timings["sides"] + _timings["black"] + _timings["noverify"] + _timings["noreg"] + time.time() - start
         )
         assert elapsed < 900.0
         report(8, f"H full {full:.1f} vs no-verify {noverify:.1f} / no-reg {noreg:.1f}", elapsed)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from azsl import audit, wire
+from azsl import audit, cli, wire
 from azsl.config import emit_config, parse_config_text, validate
 from azsl.experiment import build_dataset, build_split, run_experiment
 
@@ -158,3 +158,20 @@ def test_transcript_check_reads_the_bundle_config(scenario, tmp_path):
         result.outdir / "transcript.json", tc.scenario, tc.t_g, tc.batch_size, d_x, n_head
     )
     assert failures == []
+
+
+def test_phase_targets_keep_one_cell_result_per_sweep_value(tmp_path):
+    # the sweep workload reads every cell's RunResult off the sweep.cell
+    # wrapper of cli.run_experiment; a sweep that ran its cells by another
+    # route would leave the benchmark without results to check
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cfg = tiny_config(scenario="black", teacher_mode="inductive", t_g=4, t_s=3, out=str(tmp_path / "sweep"))
+    path = tmp_path / "sweep.azsl"
+    path.write_text(emit_config(cfg))
+    with spans.patched(tracer, spans.phase_targets()):
+        code = cli.main(["sweep", str(path), "--param", "noise_dim", "--values", "4,6,8"])
+    assert code == cli.EXIT_OK
+    assert len(tracer.durations("sweep.cell")) == len(tracer.results) == 3
+    assert [r.outdir.name for r in tracer.results] == ["cell_000", "cell_001", "cell_002"]
+    assert all(r.dataset is tracer.results[0].dataset for r in tracer.results)

@@ -326,23 +326,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("param,values", [("noise_dim", "4,6"), ("alpha", "0.5,2")])
     def test_cells_share_one_teacher_and_reproduce_under_run(self, tmp_path, monkeypatch, param, values):
-        fits, cells = [], []
-        train_teacher, run = experiment.train_teacher, cli.run_experiment
+        fits, datasets, cells = [], [], []
+        train_teacher, build_dataset, run = experiment.train_teacher, experiment.build_dataset, cli.run_experiment
 
         def counted_fit(*args, **kwargs):
             fits.append(kwargs["seed"])
             return train_teacher(*args, **kwargs)
+
+        def counted_dataset(cfg):
+            datasets.append(cfg.seed)
+            return build_dataset(cfg)
 
         def kept_run(*args, **kwargs):
             cells.append(run(*args, **kwargs))
             return cells[-1]
 
         monkeypatch.setattr(experiment, "train_teacher", counted_fit)
+        monkeypatch.setattr(experiment, "build_dataset", counted_dataset)
         monkeypatch.setattr(cli, "run_experiment", kept_run)
         cfg = tiny_config(scenario="black", t_g=60, t_s=30, out=str(tmp_path / "sweep"))
         assert cli.main(["sweep", str(write_config(tmp_path, cfg)), "--param", param, "--values", values]) == 0
-        assert len(fits) == 1
-        assert all(cell.teacher is cells[0].teacher for cell in cells)
+        assert len(fits) == len(datasets) == 1
+        assert len(cells) == 2
+        for cell in cells:
+            assert cell.teacher is cells[0].teacher is not None
+            assert cell.dataset is cells[0].dataset and cell.split is cells[0].split
 
         for i, cell in enumerate(cells):
             celldir = tmp_path / "sweep" / f"cell_{i:03d}"
@@ -354,7 +362,7 @@ class TestSweep:
             assert len(kept) == len(alone.bundle.transcript.entries)
             assert cell.bundle.transcript.digest() == alone.bundle.transcript.digest()
             assert cell.bundle.digest() == alone.bundle.digest()
-        assert len(fits) == 1 + len(cells)  # each standalone run fits its own
+        assert len(fits) == len(datasets) == 1 + len(cells)  # each standalone run builds its own
 
     def test_remote_teacher_sweep_fits_none(self, tmp_path, monkeypatch):
         closed = socket.socket()
@@ -366,6 +374,44 @@ class TestSweep:
         path = write_config(tmp_path, cfg)
         # nothing listens on the port: the first cell's connection is refused
         assert cli.main(["sweep", str(path), "--param", "alpha", "--values", "1"]) == cli.EXIT_RUNTIME
+
+    def test_remote_cells_share_the_data_and_fit_no_teacher(self, tmp_path, monkeypatch):
+        serve_cfg = tiny_config(scenario="black", endpoint=("127.0.0.1", 0), out=str(tmp_path / "server"))
+        stop, ready, bound = threading.Event(), threading.Event(), {}
+
+        def on_ready(addr):
+            bound["port"] = addr[1]
+            ready.set()
+
+        thread = threading.Thread(
+            target=serve_experiment, args=(serve_cfg,), kwargs={"stop_event": stop, "ready": on_ready}, daemon=True
+        )
+        thread.start()
+        cells, run = [], cli.run_experiment
+
+        def kept_run(*args, **kwargs):
+            cells.append(run(*args, **kwargs))
+            return cells[-1]
+
+        try:
+            assert ready.wait(120)
+            # the server fitted its teacher before it bound the port; the client fits none
+            monkeypatch.setattr(experiment, "train_teacher", lambda *a, **k: pytest.fail("a teacher was fitted"))
+            monkeypatch.setattr(cli, "run_experiment", kept_run)
+            cfg = tiny_config(
+                scenario="black", t_g=10, t_s=5, channel="tcp", endpoint=("127.0.0.1", bound["port"]),
+                out=str(tmp_path / "sweep"),
+            )
+            path = write_config(tmp_path, cfg)
+            assert cli.main(["sweep", str(path), "--param", "alpha", "--values", "0.5,2"]) == cli.EXIT_OK
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(cells) == 2
+        for cell in cells:
+            assert cell.teacher is None
+            assert cell.dataset is cells[0].dataset and cell.split is cells[0].split
 
 
 class TestFileBackedRun:

@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,33 @@ class TestMessageRoundTrips:
         n_params = params.n_params()
         header = len(blob) - 8 * n_params
         assert len(blob) == header + 8 * n_params  # every weight is one f64
+
+    def test_decode_params_holds_the_net_once(self):
+        # the arrays are read as views of the blob and copied once, into the
+        # buffer; a reader that copied them first would peak near twice that
+        specs = nn.classifier_specs(64, 15, hidden=(128, 64))
+        params = nn.mlp_init(specs, nn.ROLE_TEACHER, seed=3)
+        blob = wire.encode_params(params)
+        tracemalloc.start()
+        try:
+            back = wire.decode_params(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.buffer.nbytes == params.buffer.nbytes == 8 * 17_551
+        assert peak < 1.5 * back.buffer.nbytes
+        assert np.array_equal(back.buffer, params.buffer)
+        back.weights[0][0, 0] = 1.0  # the net owns a writable buffer, apart from the blob
+        assert back.buffer.flags.writeable and back.buffer.flags.owndata
+
+    def test_decoded_feedback_arrays_are_writable_copies(self):
+        rng = np.random.default_rng(4)
+        req = wire.FeedbackRequest(wire.SCENARIO_WHITE, rng.normal(size=(3, 5)), [0, 1, 2])
+        resp = wire.FeedbackResponse(rng.random((3, 2)), 0.5, rng.normal(size=(3, 5)), 1.5, rng.normal(size=(3, 5)))
+        back_req = wire.decode_feedback_request(wire.encode_feedback_request(req))
+        back = wire.decode_feedback_response(wire.encode_feedback_response(resp))
+        for a in (back_req.batch, back_req.cond_labels, back.softmax, back.reg_grad, back.ce_grad):
+            assert a.flags.writeable and a.flags.owndata
 
     def test_error_round_trip(self):
         code, msg = wire.decode_error(wire.encode_error(wire.ERR_PROTOCOL, "nope"))
