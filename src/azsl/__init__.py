@@ -22,6 +22,6 @@ from .data import Dataset, SemanticTable, SplitBundle, SyntheticSpec, load_featu
 from .evaluate import EvalReport, eval_czsl, eval_gzsl, export_projection, harmonic_mean, per_class_top1, predict
 from .experiment import TeacherSide, build_side, run_experiment, serve_experiment
 from .regularizers import RegularizerState, fit_regularizer, reg_value_grad
-from .server import TeacherModel, TeacherServer, export_weights, feedback, train_teacher
+from .server import TeacherModel, TeacherServer, feedback, train_teacher
 
 __version__ = "0.1.0"

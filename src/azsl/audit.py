@@ -1,15 +1,17 @@
 """Disclosure accounting: every channel message lands here exactly once.
 
-`_DISCLOSURE` is the one place that says how a wire message is logged: its
-entry kind, risk and direction. Entries carry a wall-clock timestamp for
-forensics, but the digest covers only the deterministic fields so that
-seed-identical runs produce identical digests (and therefore byte-identical
-reports).
+Each end of the wire records a frame where it crosses. `_DISCLOSURE` is the
+one place that says how a wire message is logged: its entry kind, risk and
+direction; a feedback response is tagged from its own bytes. Entries carry a
+wall-clock timestamp for forensics, but the digest covers only the
+deterministic fields so that seed-identical runs produce identical digests
+(and therefore byte-identical reports).
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -31,8 +33,8 @@ KIND_WEIGHT_BLOB = "weight_blob"
 KIND_ERROR = "error"
 
 # wire kind -> (entry kind, risk, direction). Only the teacher's weights and
-# the white-box gradient through them are mid risk; a feedback response that
-# carries that gradient is logged as KIND_CE_GRAD (RiskLog.record).
+# the white-box gradient through them are mid risk; a feedback response whose
+# bytes carry that gradient is logged as KIND_CE_GRAD (RiskLog.record).
 _DISCLOSURE = {
     wire.KIND_FEEDBACK_REQUEST: (KIND_FEEDBACK_REQUEST, RISK_LOW, UP),
     wire.KIND_FEEDBACK_RESPONSE: (KIND_FEEDBACK_RESPONSE, RISK_LOW, DOWN),
@@ -40,6 +42,9 @@ _DISCLOSURE = {
     wire.KIND_WEIGHT_BLOB: (KIND_WEIGHT_BLOB, RISK_MID, DOWN),
     wire.KIND_ERROR: (KIND_ERROR, RISK_LOW, DOWN),
 }
+# entry kind -> (risk, direction): the tags a logged entry of that kind carries
+_TAGS = {kind: (risk, direction) for kind, risk, direction in _DISCLOSURE.values()}
+_TAGS[KIND_CE_GRAD] = (RISK_MID, DOWN)
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,10 @@ class RiskLog:
         with self._lock:
             self._entries.append(entry)
 
-    def record(self, wire_kind: int, payload: bytes, scenario: str, ce_grad: bool = False) -> None:
-        """Log one wire message as `_DISCLOSURE` tags it; ce_grad marks a white-box response."""
+    def record(self, wire_kind: int, payload: bytes, scenario: str) -> None:
+        """Log one wire message as `_DISCLOSURE` tags it, a feedback response by its bytes."""
         kind, risk, direction = _DISCLOSURE[wire_kind]
-        if ce_grad:
+        if wire_kind == wire.KIND_FEEDBACK_RESPONSE and wire.carries_ce_grad(payload):
             kind, risk = KIND_CE_GRAD, RISK_MID
         # positional: perfbench/spans.py reads the payload as args[6] of append
         self.append(kind, len(payload), risk, scenario, direction, payload)
@@ -123,7 +128,7 @@ class RiskLog:
 
 
 def load_transcript(path: str | Path) -> list[RiskEntry]:
-    """A saved transcript's entries, once they hash to its stored digest."""
+    """A saved transcript's entries, once each is one RiskLog could write and they hash to its digest."""
     raw = Path(path).read_bytes()  # an unreadable file is an OSError, not a corrupt transcript
     try:
         body = json.loads(raw)
@@ -131,9 +136,39 @@ def load_transcript(path: str | Path) -> list[RiskEntry]:
         stored = body["digest"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"corrupt transcript {path}: {exc}") from exc
+    for i, e in enumerate(entries):
+        fault = _entry_fault(e)
+        if fault:
+            raise ValueError(f"corrupt transcript {path}: entry {i}: {fault}")
     if _digest(entries) != stored:
         raise ValueError(f"corrupt transcript {path}: its entries do not match its digest")
     return entries
+
+
+_FIELD_TYPES = {
+    "timestamp": (int, float), "kind": str, "size": int, "risk": str,
+    "scenario": str, "direction": str, "payload_sha": str,
+}
+
+
+def _entry_fault(e: RiskEntry) -> str | None:
+    """Why RiskLog could not have written this entry; None if it could."""
+    for name, types in _FIELD_TYPES.items():
+        value = getattr(e, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            return f"{name} has the wrong type: {value!r}"
+    if e.size < 0:
+        return f"negative size {e.size}"
+    if not re.fullmatch(r"([0-9a-f]{16})?", e.payload_sha):
+        return f"payload_sha is not 16 hex digits: {e.payload_sha!r}"
+    if e.kind not in _TAGS:
+        return f"unknown kind {e.kind!r}"
+    if e.scenario not in wire.SCENARIOS:
+        return f"unknown scenario {e.scenario!r}"
+    risk, direction = _TAGS[e.kind]
+    if (e.risk, e.direction) != (risk, direction):  # also an unknown risk or direction
+        return f"a {e.kind} entry is {risk} risk and {direction}, not {e.risk!r} and {e.direction!r}"
+    return None
 
 
 def summarize(entries: list[RiskEntry]) -> dict:

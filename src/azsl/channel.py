@@ -3,9 +3,11 @@
 Both channels move the same canonical payload bytes; the in-process channel
 literally encodes/decodes through the wire codecs so a TCP session and a local
 session are byte-for-byte interchangeable. Each end of a wire logs every
-message that crosses it, once: a TCP client in its own transcript, tagged
-exactly as the server tags its log; an in-process run has only the server's
-end, so its transcript is the server's log.
+message that crosses it, once, where it crosses: `BaseChannel._call` logs the
+request as it is sent and the reply as it arrives, before anything decodes it.
+A TCP client keeps its own transcript, tagged from the same bytes as the
+server's log; an in-process run has only the server's end, so its transcript
+is the server's log.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .server import TeacherServer
 
 
 class BaseChannel:
-    """Shared request path: every message sent and received is logged by `_log`."""
+    """Shared request path: every message sent and received is logged by `_call`."""
 
     def __init__(self, transcript: audit.RiskLog):
         self.transcript = transcript
@@ -24,33 +26,29 @@ class BaseChannel:
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         raise NotImplementedError
 
-    def _log(self, kind: int, payload: bytes, scenario: str, ce_grad: bool = False) -> None:
-        self.transcript.record(kind, payload, scenario, ce_grad=ce_grad)
+    def _log(self, kind: int, payload: bytes, scenario: str) -> None:
+        self.transcript.record(kind, payload, scenario)
 
     def _call(self, kind: int, payload: bytes, scenario: str, reply_kind: int) -> bytes:
-        """Send one request; the reply payload, logged here only if it is an error frame."""
+        """Log and send one request; log its reply, then raise on an error frame or return the payload."""
         self._log(kind, payload, scenario)
         out_kind, out_payload = self._request(kind, payload)
+        if out_kind not in (reply_kind, wire.KIND_ERROR):
+            raise wire.ProtocolError(f"unexpected response kind {out_kind}", code=wire.ERR_BAD_KIND)
+        self._log(out_kind, out_payload, scenario)
         if out_kind == wire.KIND_ERROR:
             code, message = wire.decode_error(out_payload)
-            self._log(out_kind, out_payload, scenario)
             raise wire.ProtocolError(message, code=code)
-        if out_kind != reply_kind:
-            raise wire.ProtocolError(f"unexpected response kind {out_kind}", code=wire.ERR_BAD_KIND)
         return out_payload
 
     def feedback(self, request: wire.FeedbackRequest) -> wire.FeedbackResponse:
         payload = wire.encode_feedback_request(request)
         reply = self._call(wire.KIND_FEEDBACK_REQUEST, payload, request.scenario, wire.KIND_FEEDBACK_RESPONSE)
-        resp = wire.decode_feedback_response(reply)
-        self._log(wire.KIND_FEEDBACK_RESPONSE, reply, request.scenario, ce_grad=resp.ce_grad is not None)
-        return resp
+        return wire.decode_feedback_response(reply)
 
     def fetch_weights(self, scenario: str = wire.SCENARIO_WHITE) -> nn.MlpParams:
         payload = wire.encode_weight_request(scenario)
-        blob = self._call(wire.KIND_WEIGHT_REQUEST, payload, scenario, wire.KIND_WEIGHT_BLOB)
-        self._log(wire.KIND_WEIGHT_BLOB, blob, scenario)
-        return wire.decode_params(blob)
+        return wire.decode_params(self._call(wire.KIND_WEIGHT_REQUEST, payload, scenario, wire.KIND_WEIGHT_BLOB))
 
     def close(self) -> None:
         pass
@@ -66,7 +64,7 @@ class InProcessChannel(BaseChannel):
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         return self.server.handle_payload(kind, payload)
 
-    def _log(self, kind: int, payload: bytes, scenario: str, ce_grad: bool = False) -> None:
+    def _log(self, kind: int, payload: bytes, scenario: str) -> None:
         pass  # the server logs every in-process message in the shared transcript
 
 

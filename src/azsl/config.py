@@ -76,7 +76,7 @@ def _parse_int_tuple(v: str) -> tuple[int, ...]:
 
 
 def _parse_unseen(v: str) -> int | tuple[int, ...]:
-    """A count of unseen classes, or the list of their ids."""
+    """A count of unseen classes, or the list of their ids (one id is written `3,`)."""
     try:
         return int(v)
     except ValueError:
@@ -102,7 +102,7 @@ _FORMAT = {
     float: repr,
     _parse_bool: lambda v: "true" if v else "false",
     _parse_int_tuple: _join,
-    _parse_unseen: lambda v: str(v) if isinstance(v, int) else _join(v),
+    _parse_unseen: lambda v: str(v) if isinstance(v, int) else _join(v) + ("," if len(v) == 1 else ""),
     _parse_endpoint: lambda v: f"{v[0]}:{v[1]}",
 }
 

@@ -127,12 +127,12 @@ def build_side(cfg: ExperimentConfig) -> TeacherSide:
 
 def build_server(
     cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle, teacher: TeacherModel | None = None
-) -> tuple[TeacherServer, TeacherModel]:
+) -> TeacherServer:
     """A fresh server (own regularizer state, own log) around `teacher`, fitted here when not given."""
     if teacher is None:
         teacher = fit_teacher(cfg, dataset, split)
     reg = fit_regularizer(dataset, split, cfg.regularizer, cfg.alpha)
-    return TeacherServer(teacher, reg, cfg.scenario), teacher
+    return TeacherServer(teacher, reg, cfg.scenario)
 
 
 def run_experiment(
@@ -156,7 +156,7 @@ def run_experiment(
     if cfg.channel == "tcp":
         channel = TcpChannel(*cfg.endpoint)
     else:
-        server, _ = build_server(cfg, dataset, split, side.teacher)
+        server = build_server(cfg, dataset, split, side.teacher)
         channel = InProcessChannel(server)
 
     try:
@@ -201,7 +201,7 @@ def serve_experiment(
     if cfg.endpoint is None:
         raise ConfigError("serve requires endpoint = host:port")
     side = build_side(cfg)
-    server, _ = build_server(cfg, side.dataset, side.split, side.teacher)
+    server = build_server(cfg, side.dataset, side.split, side.teacher)
     try:
         serve(cfg.endpoint, server, stop_event=stop_event, ready=ready)
     finally:

@@ -1,9 +1,10 @@
-"""Data-owner side: teacher training, feedback answering, weight export, serving.
+"""Data-owner side: teacher training, feedback answering, serving.
 
 Real feature rows never leave this module: responses contain only softmax rows,
 scalars, and batch-shaped gradients. White-box requests additionally get the
 cross-entropy gradient *through* the teacher (weights stay server-side) and
-that is the only mid-risk feedback kind.
+that is the only mid-risk feedback kind. `TeacherServer.handle_payload` alone
+applies the scenario policy and logs what crosses the server's end.
 """
 from __future__ import annotations
 
@@ -79,14 +80,9 @@ def train_teacher(
 
 
 def feedback(
-    teacher: TeacherModel,
-    reg_state: RegularizerState,
-    request: wire.FeedbackRequest,
-    allowed_scenario: str | None = None,
+    teacher: TeacherModel, reg_state: RegularizerState, request: wire.FeedbackRequest
 ) -> wire.FeedbackResponse:
-    """Answer one uploaded batch; the caller encodes and logs the disclosure."""
-    if allowed_scenario == wire.SCENARIO_BLACK and request.scenario == wire.SCENARIO_WHITE:
-        raise wire.ProtocolError("white-box feedback refused: server is black-box only")
+    """Answer one uploaded batch as asked; the caller applies the policy, encodes and logs."""
     if request.batch.shape[1] != teacher.params.in_dim:
         raise wire.ProtocolError(
             f"batch has {request.batch.shape[1]} columns, teacher expects {teacher.params.in_dim}"
@@ -113,13 +109,6 @@ def feedback(
     )
 
 
-def export_weights(teacher: TeacherModel, scenario: str) -> bytes:
-    """Serialized teacher weights, white-box only; the caller logs the disclosure."""
-    if scenario != wire.SCENARIO_WHITE:
-        raise wire.ProtocolError("weight export refused outside the white-box scenario")
-    return wire.encode_params(teacher.params)
-
-
 class TeacherServer:
     """Stateful request handler shared by the in-process channel and the TCP loop."""
 
@@ -132,7 +121,7 @@ class TeacherServer:
         self.log = audit.RiskLog()
 
     def handle_payload(self, kind: int, payload: bytes) -> tuple[int, bytes]:
-        """Decode one request payload, answer it, log both directions.
+        """Decode one request payload, apply the scenario policy, answer it; log the request and the reply.
 
         Every entry of a decoded request's exchange, error replies included,
         carries the request's scenario, as the client logs it; a payload that
@@ -144,28 +133,24 @@ class TeacherServer:
                 request = wire.decode_feedback_request(payload)
                 scenario = request.scenario
                 self.log.record(kind, payload, scenario)
-                resp = feedback(self.teacher, self.reg_state, request, allowed_scenario=self.scenario)
-                out = wire.encode_feedback_response(resp)
-                self.log.record(wire.KIND_FEEDBACK_RESPONSE, out, scenario, ce_grad=resp.ce_grad is not None)
-                return wire.KIND_FEEDBACK_RESPONSE, out
-            if kind == wire.KIND_WEIGHT_REQUEST:
+                if self.scenario == wire.SCENARIO_BLACK and scenario == wire.SCENARIO_WHITE:
+                    raise wire.ProtocolError("white-box feedback refused: server is black-box only")
+                resp = feedback(self.teacher, self.reg_state, request)
+                reply = wire.KIND_FEEDBACK_RESPONSE, wire.encode_feedback_response(resp)
+            elif kind == wire.KIND_WEIGHT_REQUEST:
                 scenario = wire.decode_weight_request(payload)
                 self.log.record(kind, payload, scenario)
-                allowed = wire.SCENARIO_BLACK if self.scenario == wire.SCENARIO_BLACK else scenario  # server policy wins
-                blob = export_weights(self.teacher, allowed)
-                self.log.record(wire.KIND_WEIGHT_BLOB, blob, scenario)
-                return wire.KIND_WEIGHT_BLOB, blob
-            raise wire.ProtocolError(f"unsupported message kind {kind}", code=wire.ERR_BAD_KIND)
+                if wire.SCENARIO_BLACK in (self.scenario, scenario):
+                    raise wire.ProtocolError("weight export refused outside the white-box scenario")
+                reply = wire.KIND_WEIGHT_BLOB, wire.encode_params(self.teacher.params)
+            else:
+                raise wire.ProtocolError(f"unsupported message kind {kind}", code=wire.ERR_BAD_KIND)
         except wire.ProtocolError as exc:
-            return wire.KIND_ERROR, self.error_payload(exc.code, str(exc), scenario)
+            reply = wire.KIND_ERROR, wire.encode_error(exc.code, str(exc))
         except Exception as exc:  # keep the loop alive; leak no internals
-            return wire.KIND_ERROR, self.error_payload(wire.ERR_SERVER, f"server error: {exc}", scenario)
-
-    def error_payload(self, code: int, message: str, scenario: str) -> bytes:
-        """An error frame's payload, logged as sent under the given scenario."""
-        payload = wire.encode_error(code, message)
-        self.log.record(wire.KIND_ERROR, payload, scenario)
-        return payload
+            reply = wire.KIND_ERROR, wire.encode_error(wire.ERR_SERVER, f"server error: {exc}")
+        self.log.record(*reply, scenario)
+        return reply
 
 
 def serve(
@@ -204,7 +189,8 @@ def serve(
                     try:
                         frame = wire.recv_frame(conn)
                     except wire.ProtocolError as exc:
-                        err = server.error_payload(exc.code, str(exc), server.scenario)
+                        err = wire.encode_error(exc.code, str(exc))
+                        server.log.record(wire.KIND_ERROR, err, server.scenario)
                         try:
                             conn.sendall(wire.frame(wire.KIND_ERROR, err))
                         except OSError:

@@ -208,6 +208,15 @@ def decode_feedback_response(payload: bytes) -> FeedbackResponse:
     )
 
 
+def carries_ce_grad(payload: bytes) -> bool:
+    """Whether a feedback-response payload carries the white-box gradient; reads headers only, copies nothing."""
+    r = _Reader(payload)
+    r._take(8 * r.u32() * r.u32())  # the softmax rows
+    r.f64()
+    r._take(8 * r.u32() * r.u32())  # the regularizer gradient
+    return r.u32() != 0
+
+
 def encode_weight_request(scenario: str) -> bytes:
     w = _Writer()
     w.u32(_SCENARIO_CODE[scenario])

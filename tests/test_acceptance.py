@@ -234,14 +234,14 @@ class TestCriterion4ProtocolParity:
         cfg = tiny_config()
         ds = build_dataset(cfg)
         split = build_split(cfg, ds)
-        server_a, _ = build_server(cfg, ds, split)
+        server_a = build_server(cfg, ds, split)
         local = InProcessChannel(server_a)
         local_frames = record_frames(local)
         run_algorithm1(local, ds.semantics, cfg, ds.d_x, split.teacher_classes)
 
         import threading
 
-        server_b, _ = build_server(cfg, ds, split)
+        server_b = build_server(cfg, ds, split)
         stop, ready, bound = threading.Event(), threading.Event(), {}
 
         def on_ready(addr):
@@ -292,7 +292,7 @@ class TestCriterion5PrivacyAudit:
         white = tiny_config(scenario="white", out=str(tmp_path / "white"))
         ds = build_dataset(white)
         split = build_split(white, ds)
-        server, _ = build_server(white, ds, split)
+        server = build_server(white, ds, split)
         channel = InProcessChannel(server)
         run_algorithm1(channel, ds.semantics, white, ds.d_x, split.teacher_classes)
         channel.fetch_weights()  # exercise the weight-blob disclosure path too

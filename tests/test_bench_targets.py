@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from azsl import audit, cli, wire
+from azsl import audit, cli, experiment, wire
 from azsl.config import emit_config, parse_config_text, validate
 from azsl.experiment import build_dataset, build_split, run_experiment
 
@@ -38,6 +38,26 @@ def test_workload_configs_are_valid_and_reparse_equal(name, tmp_path):
     assert parse_config_text(emit_config(cfg)) == cfg
     split = build_split(cfg, build_dataset(cfg))
     assert split.unseen_classes.size == cfg.synthetic.n_classes - cfg.synthetic.seen_count
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/bench.py, which imports its sibling modules by their bare names:
+    perfbench/ is on sys.path, and those modules are loaded, for one test only."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield _load("bench")
+    for path in PERFBENCH.glob("*.py"):
+        sys.modules.pop(path.stem, None)
+
+
+def test_server_setup_fits_one_teacher(bench, monkeypatch, tmp_path):
+    # setup_s times bench._server_setup, which leans on build_server(cfg,
+    # dataset, split) fitting the teacher when it is given none
+    fits = []
+    real = experiment.train_teacher
+    monkeypatch.setattr(experiment, "train_teacher", lambda *a, **kw: fits.append(1) or real(*a, **kw))
+    bench._server_setup(_load("workloads").WORKLOADS["white-kl"].config(seed=201, out=str(tmp_path)))
+    assert len(fits) == 1
 
 
 def test_every_traced_attribute_exists():

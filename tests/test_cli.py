@@ -199,6 +199,14 @@ class TestExitCodes:
         taken.close()
 
 
+@pytest.fixture(scope="module")
+def white_transcript(tmp_path_factory):
+    out = tmp_path_factory.mktemp("whiterun")
+    cfg = tiny_config(scenario="white", t_g=5, t_s=5, out=str(out / "run"))
+    run_experiment(cfg, outdir=cfg.out)
+    return out / "run" / "transcript.json"
+
+
 class TestAudit:
     def test_black_verdict_clean(self, black_run, capsys):
         assert cli.main(["audit", str(black_run / "transcript.json")]) == 0
@@ -226,7 +234,7 @@ class TestAudit:
         cfg = tiny_config(scenario="black", t_g=10, t_s=5, out=str(tmp_path / "x"))
         ds = build_dataset(cfg)
         split = build_split(cfg, ds)
-        server, _ = build_server(cfg, ds, split)
+        server = build_server(cfg, ds, split)
         channel = InProcessChannel(server)
         sent, received = record_frames(channel)
         run_algorithm1(channel, ds.semantics, cfg, ds.d_x, split.teacher_classes)
@@ -271,6 +279,42 @@ class TestAudit:
         assert n_white == 10  # 5 generator rounds, each a request and its reply
         assert f"scenario white: {n_white}" in out
         assert out[-1] == "WHITEBOX (0 mid-risk messages)"
+
+    @pytest.mark.parametrize(
+        "field,value,index,message",
+        [
+            ("size", str, None, "size has the wrong type"),
+            ("size", -1, 2, "negative size"),
+            ("size", True, 0, "size has the wrong type"),
+            ("timestamp", "now", 3, "timestamp has the wrong type"),
+            ("payload_sha", None, 0, "payload_sha has the wrong type"),
+            ("payload_sha", "xyz", 0, "payload_sha is not 16 hex digits"),
+            ("kind", "gradient", 1, "unknown kind 'gradient'"),
+            ("scenario", "grey", 0, "unknown scenario 'grey'"),
+            ("risk", "high", 0, "a feedback_request entry is low risk and up, not 'high' and 'up'"),
+            ("direction", "sideways", 0, "a feedback_request entry is low risk and up, not 'low' and 'sideways'"),
+            ("risk", "low", 1, "a ce_grad entry is mid risk and down, not 'low' and 'down'"),
+            ("direction", "down", 2, "a feedback_request entry is low risk and up, not 'low' and 'down'"),
+        ],
+        ids=[
+            "str-sizes", "negative-size", "bool-size", "str-timestamp", "no-sha", "short-sha", "unknown-kind",
+            "unknown-scenario", "unknown-risk", "unknown-direction", "ce_grad-low", "request-down",
+        ],
+    )
+    def test_entry_that_no_log_could_write_is_corrupt_despite_its_digest(
+        self, white_transcript, tmp_path, capsys, field, value, index, message
+    ):
+        body = json.loads(white_transcript.read_text())
+        assert body["entries"][1]["kind"] == "ce_grad"
+        for i, e in enumerate(body["entries"]):
+            if index is None or i == index:
+                e[field] = value(e[field]) if callable(value) else value
+        body["digest"] = audit._digest([audit.RiskEntry(**e) for e in body["entries"]])
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["audit", str(path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"corrupt transcript {path}: entry {index or 0}: {message}" in err
 
     def test_corrupt_transcript(self, tmp_path):
         bad = tmp_path / "t.json"
@@ -524,11 +568,12 @@ class TestServeCli:
                 proc.kill()
                 proc.wait()
 
-    def test_serve_then_remote_run_matches_local(self, tmp_path):
-        local_cfg = tiny_config(out=str(tmp_path / "local"))
+    @pytest.mark.parametrize("scenario", ["white", "black"])
+    def test_serve_then_remote_run_matches_local(self, tmp_path, scenario):
+        local_cfg = tiny_config(scenario=scenario, out=str(tmp_path / "local"))
         run_experiment(local_cfg, outdir=local_cfg.out)
 
-        serve_cfg = tiny_config(endpoint=("127.0.0.1", 0), out=str(tmp_path / "server"))
+        serve_cfg = tiny_config(scenario=scenario, endpoint=("127.0.0.1", 0), out=str(tmp_path / "server"))
         stop = threading.Event()
         ready = threading.Event()
         bound = {}
@@ -545,7 +590,7 @@ class TestServeCli:
         assert ready.wait(120)
         try:
             remote_cfg = tiny_config(
-                channel="tcp", endpoint=("127.0.0.1", bound["port"]), out=str(tmp_path / "remote")
+                scenario=scenario, channel="tcp", endpoint=("127.0.0.1", bound["port"]), out=str(tmp_path / "remote")
             )
             run_experiment(remote_cfg, outdir=remote_cfg.out)
         finally:
@@ -553,5 +598,17 @@ class TestServeCli:
             thread.join(timeout=30)
         for name in ["report_czsl.txt", "report_gzsl.txt", "gen.azw", "student.azw"]:
             assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "local" / name).read_bytes()
-        # the serve loop flushed its own transcript on shutdown
-        assert (tmp_path / "server" / "server_transcript.json").exists()
+        # the serve loop flushed its own transcript on shutdown; both ends logged
+        # every frame alike, and as the in-process run's one log did
+        remote, server, local = (
+            json.loads(path.read_text())
+            for path in (
+                tmp_path / "remote" / "transcript.json",
+                tmp_path / "server" / "server_transcript.json",
+                tmp_path / "local" / "transcript.json",
+            )
+        )
+        untimed = [{k: v for k, v in e.items() if k != "timestamp"} for e in remote["entries"]]
+        assert len(untimed) > 2 * local_cfg.t_g  # every generator round, then the quota rounds
+        assert untimed == [{k: v for k, v in e.items() if k != "timestamp"} for e in server["entries"]]
+        assert remote["digest"] == server["digest"] == local["digest"]

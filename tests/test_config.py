@@ -223,6 +223,21 @@ class TestCanonicalEmission:
             "out = azsl_out\nseed = 1\ndata_seed = 4\n"
         )
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(ExperimentConfig(dataset_path="/d/x.csv", split_unseen=(3,)), id="file"),
+            pytest.param(
+                ExperimentConfig(synthetic=SyntheticSpec(n_classes=4, seen_count=3), split_unseen=(2,)), id="synthetic"
+            ),
+        ],
+    )
+    def test_one_unseen_id_round_trips_as_a_list(self, cfg):
+        # a bare "3" would parse back as a count of three classes drawn at random
+        text = emit_config(cfg)
+        assert f"split.unseen = {cfg.split_unseen[0]},\n" in text
+        assert parse_config_text(text) == cfg
+
     def test_emission_is_stable(self):
         cfg = parse_config_text(MINIMAL)
         assert emit_config(cfg) == emit_config(parse_config_text(emit_config(cfg)))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from azsl import audit, nn, wire
-from azsl.channel import InProcessChannel, TcpChannel
+from azsl.channel import BaseChannel, InProcessChannel, TcpChannel
 from azsl.data import SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer
-from azsl.server import TeacherModel, TeacherServer, export_weights, feedback, serve, train_teacher
+from azsl.server import TeacherModel, TeacherServer, feedback, serve, train_teacher
 from conftest import record_frames
 
 
@@ -149,8 +149,11 @@ class TestFeedback:
     def test_blackbox_server_refuses_white_requests(self, trained):
         _, _, teacher, reg = trained
         req = wire.FeedbackRequest(wire.SCENARIO_WHITE, np.ones((2, 10)), [0, 1])
-        with pytest.raises(wire.ProtocolError, match="refused"):
-            feedback(teacher, reg, req, allowed_scenario=wire.SCENARIO_BLACK)
+        assert feedback(teacher, reg, req).ce_grad is not None  # feedback answers as asked
+        server = TeacherServer(teacher, reg, wire.SCENARIO_BLACK)
+        kind, out = server.handle_payload(wire.KIND_FEEDBACK_REQUEST, wire.encode_feedback_request(req))
+        assert kind == wire.KIND_ERROR
+        assert wire.decode_error(out) == (wire.ERR_PROTOCOL, "white-box feedback refused: server is black-box only")
 
     def test_validation_errors(self, trained):
         _, _, teacher, reg = trained
@@ -198,28 +201,29 @@ class TestFeedback:
 
 
 class TestExportWeights:
-    def test_refused_under_blackbox_and_logged(self, trained):
+    @pytest.mark.parametrize("server_scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
+    def test_refused_under_blackbox_and_logged(self, trained, server_scenario):
         _, _, teacher, reg = trained
-        with pytest.raises(wire.ProtocolError, match="refused"):
-            export_weights(teacher, wire.SCENARIO_BLACK)
-        server = TeacherServer(teacher, reg, wire.SCENARIO_BLACK)
-        kind, _ = server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE))
-        assert kind == wire.KIND_ERROR
+        server = TeacherServer(teacher, reg, server_scenario)
+        # a black-box server refuses every weight request; a white-box one refuses a black-box request
+        asks = [wire.SCENARIO_BLACK] if server_scenario == wire.SCENARIO_WHITE else list(wire.SCENARIOS)
+        for ask in asks:
+            kind, out = server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(ask))
+            assert kind == wire.KIND_ERROR
+            assert wire.decode_error(out) == (wire.ERR_PROTOCOL, "weight export refused outside the white-box scenario")
         # the error frame is the refusal's record, tagged with the request's scenario
         rows = [(e.kind, e.scenario) for e in server.log.entries]
-        assert rows == [(audit.KIND_WEIGHT_REQUEST, wire.SCENARIO_WHITE), (audit.KIND_ERROR, wire.SCENARIO_WHITE)]
+        assert rows == [row for ask in asks for row in [(audit.KIND_WEIGHT_REQUEST, ask), (audit.KIND_ERROR, ask)]]
 
     def test_round_trip_and_size(self, trained):
         _, _, teacher, reg = trained
-        blob = export_weights(teacher, wire.SCENARIO_WHITE)
+        server = TeacherServer(teacher, reg, wire.SCENARIO_WHITE)
+        kind, blob = server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE))
+        assert (kind, blob) == (wire.KIND_WEIGHT_BLOB, wire.encode_params(teacher.params))
         assert len(blob) == wire.params_blob_size(teacher.params.layers)
         back = wire.decode_params(blob)
         x = np.abs(np.random.default_rng(1).normal(size=(3, 10)))
         assert np.array_equal(nn.mlp_forward(back, x)[0], nn.mlp_forward(teacher.params, x)[0])
-        server = TeacherServer(teacher, reg, wire.SCENARIO_WHITE)
-        assert server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE)) == (
-            wire.KIND_WEIGHT_BLOB, blob,
-        )
         assert server.log.entries[-1].kind == audit.KIND_WEIGHT_BLOB
         assert server.log.entries[-1].risk == audit.RISK_MID
 
@@ -291,21 +295,28 @@ class TestRiskLog:
         assert mids and set(mids) <= {audit.KIND_CE_GRAD, audit.KIND_WEIGHT_BLOB}
 
     def test_record_tags_by_wire_kind(self):
+        # a feedback response is tagged from its bytes: whether they carry the gradient
+        plain = wire.encode_feedback_response(wire.FeedbackResponse(None, 0.5, np.ones((1, 2))))
+        grad = np.ones((1, 2))
+        with_grad = wire.encode_feedback_response(wire.FeedbackResponse(None, 0.5, grad, 1.0, grad))
         log = audit.RiskLog()
-        for kind in (wire.KIND_FEEDBACK_REQUEST, wire.KIND_FEEDBACK_RESPONSE, wire.KIND_WEIGHT_REQUEST,
-                     wire.KIND_WEIGHT_BLOB, wire.KIND_ERROR):
+        for kind in (wire.KIND_FEEDBACK_REQUEST, wire.KIND_WEIGHT_REQUEST, wire.KIND_WEIGHT_BLOB, wire.KIND_ERROR):
             log.record(kind, b"abc", wire.SCENARIO_WHITE)
-        log.record(wire.KIND_FEEDBACK_RESPONSE, b"abcd", wire.SCENARIO_WHITE, ce_grad=True)
+        for payload in (plain, with_grad):
+            log.record(wire.KIND_FEEDBACK_RESPONSE, payload, wire.SCENARIO_WHITE)
         assert [(e.direction, e.kind, e.risk, e.size, e.payload_sha) for e in log.entries] == [
             ("up", "feedback_request", "low", 3, _sha(b"abc")),
-            ("down", "feedback_response", "low", 3, _sha(b"abc")),
             ("up", "weight_request", "low", 3, _sha(b"abc")),
             ("down", "weight_blob", "mid", 3, _sha(b"abc")),
             ("down", "error", "low", 3, _sha(b"abc")),
-            ("down", "ce_grad", "mid", 4, _sha(b"abcd")),
+            ("down", "feedback_response", "low", len(plain), _sha(plain)),
+            ("down", "ce_grad", "mid", len(with_grad), _sha(with_grad)),
         ]
         with pytest.raises(KeyError):
             log.record(77, b"", wire.SCENARIO_WHITE)
+        with pytest.raises(wire.ProtocolError, match="truncated"):
+            log.record(wire.KIND_FEEDBACK_RESPONSE, with_grad[:10], wire.SCENARIO_WHITE)
+        assert len(log.entries) == 6  # a response too short to tag is not logged
 
     def test_digest_ignores_timestamps(self, trained):
         server, _ = self.run_session(trained, wire.SCENARIO_BLACK, n=3)
@@ -318,6 +329,46 @@ class TestRiskLog:
                 scenario=e.scenario, direction=e.direction, payload_sha=e.payload_sha,
             )
         assert server.log.digest() == log2.digest()
+
+
+class _Scripted(BaseChannel):
+    """A channel whose every request gets one fixed reply frame."""
+
+    def __init__(self, reply):
+        super().__init__(audit.RiskLog())
+        self.reply = reply
+
+    def _request(self, kind, payload):
+        return self.reply
+
+
+class TestClientLogging:
+    REQ = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((1, 10)), [0])
+
+    def test_reply_is_logged_before_it_is_decoded(self):
+        channel = _Scripted((wire.KIND_ERROR, b"x"))  # too short for an error code
+        with pytest.raises(wire.ProtocolError, match="truncated error payload"):
+            channel.feedback(self.REQ)
+        assert [(e.kind, e.size) for e in channel.transcript.entries] == [
+            (audit.KIND_FEEDBACK_REQUEST, len(wire.encode_feedback_request(self.REQ))), (audit.KIND_ERROR, 1),
+        ]
+
+    def test_reply_of_an_unexpected_kind_is_refused_unlogged(self):
+        blob = wire.encode_params(nn.mlp_init([nn.LayerSpec(2, 2, nn.ACT_RELU)], nn.ROLE_TEACHER, 0))
+        channel = _Scripted((wire.KIND_WEIGHT_BLOB, blob))
+        with pytest.raises(wire.ProtocolError, match="unexpected response kind") as exc:
+            channel.feedback(self.REQ)
+        assert exc.value.code == wire.ERR_BAD_KIND
+        assert [e.kind for e in channel.transcript.entries] == [audit.KIND_FEEDBACK_REQUEST]
+
+    def test_gradient_sent_to_a_black_box_client_is_logged_mid(self):
+        # the tag follows the reply's bytes, not the scenario the client asked for
+        grad = np.zeros((1, 10))
+        reply = wire.encode_feedback_response(wire.FeedbackResponse(None, 0.0, grad, 0.0, grad))
+        channel = _Scripted((wire.KIND_FEEDBACK_RESPONSE, reply))
+        assert channel.feedback(self.REQ).ce_grad is not None
+        down = channel.transcript.entries[-1]
+        assert (down.kind, down.risk, down.scenario) == (audit.KIND_CE_GRAD, audit.RISK_MID, wire.SCENARIO_BLACK)
 
 
 W, B = wire.SCENARIO_WHITE, wire.SCENARIO_BLACK

@@ -99,6 +99,28 @@ class TestMessageRoundTrips:
         for a in (back_req.batch, back_req.cond_labels, back.softmax, back.reg_grad, back.ce_grad):
             assert a.flags.writeable and a.flags.owndata
 
+    @pytest.mark.parametrize("softmax", [True, False])
+    def test_carries_ce_grad_reads_the_flag_and_copies_nothing(self, softmax):
+        rng = np.random.default_rng(5)
+        probs = rng.random((64, 20)) if softmax else None
+        black = wire.encode_feedback_response(wire.FeedbackResponse(probs, 0.5, rng.normal(size=(64, 64))))
+        white = wire.encode_feedback_response(
+            wire.FeedbackResponse(probs, 0.5, rng.normal(size=(64, 64)), 1.5, rng.normal(size=(64, 64)))
+        )
+        assert (wire.carries_ce_grad(black), wire.carries_ce_grad(white)) == (False, True)
+        tracemalloc.start()
+        try:
+            wire.carries_ce_grad(white)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024  # a copy of any matrix would be 10 KB or more
+        flag_at = len(black) - 4  # the flag is the last field of a black-box response
+        for cut in (0, 3, 9, flag_at - 1, flag_at + 3):
+            with pytest.raises(wire.ProtocolError, match="truncated") as exc:
+                wire.carries_ce_grad(white[:cut])
+            assert exc.value.code == wire.ERR_BAD_FRAME
+
     def test_error_round_trip(self):
         code, msg = wire.decode_error(wire.encode_error(wire.ERR_PROTOCOL, "nope"))
         assert (code, msg) == (wire.ERR_PROTOCOL, "nope")
