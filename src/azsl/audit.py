@@ -14,7 +14,7 @@ import json
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import wire
@@ -117,9 +117,10 @@ class RiskLog:
         return _digest(self.entries)
 
     def to_json(self) -> str:
+        names = [f.name for f in fields(RiskEntry)]  # asdict would deep-copy every field
         body = {
             "digest": self.digest(),
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [{name: getattr(e, name) for name in names} for e in self.entries],
         }
         return json.dumps(body, indent=2, sort_keys=True)
 

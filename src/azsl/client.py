@@ -57,11 +57,11 @@ def generator_specs(noise_dim: int, d_a: int, d_x: int, hidden=(4096,)) -> list[
     return specs
 
 
-def _forward_generator(gen: nn.MlpParams, z: np.ndarray, sem_rows: np.ndarray):
+def _forward_generator(gen: nn.MlpParams, z: np.ndarray, sem_rows: np.ndarray, cache: bool = True):
     if gen.role != nn.ROLE_GENERATOR:
         raise ValueError(f"expected a generator net, got role {gen.role!r}")
     batch = np.hstack([z, sem_rows])
-    return nn.mlp_forward(gen, batch)
+    return nn.mlp_forward(gen, batch, cache=cache)
 
 
 def generate(
@@ -86,7 +86,7 @@ def generate(
         rng = rng_for(noise_seed, "noise", pos)
         z = rng.standard_normal((count_per_class, noise_dim))
         sem_rows = np.tile(semantics.rows_for([c]), (count_per_class, 1))
-        x, _ = _forward_generator(gen, z, sem_rows)
+        x, _ = _forward_generator(gen, z, sem_rows, cache=False)
         feats.append(x)
         labels.append(np.full(count_per_class, c, dtype=np.int64))
     return GenerationBatch(features=np.concatenate(feats), cond_labels=np.concatenate(labels))

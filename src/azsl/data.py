@@ -179,8 +179,13 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
     n = spec.n_classes * spec.per_class
     labels = np.repeat(np.arange(spec.n_classes), spec.per_class)
-    noise = rng.standard_normal((n, spec.d_x)) * spec.noise
-    features = np.maximum(means[labels] + noise, 0.0)
+    # max(mean[label] + noise * spec.noise, 0) in place: rows come in one
+    # contiguous block per class, and a sum is the same in either order
+    features = rng.standard_normal((n, spec.d_x))
+    features *= spec.noise
+    blocks = features.reshape(spec.n_classes, spec.per_class, spec.d_x)
+    blocks += means[:, None, :]
+    np.maximum(features, 0.0, out=features)
     return Dataset(
         features=features,
         labels=labels,

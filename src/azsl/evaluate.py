@@ -39,7 +39,7 @@ def predict(params: nn.MlpParams, features: np.ndarray, class_space) -> np.ndarr
     class_space = np.asarray(sorted(class_space), dtype=np.int64)
     if class_space.size == 0 or class_space[0] < 0 or class_space[-1] >= params.out_dim:
         raise ValueError("class space not covered by the model head")
-    logits, _ = nn.mlp_forward(params, features)
+    logits, _ = nn.mlp_forward(params, features, cache=False)
     return class_space[logits[:, class_space].argmax(axis=1)]
 
 

@@ -203,18 +203,29 @@ def _activation_vjp(g: np.ndarray, z: np.ndarray, spec: LayerSpec) -> np.ndarray
     return g
 
 
-def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the batch through the net; the cache feeds mlp_backward."""
+def mlp_forward(
+    params: MlpParams, batch: np.ndarray, cache: bool = True
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run the batch through the net; the cache feeds mlp_backward.
+
+    With cache=False, for a pass no backward pass follows, no layer's input
+    or pre-activation is kept past the next layer and the cache comes back
+    as None; the output is computed by the same operations, bit for bit.
+    """
     x = _as_batch(batch)
     if x.shape[1] != params.in_dim:
         raise ValueError(f"batch has {x.shape[1]} cols, net expects {params.in_dim}")
     inputs, preacts = [], []
     for spec, w, b in zip(params.layers, params.weights, params.biases):
-        inputs.append(x)
         z = x @ w
         z += b
-        preacts.append(z)
+        if cache:
+            inputs.append(x)
+            preacts.append(z)
         x = _activate(z, spec)
+        del z  # without a cache, the pre-activation goes before the next layer's
+    if not cache:
+        return x, None
     return x, ForwardCache(inputs=inputs, preacts=preacts, layers=params.layers)
 
 

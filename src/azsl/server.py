@@ -30,7 +30,6 @@ class TeacherModel:
 
     params: nn.MlpParams
     class_space: np.ndarray
-    train_accuracy: float
     loss_trace: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -65,7 +64,7 @@ def train_teacher(
     labels = dataset.labels[rows]
 
     params = nn.mlp_init(nn.classifier_specs(dataset.d_x, len(class_space), hidden), nn.ROLE_TEACHER, seed)
-    model = TeacherModel(params=params, class_space=class_space, train_accuracy=0.0)
+    model = TeacherModel(params=params, class_space=class_space)
     head_labels = model.head_index(labels)
 
     rng = rng_for(seed, "teacher-batches")  # one stream across all epochs
@@ -73,9 +72,6 @@ def train_teacher(
         params, feats, nn.ce_loss_on(head_labels, len(class_space)), epochs, batch_size,
         lambda _epoch: rng.permutation(len(feats)), lr,
     )
-
-    logits, _ = nn.mlp_forward(params, feats)
-    model.train_accuracy = float((logits.argmax(axis=1) == head_labels).mean())
     return model
 
 
@@ -91,12 +87,14 @@ def feedback(
         raise wire.ProtocolError("uploaded batch contains non-finite values")
     head_labels = teacher.head_index(request.cond_labels)
 
-    logits, cache = nn.mlp_forward(teacher.params, request.batch)
+    white = request.scenario == wire.SCENARIO_WHITE
+    # only a white-box answer backpropagates through the teacher
+    logits, cache = nn.mlp_forward(teacher.params, request.batch, cache=white)
     probs = nn.softmax(logits)
     reg_value, reg_grad = reg_value_grad(reg_state, request.batch, request.cond_labels)
 
     ce_value = ce_grad = None
-    if request.scenario == wire.SCENARIO_WHITE:
+    if white:
         ce_value, grad_logits = nn.loss_ce(probs, head_labels)
         _, ce_grad = nn.mlp_backward(teacher.params, cache, grad_logits, param_grads=False)
 

@@ -81,7 +81,7 @@ class FeedbackResponse:
 
 class _Writer:
     def __init__(self):
-        self.parts: list[bytes] = []
+        self.parts: list = []  # bytes and contiguous little-endian arrays
 
     def u16(self, v: int):
         self.parts.append(struct.pack("<H", v))
@@ -98,17 +98,17 @@ class _Writer:
     def matrix(self, m: np.ndarray | None):
         if m is None:
             m = np.zeros((0, 0))
-        m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
+        m = np.ascontiguousarray(m, dtype="<f8")
         if m.ndim == 1:
             m = m.reshape(1, -1)
         self.u32(m.shape[0])
         self.u32(m.shape[1])
-        self.parts.append(m.astype("<f8").tobytes())
+        self.parts.append(m)  # joined as it is: getvalue makes the one copy
 
     def u32_list(self, values):
         values = np.asarray(values, dtype=np.int64)
         self.u32(len(values))
-        self.parts.append(values.astype("<u4").tobytes())
+        self.parts.append(values.astype("<u4"))
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -252,7 +252,7 @@ def encode_params(params: nn.MlpParams) -> bytes:
     for weight, bias in zip(params.weights, params.biases):
         w.matrix(weight)
         w.u32(len(bias))
-        w.parts.append(bias.astype("<f8").tobytes())
+        w.parts.append(np.ascontiguousarray(bias, dtype="<f8"))
     return w.getvalue()
 
 

@@ -1,3 +1,8 @@
+import glob
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from azsl import nn
@@ -7,6 +12,51 @@ from azsl.data import SyntheticSpec, make_synthetic, split_azsl
 # filled by test_acceptance.report(); echoed after capture ends so the
 # per-criterion lines survive any -v/-q run
 ACCEPTANCE_LINES: list[str] = []
+# filled by pytest_sessionfinish: what the test run left alive
+LEAKS: list[str] = []
+LEAK_GRACE_S = 2.0  # time a child that is already exiting gets to go
+
+
+def _live_children() -> list[str]:
+    """This process's children that have not exited, as "pid command line".
+
+    Read from /proc/self/task/*/children; where /proc cannot list them the
+    list is empty. A zombie (exited, not yet reaped) is not alive.
+    """
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            pids.update(Path(path).read_text().split())
+        except OSError:
+            continue
+    live = []
+    for pid in sorted(pids, key=int):
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            cmd = Path(f"/proc/{pid}/cmdline").read_bytes().replace(b"\0", b" ").decode(errors="replace")
+        except (OSError, IndexError):
+            continue  # it exited meanwhile
+        if state != "Z":
+            live.append(f"child process {pid}: {cmd.strip()}")
+    return live
+
+
+def _live_threads() -> list[str]:
+    main = threading.main_thread()
+    return [f"non-daemon thread {t.name}" for t in threading.enumerate() if t is not main and not t.daemon and t.is_alive()]
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a child process or a non-daemon thread outlives it."""
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while True:
+        leaks = _live_children() + _live_threads()
+        if not leaks or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    if leaks:
+        LEAKS.extend(leaks)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -14,6 +64,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    if LEAKS:
+        terminalreporter.section("left running after the tests")
+        for line in LEAKS:
+            terminalreporter.write_line(f"LEAK {line}")
 
 
 # Desk-scale settings shared by the slower protocol/experiment tests. The

@@ -125,9 +125,7 @@ def test_every_fit_step_calls_nn_through_its_module(mode):
                 s for s in tracer.spans
                 if s[spans.NAME] == f"nn.{op}.{role}" and tracer.spans[s[spans.PARENT]][spans.NAME] == phase
             ]
-            # the teacher's fit ends with one forward pass over its rows, for its train accuracy
-            extra = 1 if (role, op) == ("teacher", "forward") else 0
-            assert len(inside) == steps + extra, (role, op)
+            assert len(inside) == steps, (role, op)
 
 
 @pytest.mark.parametrize("mode", ["transductive", "inductive"])

@@ -106,7 +106,7 @@ class TestGenerate:
     @pytest.mark.parametrize("in_dim", [D_A, D_A - 1])
     def test_no_room_for_noise_rejected_before_any_forward(self, monkeypatch, in_dim):
         gen = nn.mlp_init([nn.LayerSpec(in_dim, D_X, nn.ACT_RELU)], nn.ROLE_GENERATOR, 0)
-        monkeypatch.setattr(nn, "mlp_forward", lambda *a: pytest.fail("the generator ran"))
+        monkeypatch.setattr(nn, "mlp_forward", lambda *a, **k: pytest.fail("the generator ran"))
         with pytest.raises(ValueError, match=f"{in_dim} inputs, no more than the {D_A} semantic columns"):
             generate(gen, semantics(), [0], 2, 0)
 

@@ -112,6 +112,23 @@ class TestForward:
         with pytest.raises(ValueError, match="cols"):
             nn.mlp_forward(small_net(), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_uncached_output_is_the_cached_output_bit_for_bit(self, activation):
+        specs = [nn.LayerSpec(6, 9, activation), nn.LayerSpec(9, 5, activation), nn.LayerSpec(5, 4, activation)]
+        params = nn.mlp_init(specs, nn.ROLE_GENERATOR, seed=17)
+        params.biases[1][::2] = -0.0
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(12, 6))
+        x[0] = 0.0
+        x[1] = -0.0
+        x[2, ::2] = -0.0
+        x[3, 1::2] = 0.0
+        assert (x < 0).any() and np.signbit(x[1]).all()
+        cached, cache = nn.mlp_forward(params, x)
+        uncached, none = nn.mlp_forward(params, x, cache=False)
+        assert cache is not None and none is None
+        assert np.array_equal(uncached.view(np.uint64), cached.view(np.uint64))
+
 
 class TestSoftmax:
     def test_uniform_logits(self):

@@ -99,6 +99,22 @@ class TestMessageRoundTrips:
         for a in (back_req.batch, back_req.cond_labels, back.softmax, back.reg_grad, back.ce_grad):
             assert a.flags.writeable and a.flags.owndata
 
+    def test_encoded_response_is_copied_once(self):
+        # the matrices go to the join as they are, so the payload is the one
+        # copy: the bound is 1.1x it (measured 1.0005x on x86-64; converting
+        # each matrix to bytes first peaked at 2x)
+        rng = np.random.default_rng(6)
+        resp = wire.FeedbackResponse(rng.random((2000, 20)), 0.5, rng.normal(size=(2000, 64)))
+        tracemalloc.start()
+        try:
+            payload = wire.encode_feedback_response(resp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(payload) > 8 * 2000 * 84
+        assert peak < 1.1 * len(payload)
+        assert wire.decode_feedback_response(payload).reg_grad.tobytes() == resp.reg_grad.astype("<f8").tobytes()
+
     @pytest.mark.parametrize("softmax", [True, False])
     def test_carries_ce_grad_reads_the_flag_and_copies_nothing(self, softmax):
         rng = np.random.default_rng(5)
