@@ -76,7 +76,7 @@ class TcpChannel(BaseChannel):
         self.sock = socket.create_connection((host, port), timeout=timeout)
 
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
-        self.sock.sendall(wire.frame(kind, payload))
+        wire.send_frame(self.sock, kind, payload)
         reply = wire.recv_frame(self.sock)
         if reply is None:
             raise wire.ProtocolError("server closed the connection", code=wire.ERR_BAD_FRAME)

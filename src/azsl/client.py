@@ -81,15 +81,14 @@ def generate(
     noise_dim = gen.in_dim - semantics.d_a
     if noise_dim < 1:
         raise ValueError(f"generator has {gen.in_dim} inputs, no more than the {semantics.d_a} semantic columns")
-    feats, labels = [], []
+    feats = np.empty((len(classes) * count_per_class, gen.out_dim))
     for pos, c in enumerate(classes):
         rng = rng_for(noise_seed, "noise", pos)
         z = rng.standard_normal((count_per_class, noise_dim))
         sem_rows = np.tile(semantics.rows_for([c]), (count_per_class, 1))
         x, _ = _forward_generator(gen, z, sem_rows, cache=False)
-        feats.append(x)
-        labels.append(np.full(count_per_class, c, dtype=np.int64))
-    return GenerationBatch(features=np.concatenate(feats), cond_labels=np.concatenate(labels))
+        feats[pos * count_per_class : (pos + 1) * count_per_class] = x
+    return GenerationBatch(features=feats, cond_labels=np.repeat(classes, count_per_class))
 
 
 def white_batch_grads(
@@ -190,17 +189,22 @@ def verify(batch: GenerationBatch, softmax: np.ndarray, class_space) -> Verified
     covers only the seen classes under an inductive teacher.
     """
     probs = np.asarray(softmax, dtype=np.float64)
-    if probs.shape[0] != len(batch.cond_labels):
-        raise ValueError("softmax rows must align with the generated batch")
-    head = probs.argmax(axis=1)  # ties resolve to the lowest index
-    pred = np.asarray(class_space, dtype=np.int64)[head]
-    keep = pred == batch.cond_labels
+    keep = _verified_mask(batch, probs, class_space)
     return VerifiedBatch(
         features=batch.features[keep],
         labels=batch.cond_labels[keep],
         teacher_softmax=probs[keep],
         kept_fraction=float(keep.mean()) if len(keep) else 0.0,
     )
+
+
+def _verified_mask(batch: GenerationBatch, probs: np.ndarray, class_space) -> np.ndarray:
+    """verify's keep mask: the rows whose teacher argmax is their conditioning class."""
+    if probs.shape[0] != len(batch.cond_labels):
+        raise ValueError("softmax rows must align with the generated batch")
+    head = probs.argmax(axis=1)  # ties resolve to the lowest index
+    pred = np.asarray(class_space, dtype=np.int64)[head]
+    return pred == batch.cond_labels
 
 
 def _request_softmax(channel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -226,33 +230,60 @@ def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, 
     if classes.size == 0:
         raise ValueError("empty class space")
     kept = np.zeros(len(classes), dtype=np.int64)
-    rounds: list[VerifiedBatch] = []
+    # per round: its generated features and softmax, the indices of its
+    # verified rows in them and those rows' labels
+    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     generated = 0
     pending = classes
-    while pending.size and len(rounds) <= cfg.retry_cap:
+
+    def another_round() -> bool:
+        return bool(pending.size) and len(rounds) <= cfg.retry_cap
+
+    while another_round():
         noise_seed = derive_seed(cfg.noise_seed, "quota-round", len(rounds))
         batch = generate(gen, semantics, pending, cfg.per_class_count, noise_seed)
         generated += len(batch.features)
         softmax = _request_softmax(channel, batch.features, batch.cond_labels)
         if cfg.verify:
-            vb = verify(batch, softmax, classes)
+            rows = np.flatnonzero(_verified_mask(batch, softmax, classes))
         else:
-            vb = VerifiedBatch(batch.features, batch.cond_labels, softmax, 1.0)
-        rounds.append(vb)
-        kept += np.bincount(np.searchsorted(classes, vb.labels), minlength=len(classes))
+            rows = np.arange(len(batch.features))
+        labels = batch.cond_labels[rows]
+        rounds.append((batch.features, softmax, rows, labels))
+        kept += np.bincount(np.searchsorted(classes, labels), minlength=len(classes))
         pending = classes[kept < cfg.min_verified]
+        if another_round():
+            # a retry follows: hold this round's verified rows only
+            rounds[-1] = (batch.features[rows], softmax[rows], np.arange(len(rows)), labels)
+        del batch, softmax  # a cut round's whole batch goes before the next is generated
 
-    labels = np.concatenate([vb.labels for vb in rounds])
+    # Kept rows class by class, round by round within a class: the class order
+    # composed with each round's kept indices picks every output row's source,
+    # and each output array is gathered once from the generated rows.
+    labels = np.concatenate([round_labels for *_, round_labels in rounds])
     order = np.argsort(labels, kind="stable")
+    src_round = np.repeat(np.arange(len(rounds)), [len(rows) for _, _, rows, _ in rounds])[order]
+    src_row = np.concatenate([rows for _, _, rows, _ in rounds])[order]
     verified = VerifiedBatch(
-        features=np.concatenate([vb.features for vb in rounds])[order],
+        features=_gather([features for features, _, _, _ in rounds], src_round, src_row),
         labels=labels[order],
-        teacher_softmax=np.concatenate([vb.teacher_softmax for vb in rounds])[order],
+        teacher_softmax=_gather([softmax for _, softmax, _, _ in rounds], src_round, src_row),
         kept_fraction=len(labels) / generated,
     )
     short = kept < cfg.min_verified
     shortfall = dict(zip(classes[short].tolist(), kept[short].tolist()))
     return QuotaResult(verified=verified, shortfall=shortfall, rounds=len(rounds))
+
+
+def _gather(parts: list[np.ndarray], src_part: np.ndarray, src_row: np.ndarray) -> np.ndarray:
+    """Row i is parts[src_part[i]][src_row[i]], each row copied once."""
+    if len(parts) == 1:
+        return parts[0][src_row]
+    out = np.empty((len(src_row), parts[0].shape[1]))
+    for p, part in enumerate(parts):
+        dest = np.flatnonzero(src_part == p)
+        out[dest] = part[src_row[dest]]
+    return out
 
 
 def train_student(

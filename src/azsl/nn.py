@@ -191,6 +191,27 @@ def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     return z
 
 
+ACTIVATE_BLOCK_ROWS = 256  # rows per temporary of an in-place leaky ReLU
+
+
+def _activate_inplace(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """_activate's values, bit for bit, written over z.
+
+    Leaky ReLU takes the same multiply and maximum one block of rows at a
+    time, so its only temporary is one block.
+    """
+    if spec.activation == ACT_LEAKY_RELU:
+        tmp = np.empty((min(len(z), ACTIVATE_BLOCK_ROWS), z.shape[1]))
+        for start in range(0, len(z), ACTIVATE_BLOCK_ROWS):
+            block = z[start : start + ACTIVATE_BLOCK_ROWS]
+            a = np.multiply(block, spec.slope, out=tmp[: len(block)])
+            np.maximum(block, a, out=block)
+        return z
+    if spec.activation == ACT_RELU:
+        return np.maximum(z, 0.0, out=z)
+    return z
+
+
 def _activation_vjp(g: np.ndarray, z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     """g times the activation's derivative at z, without building the derivative."""
     if spec.activation == ACT_LEAKY_RELU:
@@ -208,24 +229,28 @@ def mlp_forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the batch through the net; the cache feeds mlp_backward.
 
-    With cache=False, for a pass no backward pass follows, no layer's input
-    or pre-activation is kept past the next layer and the cache comes back
-    as None; the output is computed by the same operations, bit for bit.
+    With cache=False, for a pass no backward pass follows, each layer's
+    activation is written over its pre-activation (leaky ReLU a block of
+    ACTIVATE_BLOCK_ROWS rows at a time), so a layer holds one batch-wide
+    array, and the cache comes back as None. The output is computed by the
+    same operations, bit for bit.
     """
     x = _as_batch(batch)
     if x.shape[1] != params.in_dim:
         raise ValueError(f"batch has {x.shape[1]} cols, net expects {params.in_dim}")
+    if not cache:
+        for spec, w, b in zip(params.layers, params.weights, params.biases):
+            z = x @ w
+            z += b
+            x = _activate_inplace(z, spec)
+        return x, None
     inputs, preacts = [], []
     for spec, w, b in zip(params.layers, params.weights, params.biases):
         z = x @ w
         z += b
-        if cache:
-            inputs.append(x)
-            preacts.append(z)
+        inputs.append(x)
+        preacts.append(z)
         x = _activate(z, spec)
-        del z  # without a cache, the pre-activation goes before the next layer's
-    if not cache:
-        return x, None
     return x, ForwardCache(inputs=inputs, preacts=preacts, layers=params.layers)
 
 
@@ -384,18 +409,19 @@ def fit_minibatch(
     order: Callable[[int], np.ndarray],
     lr: float,
 ) -> list[float]:
-    """Minibatch Adam over the rows of X, updating params in place.
+    """Minibatch Adam over the rows of X that order picks, updating params in place.
 
-    order(epoch) gives that epoch's row permutation; loss(logits, idx) gives
-    (value, dL/d logits) for the rows X[idx]. Returns, per epoch, the
-    row-weighted mean of the loss value.
+    order(epoch) gives that epoch's row ids into X, in visiting order (a
+    permutation of all the rows, or of a subset, each minibatch gathered from
+    X as it is needed); loss(logits, idx) gives (value, dL/d logits) for the
+    rows X[idx]. Returns, per epoch, the row-weighted mean of the loss value.
     """
     state = AdamState.for_params(params, lr=lr)
     grads = MlpGrads.empty_like(params)  # rewritten by every step's backward pass
-    n = len(X)
     history = []
     for epoch in range(epochs):
         perm = order(epoch)
+        n = len(perm)
         total = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]

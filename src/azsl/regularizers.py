@@ -93,38 +93,45 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
     rows = split.teacher_train
     if rows.size == 0:
         raise ValueError("empty teacher training set")
-    feats = dataset.features[rows]
     labels = dataset.labels[rows]
+    # Each class's rows, in teacher_train order, as indices into dataset.features:
+    # every array below is gathered from there once, with no copy of all the rows.
+    class_rows = {int(c): rows[labels == c] for c in np.unique(labels)}
 
     # Statistics and refs are final before the state (and its cache) is built.
     if kind == REG_KL:
         class_means, class_vars = {}, {}
-        for c in np.unique(labels):
-            cls = feats[labels == c]
-            if len(cls) < 2:
+        for c, idx in class_rows.items():
+            if len(idx) < 2:
                 continue  # global stats act as the fallback
-            class_means[int(c)] = cls.mean(axis=0)
-            class_vars[int(c)] = np.maximum(cls.var(axis=0), VAR_FLOOR)
+            cls = dataset.features[idx]
+            class_means[c] = cls.mean(axis=0)
+            class_vars[c] = np.maximum(cls.var(axis=0), VAR_FLOOR)
+        train = dataset.features[rows]
         return RegularizerState(
             kind=kind,
             alpha=alpha,
             class_means=class_means,
             class_vars=class_vars,
-            global_mean=feats.mean(axis=0),
-            global_var=np.maximum(feats.var(axis=0), VAR_FLOOR),
+            global_mean=train.mean(axis=0),
+            global_var=np.maximum(train.var(axis=0), VAR_FLOOR),
         )
 
     # mmd: teacher_train row order is already a seeded shuffle, take heads.
-    class_refs = {int(c): feats[labels == c][:MMD_REF_CAP].copy() for c in np.unique(labels)}
-    pooled = np.concatenate(list(class_refs.values()))[:MMD_POOL_CAP]
+    heads = {c: idx[:MMD_REF_CAP] for c, idx in class_rows.items()}
+    class_refs = {c: dataset.features[idx] for c, idx in heads.items()}
+    pooled = dataset.features[np.concatenate(list(heads.values()))[:MMD_POOL_CAP]]
     sq = _pairwise_sq_dists(pooled, pooled)
     off_diag = sq[~np.eye(len(pooled), dtype=bool)]
+    del sq
+    # the median of the pairs is the same value whatever order partitioning leaves them in
+    bandwidth_sq = float(max(np.median(off_diag, overwrite_input=True), 1e-12)) if off_diag.size else 1.0
     return RegularizerState(
         kind=kind,
         alpha=alpha,
         class_refs=class_refs,
-        global_ref=feats[:MMD_REF_CAP].copy(),
-        bandwidth_sq=float(max(np.median(off_diag), 1e-12)) if off_diag.size else 1.0,
+        global_ref=dataset.features[rows[:MMD_REF_CAP]],
+        bandwidth_sq=bandwidth_sq,
     )
 
 

@@ -60,17 +60,21 @@ def train_teacher(
     if rows.size == 0:
         raise ValueError("empty teacher training set")
     class_space = split.teacher_classes
-    feats = dataset.features[rows]
     labels = dataset.labels[rows]
 
     params = nn.mlp_init(nn.classifier_specs(dataset.d_x, len(class_space), hidden), nn.ROLE_TEACHER, seed)
     model = TeacherModel(params=params, class_space=class_space)
     head_labels = model.head_index(labels)
 
+    # head labels by dataset row id, so each minibatch is gathered from
+    # dataset.features by its row ids as it is needed
+    head_by_row = np.zeros(len(dataset.labels), dtype=np.int64)
+    head_by_row[rows] = head_labels
+
     rng = rng_for(seed, "teacher-batches")  # one stream across all epochs
     model.loss_trace = nn.fit_minibatch(
-        params, feats, nn.ce_loss_on(head_labels, len(class_space)), epochs, batch_size,
-        lambda _epoch: rng.permutation(len(feats)), lr,
+        params, dataset.features, nn.ce_loss_on(head_by_row, len(class_space)), epochs, batch_size,
+        lambda _epoch: rows[rng.permutation(len(rows))], lr,
     )
     return model
 
@@ -190,7 +194,7 @@ def serve(
                         err = wire.encode_error(exc.code, str(exc))
                         server.log.record(wire.KIND_ERROR, err, server.scenario)
                         try:
-                            conn.sendall(wire.frame(wire.KIND_ERROR, err))
+                            wire.send_frame(conn, wire.KIND_ERROR, err)
                         except OSError:
                             pass
                         break  # malformed framing: close the connection
@@ -200,7 +204,7 @@ def serve(
                         break  # the client closed between frames
                     out_kind, out_payload = server.handle_payload(*frame)
                     try:
-                        conn.sendall(wire.frame(out_kind, out_payload))
+                        wire.send_frame(conn, out_kind, out_payload)
                     except OSError:
                         break  # client went away; next connection
                     last_frame = time.monotonic()

@@ -68,7 +68,7 @@ class FeedbackRequest:
             raise ProtocolError("conditioning labels must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class FeedbackResponse:
     """Teacher feedback; ce fields are present only for white-box requests."""
 
@@ -115,32 +115,44 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)  # so that taking a slice copies nothing
+    __slots__ = ("data", "off")
+
+    def __init__(self, data: bytes | bytearray):
+        # taking a slice copies nothing, and every view of it is read-only, a bytearray's too
+        self.data = memoryview(data).toreadonly()
         self.off = 0
 
-    def _take(self, n: int) -> memoryview:
+    def _skip(self, n: int) -> int:
+        """Move past the next n bytes; returns where they start."""
         if self.off + n > len(self.data):
             raise ProtocolError("truncated payload", code=ERR_BAD_FRAME)
-        out = self.data[self.off : self.off + n]
         self.off += n
-        return out
+        return self.off - n
+
+    def _take(self, n: int) -> memoryview:
+        start = self._skip(n)
+        return self.data[start : start + n]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return struct.unpack_from("<I", self.data, self._skip(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return struct.unpack_from("<Q", self.data, self._skip(8))[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return struct.unpack_from("<d", self.data, self._skip(8))[0]
 
     def matrix(self, copy: bool = True) -> np.ndarray:
-        """The next matrix: an array of its own, or with copy=False a read-only view of the payload."""
+        """The next matrix: an array of its own, or with copy=False a read-only view of the payload.
+
+        A view copies nothing and keeps the payload alive as long as it lives;
+        writing to it raises ValueError.
+        """
         rows, cols = self.u32(), self.u32()
         if rows * cols * 8 > MAX_PAYLOAD:
             raise ProtocolError("matrix exceeds payload cap", code=ERR_BAD_FRAME)
-        m = np.frombuffer(self._take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+        # one array object straight on the payload: no memoryview slice, no 1-D array to reshape
+        m = np.ndarray((rows, cols), dtype="<f8", buffer=self.data, offset=self._skip(rows * cols * 8))
         return m.copy() if copy else m
 
     def u32_list(self) -> np.ndarray:
@@ -165,13 +177,14 @@ def encode_feedback_request(req: FeedbackRequest) -> bytes:
     return w.getvalue()
 
 
-def decode_feedback_request(payload: bytes) -> FeedbackRequest:
+def decode_feedback_request(payload: bytes | bytearray) -> FeedbackRequest:
+    """The request of a payload; its batch is a read-only view of the payload, its labels an array of their own."""
     r = _Reader(payload)
     code = r.u32()
     if code not in _SCENARIO_NAME:
         raise ProtocolError(f"unknown scenario code {code}")
     want = r.u32() != 0
-    batch = r.matrix()
+    batch = r.matrix(copy=False)
     labels = r.u32_list()
     r.done()
     return FeedbackRequest(scenario=_SCENARIO_NAME[code], batch=batch, cond_labels=labels, want_softmax=want)
@@ -189,15 +202,16 @@ def encode_feedback_response(resp: FeedbackResponse) -> bytes:
     return w.getvalue()
 
 
-def decode_feedback_response(payload: bytes) -> FeedbackResponse:
+def decode_feedback_response(payload: bytes | bytearray) -> FeedbackResponse:
+    """The response of a payload; its matrices are read-only views of the payload."""
     r = _Reader(payload)
-    softmax = r.matrix()
+    softmax = r.matrix(copy=False)
     reg_value = r.f64()
-    reg_grad = r.matrix()
+    reg_grad = r.matrix(copy=False)
     ce_value = ce_grad = None
     if r.u32():
         ce_value = r.f64()
-        ce_grad = r.matrix()
+        ce_grad = r.matrix(copy=False)
     r.done()
     return FeedbackResponse(
         softmax=softmax if softmax.size else None,
@@ -211,9 +225,9 @@ def decode_feedback_response(payload: bytes) -> FeedbackResponse:
 def carries_ce_grad(payload: bytes) -> bool:
     """Whether a feedback-response payload carries the white-box gradient; reads headers only, copies nothing."""
     r = _Reader(payload)
-    r._take(8 * r.u32() * r.u32())  # the softmax rows
+    r._skip(8 * r.u32() * r.u32())  # the softmax rows
     r.f64()
-    r._take(8 * r.u32() * r.u32())  # the regularizer gradient
+    r._skip(8 * r.u32() * r.u32())  # the regularizer gradient
     return r.u32() != 0
 
 
@@ -302,10 +316,31 @@ def decode_error(payload: bytes) -> tuple[int, str]:
     return code, payload[2:].decode("utf-8", errors="replace")
 
 
+def _header(kind: int, length: int) -> bytes:
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"payload of {length} bytes exceeds cap", code=ERR_BAD_FRAME)
+    return MAGIC + bytes([VERSION, kind]) + struct.pack("<I", length)
+
+
 def frame(kind: int, payload: bytes) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(f"payload of {len(payload)} bytes exceeds cap", code=ERR_BAD_FRAME)
-    return MAGIC + bytes([VERSION, kind]) + struct.pack("<I", len(payload)) + payload
+    """One frame as one bytes object (send_frame sends a frame without building it)."""
+    return _header(kind, len(payload)) + payload
+
+
+def send_frame(sock: socket.socket, kind: int, payload: bytes | bytearray) -> None:
+    """Send one frame as header and payload by scatter-gather, copying neither.
+
+    An oversized payload is refused before any byte is sent. sendmsg may take
+    only part of what it is given; the rest is sent from where it stopped.
+    """
+    parts = [memoryview(_header(kind, len(payload))), memoryview(payload)]
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts[0])
+            parts.pop(0)
+        if parts:
+            parts[0] = parts[0][sent:]
 
 
 def read_frame(read_exact) -> tuple[int, bytes]:
@@ -322,21 +357,23 @@ def read_frame(read_exact) -> tuple[int, bytes]:
     return kind, read_exact(length)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
+def recv_frame(sock: socket.socket) -> tuple[int, bytearray] | None:
     """Read one frame from a socket; None if the peer closed before its first byte.
 
-    A close anywhere later in the frame raises ERR_BAD_FRAME.
+    The payload is received straight into one buffer of its size, which is
+    returned. A close anywhere later in the frame raises ERR_BAD_FRAME.
     """
 
-    def read_exact(n: int) -> bytes:
-        chunks, got = [], 0
-        while got < n:
-            chunk = sock.recv(n - got)
-            if not chunk:
-                raise ProtocolError("connection closed mid-frame", code=ERR_BAD_FRAME)
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+    def read_exact(n: int) -> bytearray:
+        buf = bytearray(n)
+        with memoryview(buf) as view:
+            got = 0
+            while got < n:
+                k = sock.recv_into(view[got:])
+                if not k:
+                    raise ProtocolError("connection closed mid-frame", code=ERR_BAD_FRAME)
+                got += k
+        return buf
 
     if not sock.recv(1, socket.MSG_PEEK):
         return None

@@ -1,6 +1,7 @@
 import glob
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,21 @@ def toy_dataset():
 @pytest.fixture(scope="session")
 def toy_split(toy_dataset):
     return split_azsl(toy_dataset, "transductive", unseen=1, seed=3)
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of the memory it allocated, in bytes), by tracemalloc.
+
+    Only what is allocated during the call counts; arrays made before it,
+    its inputs among them, do not.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_net(specs, role=nn.ROLE_TEACHER, seed=0):

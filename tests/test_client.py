@@ -26,6 +26,7 @@ from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.seeding import derive_seed
 from azsl.server import TeacherServer, train_teacher
+from conftest import peak_bytes
 
 
 D_X, D_A, NZ = 10, 4, 6
@@ -321,6 +322,28 @@ class TestQuota:
         assert quota.rounds == 3  # initial + two retries
         assert len(quota.shortfall) >= 3  # only the argmax class can ever verify
         assert all(count < 5 for count in quota.shortfall.values())
+
+    def test_a_retried_round_holds_only_its_kept_rows(self, teacher_env):
+        # All-zero features: the first round keeps its 2000 rows of one class
+        # and retries the other three classes (6000 rows a round) in vain.
+        # Each round that a retry follows is cut to its kept rows, so the
+        # retries add at most the kept rows (2000 x (10 + 4) f64, 224 KB) to
+        # the one-round peak; measured no more than the one round on x86-64.
+        # Holding every whole round added 1.3 MB at two retries.
+        gen = tiny_generator(seed=13)
+        for w in gen.weights:
+            w[:] = 0.0
+
+        def quota(retry_cap):
+            channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
+            cfg = client_cfg(per_class_count=2000, min_verified=5, retry_cap=retry_cap, seed=6)
+            return peak_bytes(ensure_quota, gen, channel, semantics(), [0, 1, 2, 3], cfg)
+
+        (one, one_peak), (three, three_peak) = quota(0), quota(2)
+        assert (one.rounds, three.rounds) == (1, 3)
+        assert len(three.verified) == 2000
+        kept_bytes = three.verified.features.nbytes + three.verified.teacher_softmax.nbytes
+        assert three_peak < one_peak + kept_bytes
 
     def test_retry_cap_zero_is_single_pass(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from azsl.data import (
     split_azsl,
 )
 from azsl.seeding import rng_for
+from conftest import peak_bytes
 
 
 class TestSynthetic:
@@ -78,12 +78,7 @@ class TestSynthetic:
         # array; the bound is 1.5x their 2.0 MB (measured 1.15x on x86-64;
         # the noise, the gathered means and their sum took it to 3x)
         spec = SyntheticSpec(n_classes=20, seen_count=15, separation=1.0)
-        tracemalloc.start()
-        try:
-            ds = make_synthetic(spec, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ds, peak = peak_bytes(make_synthetic, spec, seed=3)
         assert peak < 1.5 * ds.features.nbytes
 
     def test_spec_validation(self):

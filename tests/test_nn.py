@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from azsl import nn
+from conftest import peak_bytes
 
 
 def small_net(seed=0, role=nn.ROLE_TEACHER):
@@ -113,21 +113,41 @@ class TestForward:
             nn.mlp_forward(small_net(), np.zeros((2, 4)))
 
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
-    def test_uncached_output_is_the_cached_output_bit_for_bit(self, activation):
+    # under one block, exactly one block, and two full blocks plus part of a third
+    @pytest.mark.parametrize("rows", [12, nn.ACTIVATE_BLOCK_ROWS, 2 * nn.ACTIVATE_BLOCK_ROWS + 37])
+    def test_uncached_output_is_the_cached_output_bit_for_bit(self, activation, rows):
         specs = [nn.LayerSpec(6, 9, activation), nn.LayerSpec(9, 5, activation), nn.LayerSpec(5, 4, activation)]
         params = nn.mlp_init(specs, nn.ROLE_GENERATOR, seed=17)
         params.biases[1][::2] = -0.0
         rng = np.random.default_rng(18)
-        x = rng.normal(size=(12, 6))
-        x[0] = 0.0
-        x[1] = -0.0
-        x[2, ::2] = -0.0
-        x[3, 1::2] = 0.0
-        assert (x < 0).any() and np.signbit(x[1]).all()
+        x = rng.normal(size=(rows, 6))
+        # +0.0 and -0.0 rows and columns, in the first block and in the last
+        for at in (0, rows - 4):
+            x[at] = 0.0
+            x[at + 1] = -0.0
+            x[at + 2, ::2] = -0.0
+            x[at + 3, 1::2] = 0.0
+        assert (x < 0).any() and np.signbit(x[1]).all() and np.signbit(x[rows - 3]).all()
+        before = x.copy()
         cached, cache = nn.mlp_forward(params, x)
         uncached, none = nn.mlp_forward(params, x, cache=False)
         assert cache is not None and none is None
         assert np.array_equal(uncached.view(np.uint64), cached.view(np.uint64))
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))  # the input is never written
+
+    def test_uncached_forward_holds_one_layer_at_a_time(self):
+        # a 2000-row quota request through a (128, 64) teacher: each layer's
+        # activation is written over its pre-activation, so the peak is the
+        # widest layer's input and output (2.0 + 1.0 MB) plus one block of
+        # the leaky ReLU's temporary; the bound adds 10% (measured 3.2 MB on
+        # x86-64; a separate activation array per layer took it to 4.1 MB)
+        params = nn.mlp_init(nn.classifier_specs(64, 20, (128, 64)), nn.ROLE_TEACHER, 0)
+        rows = 2000
+        x = np.abs(np.random.default_rng(19).normal(size=(rows, 64)))
+        (out, _), peak = peak_bytes(nn.mlp_forward, params, x, cache=False)
+        assert out.shape == (rows, 20)
+        block = 8 * nn.ACTIVATE_BLOCK_ROWS * 128
+        assert peak < 1.1 * (8 * rows * (128 + 64) + block)
 
 
 class TestSoftmax:
@@ -919,11 +939,10 @@ class TestOneBuffer:
         grads.buffer[:] = np.random.default_rng(56).normal(size=grads.buffer.size)
         state = nn.AdamState.for_params(params, lr=1e-3)
         nn.adam_step(params, grads, state)
-        tracemalloc.start()
-        try:
+
+        def five_steps():
             for _ in range(5):
                 nn.adam_step(params, grads, state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = peak_bytes(five_steps)
         assert peak < params.buffer.nbytes / 10

@@ -13,6 +13,7 @@ from azsl.regularizers import (
     fit_regularizer,
     reg_value_grad,
 )
+from conftest import peak_bytes
 
 
 def fixture_dataset():
@@ -95,6 +96,88 @@ class TestFit:
         ds = fixture_dataset()
         with pytest.raises(ValueError, match="alpha"):
             fit_regularizer(ds, full_train_split(ds), "kl", alpha=-0.1)
+
+
+def old_fit(dataset, split, kind):
+    """fit_regularizer's statistics as it computed them from one copy of all training rows."""
+    rows = split.teacher_train
+    feats = dataset.features[rows]
+    labels = dataset.labels[rows]
+    if kind == "kl":
+        means, variances = {}, {}
+        for c in np.unique(labels):
+            cls = feats[labels == c]
+            if len(cls) < 2:
+                continue
+            means[int(c)] = cls.mean(axis=0)
+            variances[int(c)] = np.maximum(cls.var(axis=0), VAR_FLOOR)
+        return means, variances, feats.mean(axis=0), np.maximum(feats.var(axis=0), VAR_FLOOR)
+    refs = {int(c): feats[labels == c][:MMD_REF_CAP].copy() for c in np.unique(labels)}
+    pooled = np.concatenate(list(refs.values()))[: regularizers.MMD_POOL_CAP]
+    sq = _pairwise_sq_dists(pooled, pooled)
+    off_diag = sq[~np.eye(len(pooled), dtype=bool)]
+    bandwidth_sq = float(max(np.median(off_diag), 1e-12)) if off_diag.size else 1.0
+    return refs, feats[:MMD_REF_CAP].copy(), bandwidth_sq
+
+
+def hard_spec_split(mode="transductive"):
+    """The benchmark's 20-class spec, split as its workloads split it."""
+    ds = make_synthetic(SyntheticSpec(n_classes=20, seen_count=15, separation=1.0), seed=3)
+    return ds, split_azsl(ds, mode, unseen=5, seed=3)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFitHoldsEachRowOnce:
+    @pytest.mark.parametrize(
+        "case",
+        ["hard-transductive", "hard-inductive", "one-column", "single-row-class", "over-the-caps"],
+    )
+    def test_fit_is_the_old_fit_bit_for_bit(self, case):
+        if case.startswith("hard"):
+            ds, split = hard_spec_split(case.split("-")[1])
+        elif case == "one-column":
+            ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=1, d_a=3, per_class=50), seed=4)
+            split = split_azsl(ds, "transductive", unseen=1, seed=4)
+        elif case == "single-row-class":
+            feats = np.abs(np.random.default_rng(5).normal(size=(9, 3)))
+            ds = Dataset(feats, np.array([0, 0, 0, 0, 1, 0, 0, 0, 0]), SemanticTable(np.eye(2)))
+            split = full_train_split(ds)
+        else:
+            # more rows per class than MMD_REF_CAP, more pooled than MMD_POOL_CAP
+            ds = make_synthetic(SyntheticSpec(n_classes=3, seen_count=2, d_x=4, d_a=3, per_class=300), seed=0)
+            split = full_train_split_all(ds)
+        means, variances, global_mean, global_var = old_fit(ds, split, "kl")
+        kl = fit_regularizer(ds, split, "kl", alpha=1.0)
+        assert list(kl.class_means) == list(means) and list(kl.class_vars) == list(variances)
+        assert all(same_bytes(kl.class_means[c], means[c]) for c in means)
+        assert all(same_bytes(kl.class_vars[c], variances[c]) for c in variances)
+        assert same_bytes(kl.global_mean, global_mean) and same_bytes(kl.global_var, global_var)
+        refs, global_ref, bandwidth_sq = old_fit(ds, split, "mmd")
+        mmd = fit_regularizer(ds, split, "mmd", alpha=1.0)
+        assert mmd.bandwidth_sq.hex() == bandwidth_sq.hex()
+        assert list(mmd.class_refs) == list(refs)
+        assert all(same_bytes(mmd.class_refs[c], refs[c]) for c in refs)
+        assert same_bytes(mmd.global_ref, global_ref)
+        # the state owns its arrays: the dataset can change after the fit
+        assert not any(np.shares_memory(a, ds.features) for a in [*mmd.class_refs.values(), mmd.global_ref])
+
+    def test_mmd_fit_copies_no_training_rows_twice(self):
+        # 3200 training rows of 64 columns (1.6 MB). The fit gathers the
+        # references (all 3200 rows here: 160 a class) and the 512 pooled
+        # rows from the dataset, then holds the 512 x 512 distances (2 MB),
+        # the off-diagonal (2 MB) and its mask until the distances go; the
+        # median partitions the off-diagonal in place. Measured 6.4 MB on
+        # x86-64; the bound is 7.8 MB, about 20% over that. A copy of all the
+        # rows, a second distance matrix or a copy for the median would each
+        # cross it (with all three the peak was 11.4 MB).
+        ds, split = hard_spec_split()
+        assert len(split.teacher_train) == 3200
+        state, peak = peak_bytes(fit_regularizer, ds, split, "mmd", alpha=1.0)
+        assert sum(len(r) for r in state.class_refs.values()) == 3200
+        assert peak < 7.8e6
 
 
 def full_train_split_all(dataset):

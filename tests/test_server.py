@@ -4,7 +4,6 @@ import json
 import struct
 import socket
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from azsl.channel import BaseChannel, InProcessChannel, TcpChannel
 from azsl.data import SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer
 from azsl.server import TeacherModel, TeacherServer, feedback, serve, train_teacher
-from conftest import record_frames
+from conftest import peak_bytes, record_frames
 
 
 @pytest.fixture(scope="module")
@@ -78,21 +77,16 @@ class TestTrainTeacher:
 
     def test_fit_keeps_no_pass_over_all_rows(self, hard):
         # white-kl-sized split: 3200 training rows, hidden (128, 64). The fit
-        # holds its copy of the rows and one minibatch at a time; any forward
-        # over all rows, cached or not, would add at least two first-layer
-        # activations of them (z and its leaky ReLU), so the bound is the copy
-        # plus one such activation, about 1.6x the 3.1 MB measured on x86-64
-        # (a final train-accuracy pass took it to 12.2 MB)
+        # gathers one minibatch at a time from the dataset and holds no copy
+        # of the rows; any forward over all rows, cached or not, would add
+        # at least one first-layer activation of them, so the bound is one
+        # such activation, about 2.3x the 1.4 MB measured on x86-64 (a copy
+        # of the rows took it to 3.1 MB, a final train-accuracy pass to 12.2 MB)
         ds, split = hard
         rows = len(split.teacher_train)
         assert rows == 3200
-        tracemalloc.start()
-        try:
-            train_teacher(ds, split, epochs=1, batch_size=64, seed=0, hidden=(128, 64), lr=1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * rows * ds.d_x + 8 * rows * 128
+        _, peak = peak_bytes(train_teacher, ds, split, epochs=1, batch_size=64, seed=0, hidden=(128, 64), lr=1e-3)
+        assert peak < 8 * rows * 128
 
     def test_inductive_head_size(self, trained):
         ds, _, _, _ = trained
@@ -133,22 +127,19 @@ class TestFeedback:
 
     def test_black_answer_keeps_no_backward_cache(self, hard):
         # a 2000-row, 20-class quota request to a (128, 64) teacher: with no
-        # backward pass to feed, the forward holds one layer's pre-activation
-        # and activation at a time, 2 x 2.0 MB for the widest; the bound adds
-        # 25% to that (measured 4.1 MB on x86-64; a cached pass took 9.1 MB)
+        # backward pass to feed, the forward writes each activation over its
+        # pre-activation and holds one layer's input and output at a time,
+        # 2.0 + 1.0 MB for the widest, plus one block of the leaky ReLU; the
+        # bound adds 10% to that (measured 3.2 MB on x86-64; a separate
+        # activation array per layer took 4.1 MB, a cached pass 9.1 MB)
         reg = fit_regularizer(*hard, "kl", alpha=1.0)
         teacher = TeacherModel(nn.mlp_init(nn.classifier_specs(64, 20, (128, 64)), nn.ROLE_TEACHER, 0), np.arange(20))
         rng = np.random.default_rng(0)
         rows = 2000
         req = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.abs(rng.normal(size=(rows, 64))), np.arange(rows) % 20)
-        tracemalloc.start()
-        try:
-            resp = feedback(teacher, reg, req)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        resp, peak = peak_bytes(feedback, teacher, reg, req)
         assert resp.softmax.shape == (rows, 20) and resp.ce_grad is None
-        assert peak < 1.25 * 2 * (8 * rows * 128)
+        assert peak < 1.1 * (8 * rows * (128 + 64) + 8 * nn.ACTIVATE_BLOCK_ROWS * 128)
 
     def test_white_on_perfectly_classified_batch(self, trained):
         # saturate the head so the batch sits at the cross-entropy minimum

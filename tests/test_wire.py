@@ -1,12 +1,12 @@
 import socket
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from azsl import nn, wire
+from conftest import peak_bytes
 
 
 def sample_params():
@@ -78,26 +78,47 @@ class TestMessageRoundTrips:
         specs = nn.classifier_specs(64, 15, hidden=(128, 64))
         params = nn.mlp_init(specs, nn.ROLE_TEACHER, seed=3)
         blob = wire.encode_params(params)
-        tracemalloc.start()
-        try:
-            back = wire.decode_params(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        back, peak = peak_bytes(wire.decode_params, blob)
         assert back.buffer.nbytes == params.buffer.nbytes == 8 * 17_551
         assert peak < 1.5 * back.buffer.nbytes
         assert np.array_equal(back.buffer, params.buffer)
         back.weights[0][0, 0] = 1.0  # the net owns a writable buffer, apart from the blob
         assert back.buffer.flags.writeable and back.buffer.flags.owndata
 
-    def test_decoded_feedback_arrays_are_writable_copies(self):
+    @pytest.mark.parametrize("buffer", [bytes, bytearray])
+    def test_decoded_feedback_matrices_are_read_only_views_of_the_payload(self, buffer):
+        # every reader of a decoded matrix only reads it, so decoding copies
+        # none: each one is a read-only view that keeps the payload alive
         rng = np.random.default_rng(4)
         req = wire.FeedbackRequest(wire.SCENARIO_WHITE, rng.normal(size=(3, 5)), [0, 1, 2])
         resp = wire.FeedbackResponse(rng.random((3, 2)), 0.5, rng.normal(size=(3, 5)), 1.5, rng.normal(size=(3, 5)))
-        back_req = wire.decode_feedback_request(wire.encode_feedback_request(req))
-        back = wire.decode_feedback_response(wire.encode_feedback_response(resp))
-        for a in (back_req.batch, back_req.cond_labels, back.softmax, back.reg_grad, back.ce_grad):
-            assert a.flags.writeable and a.flags.owndata
+        req_payload = buffer(wire.encode_feedback_request(req))
+        resp_payload = buffer(wire.encode_feedback_response(resp))
+        back_req = wire.decode_feedback_request(req_payload)
+        back = wire.decode_feedback_response(resp_payload)
+        views = [(back_req.batch, req_payload)] + [(a, resp_payload) for a in (back.softmax, back.reg_grad, back.ce_grad)]
+        for a, payload in views:
+            assert not a.flags.writeable and not a.flags.owndata
+            assert np.shares_memory(a, np.frombuffer(payload, dtype=np.uint8))
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        assert np.array_equal(back_req.batch, req.batch) and np.array_equal(back.ce_grad, resp.ce_grad)
+        labels = back_req.cond_labels
+        assert labels.dtype == np.int64 and labels.flags.owndata and labels.flags.writeable
+        assert not np.shares_memory(labels, np.frombuffer(req_payload, dtype=np.uint8))
+
+    def test_decoding_a_response_copies_no_matrix(self):
+        # a 2000-row white-box response carries 2.4 MB of matrices; decoding
+        # it builds a few small objects around three views: 808 bytes on
+        # x86-64, where a copy of the softmax alone would be 320 KB. The first
+        # decode of a process also fills interpreter caches, so one runs first.
+        rng = np.random.default_rng(7)
+        resp = wire.FeedbackResponse(rng.random((2000, 20)), 0.5, rng.normal(size=(2000, 64)), 1.5, rng.normal(size=(2000, 64)))
+        payload = wire.encode_feedback_response(resp)
+        wire.decode_feedback_response(payload)
+        back, peak = peak_bytes(wire.decode_feedback_response, payload)
+        assert peak < 1024
+        assert back.reg_grad.tobytes() == resp.reg_grad.tobytes()
 
     def test_encoded_response_is_copied_once(self):
         # the matrices go to the join as they are, so the payload is the one
@@ -105,12 +126,7 @@ class TestMessageRoundTrips:
         # each matrix to bytes first peaked at 2x)
         rng = np.random.default_rng(6)
         resp = wire.FeedbackResponse(rng.random((2000, 20)), 0.5, rng.normal(size=(2000, 64)))
-        tracemalloc.start()
-        try:
-            payload = wire.encode_feedback_response(resp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        payload, peak = peak_bytes(wire.encode_feedback_response, resp)
         assert len(payload) > 8 * 2000 * 84
         assert peak < 1.1 * len(payload)
         assert wire.decode_feedback_response(payload).reg_grad.tobytes() == resp.reg_grad.astype("<f8").tobytes()
@@ -124,12 +140,7 @@ class TestMessageRoundTrips:
             wire.FeedbackResponse(probs, 0.5, rng.normal(size=(64, 64)), 1.5, rng.normal(size=(64, 64)))
         )
         assert (wire.carries_ce_grad(black), wire.carries_ce_grad(white)) == (False, True)
-        tracemalloc.start()
-        try:
-            wire.carries_ce_grad(white)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(wire.carries_ce_grad, white)
         assert peak < 1024  # a copy of any matrix would be 10 KB or more
         flag_at = len(black) - 4  # the flag is the last field of a black-box response
         for cut in (0, 3, 9, flag_at - 1, flag_at + 3):
@@ -245,3 +256,132 @@ class TestRecvFrame:
         assert wire.recv_frame(a) == (wire.KIND_WEIGHT_REQUEST, b"")
         assert wire.recv_frame(a) is None
         a.close()
+
+    def test_large_frame_is_received_into_one_buffer(self):
+        # the payload arrives in one buffer of its size, filled in place; a
+        # reader that collected chunks and joined them peaked near twice it
+        a, b = self.pair()
+        payload = np.random.default_rng(8).bytes(1 << 20)
+        blob = wire.frame(wire.KIND_FEEDBACK_RESPONSE, payload)
+        sender = threading.Thread(target=b.sendall, args=(blob,))
+        sender.start()
+        try:
+            (kind, back), peak = peak_bytes(wire.recv_frame, a)
+        finally:
+            sender.join(timeout=10)
+            a.close()
+            b.close()
+        assert not sender.is_alive()
+        assert kind == wire.KIND_FEEDBACK_RESPONSE and back == payload
+        assert peak < 1.1 * len(payload)
+
+    def test_frame_written_in_seven_byte_pieces(self):
+        a, b = self.pair()
+        rng = np.random.default_rng(9)
+        req = wire.FeedbackRequest(wire.SCENARIO_BLACK, rng.normal(size=(10, 8)), np.arange(10) % 3)
+        payload = wire.encode_feedback_request(req)
+        blob = wire.frame(wire.KIND_FEEDBACK_REQUEST, payload)
+
+        def pieces():
+            for i in range(0, len(blob), 7):
+                b.sendall(blob[i : i + 7])
+                time.sleep(0.0005)
+
+        sender = threading.Thread(target=pieces)
+        sender.start()
+        try:
+            kind, back = wire.recv_frame(a)
+        finally:
+            sender.join(timeout=10)
+            a.close()
+            b.close()
+        assert not sender.is_alive()
+        assert kind == wire.KIND_FEEDBACK_REQUEST and bytes(back) == payload
+        assert wire.decode_feedback_request(back).batch.tobytes() == req.batch.tobytes()
+
+    def test_close_mid_payload_of_a_large_frame_is_bad_frame(self):
+        a, b = self.pair()
+        blob = wire.frame(wire.KIND_FEEDBACK_RESPONSE, bytes(100_000))
+        sender = threading.Thread(target=lambda: (b.sendall(blob[:60_000]), b.close()))
+        sender.start()
+        try:
+            with pytest.raises(wire.ProtocolError, match="mid-frame") as exc:
+                wire.recv_frame(a)
+        finally:
+            sender.join(timeout=10)
+            a.close()
+        assert not sender.is_alive()
+        assert exc.value.code == wire.ERR_BAD_FRAME
+
+
+class CountingSocket(socket.socket):
+    """A socket that counts its sendmsg calls and the bytes each one took."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent: list[int] = []
+
+    def sendmsg(self, buffers, *args):
+        n = super().sendmsg(buffers, *args)
+        self.sent.append(n)
+        return n
+
+
+class TestSendFrame:
+    def test_small_frame_is_one_sendmsg(self):
+        a, b = socket.socketpair()
+        with a, CountingSocket(fileno=b.detach()) as sender:
+            wire.send_frame(sender, wire.KIND_ERROR, b"hello")
+            sender.close()
+            assert wire.recv_frame(a) == (wire.KIND_ERROR, b"hello")
+            assert sender.sent == [10 + 5]
+            assert wire.recv_frame(a) is None
+
+    def test_empty_payload(self):
+        a, b = socket.socketpair()
+        with a, b:
+            wire.send_frame(b, wire.KIND_WEIGHT_REQUEST, b"")
+            b.close()
+            assert wire.recv_frame(a) == (wire.KIND_WEIGHT_REQUEST, b"")
+
+    def test_partial_sends_to_a_slow_reader_deliver_the_exact_frame(self):
+        # a small send buffer and a reader that takes 4 KB at a time, with
+        # pauses: sendmsg takes the frame in pieces, and each next call starts
+        # where the last one stopped, in the header or in the payload
+        a, b = socket.socketpair()
+        payload = np.random.default_rng(10).bytes(300_000)
+        got = bytearray()
+        with a, CountingSocket(fileno=b.detach()) as sender:
+            sender.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sender.settimeout(10)  # as TcpChannel and serve set theirs: sendmsg may return short
+            a.settimeout(10)
+
+            def slow_reader():
+                while True:
+                    chunk = a.recv(4096)
+                    if not chunk:
+                        return
+                    got.extend(chunk)
+                    time.sleep(0.0002)
+
+            reader = threading.Thread(target=slow_reader)
+            reader.start()
+            try:
+                wire.send_frame(sender, wire.KIND_FEEDBACK_REQUEST, bytearray(payload))
+            finally:
+                sender.shutdown(socket.SHUT_WR)
+                reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert len(sender.sent) > 1 and sum(sender.sent) == 10 + len(payload)
+        assert bytes(got) == wire.frame(wire.KIND_FEEDBACK_REQUEST, payload)
+
+    def test_oversized_payload_is_refused_before_any_byte_is_sent(self):
+        a, b = socket.socketpair()
+        with a, b:
+            with pytest.raises(wire.ProtocolError, match="exceeds cap") as exc:
+                wire.send_frame(b, wire.KIND_FEEDBACK_RESPONSE, bytearray(wire.MAX_PAYLOAD + 1))
+            assert exc.value.code == wire.ERR_BAD_FRAME
+            a.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                a.recv(1)  # nothing arrived
