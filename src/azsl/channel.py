@@ -74,6 +74,7 @@ class TcpChannel(BaseChannel):
     def __init__(self, host: str, port: int, timeout: float = 60.0):
         super().__init__(audit.RiskLog())
         self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no Nagle wait on a request's tail
 
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         wire.send_frame(self.sock, kind, payload)

@@ -134,10 +134,12 @@ class MlpGrads:
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs and pre-activations kept for the backward pass."""
+    """What mlp_backward reads: the batch, then every layer's activation, the output last.
 
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
+    Layer i reads its input from acts[i] and its slope from acts[i + 1]; no pre-activation is kept.
+    """
+
+    acts: list[np.ndarray]
     layers: tuple[LayerSpec, ...]
 
 
@@ -176,29 +178,22 @@ def classifier_specs(d_in: int, n_out: int, hidden=(1024, 512), slope: float = 0
     return specs
 
 
+ACTIVATE_BLOCK_ROWS = 256  # rows per temporary of a leaky ReLU
+
+
 # Leaky ReLU without np.where, bit for bit np.where(z > 0, z, slope * z) and its
 # derivative, because 0 < slope < 1: for z > 0, slope * z <= z, so the maximum
 # is z; otherwise slope * z >= z, so it is slope * z, and the two are never
-# zeros of opposite sign (slope * -0.0 is -0.0). In the backward pass sign(z)
-# is 1, -1, 0 or nan, which fmax(., slope) maps to 1 where z > 0 and to slope
-# everywhere else (fmax ignores nan); 1 * g == g and slope * g == g * slope.
+# zeros of opposite sign (slope * -0.0 is -0.0). The activation a keeps the
+# sign of z (and nan stays nan), so the backward pass reads the slope from a:
+# sign(a) is 1, -1, 0 or nan, which fmax(., slope) maps to 1 where z > 0 and to
+# slope everywhere else (fmax ignores nan); 1 * g == g and slope * g == g * slope.
+# ReLU's a > 0 holds exactly where z > 0.
 def _activate(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    if spec.activation == ACT_LEAKY_RELU:
-        a = z * spec.slope
-        return np.maximum(z, a, out=a)
-    if spec.activation == ACT_RELU:
-        return np.maximum(z, 0.0)
-    return z
+    """The activation of z, written over z and returned.
 
-
-ACTIVATE_BLOCK_ROWS = 256  # rows per temporary of an in-place leaky ReLU
-
-
-def _activate_inplace(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    """_activate's values, bit for bit, written over z.
-
-    Leaky ReLU takes the same multiply and maximum one block of rows at a
-    time, so its only temporary is one block.
+    Leaky ReLU takes its multiply and maximum one block of rows at a time, so
+    its only temporary is one block.
     """
     if spec.activation == ACT_LEAKY_RELU:
         tmp = np.empty((min(len(z), ACTIVATE_BLOCK_ROWS), z.shape[1]))
@@ -212,15 +207,15 @@ def _activate_inplace(z: np.ndarray, spec: LayerSpec) -> np.ndarray:
     return z
 
 
-def _activation_vjp(g: np.ndarray, z: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    """g times the activation's derivative at z, without building the derivative."""
+def _activation_vjp(g: np.ndarray, a: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """g times the activation's derivative, read from the activation a; builds no derivative."""
     if spec.activation == ACT_LEAKY_RELU:
-        d = np.sign(z)
+        d = np.sign(a)
         np.fmax(d, spec.slope, out=d)
         d *= g
         return d
     if spec.activation == ACT_RELU:
-        return g * (z > 0.0)
+        return g * (a > 0.0)
     return g
 
 
@@ -229,29 +224,24 @@ def mlp_forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the batch through the net; the cache feeds mlp_backward.
 
-    With cache=False, for a pass no backward pass follows, each layer's
-    activation is written over its pre-activation (leaky ReLU a block of
-    ACTIVATE_BLOCK_ROWS rows at a time), so a layer holds one batch-wide
-    array, and the cache comes back as None. The output is computed by the
-    same operations, bit for bit.
+    Each layer's activation is written over its pre-activation (leaky ReLU a
+    block of ACTIVATE_BLOCK_ROWS rows at a time). The cache keeps the batch
+    and every activation, the returned output among them, so nothing may
+    write to either before mlp_backward has read the cache. With cache=False
+    no activation outlives the next layer and the cache is None; the output
+    has the same bits.
     """
     x = _as_batch(batch)
     if x.shape[1] != params.in_dim:
         raise ValueError(f"batch has {x.shape[1]} cols, net expects {params.in_dim}")
-    if not cache:
-        for spec, w, b in zip(params.layers, params.weights, params.biases):
-            z = x @ w
-            z += b
-            x = _activate_inplace(z, spec)
-        return x, None
-    inputs, preacts = [], []
+    acts = [x]
     for spec, w, b in zip(params.layers, params.weights, params.biases):
         z = x @ w
         z += b
-        inputs.append(x)
-        preacts.append(z)
         x = _activate(z, spec)
-    return x, ForwardCache(inputs=inputs, preacts=preacts, layers=params.layers)
+        if cache:
+            acts.append(x)
+    return x, ForwardCache(acts=acts, layers=params.layers) if cache else None
 
 
 def mlp_backward(
@@ -271,13 +261,13 @@ def mlp_backward(
     if cache.layers != params.layers:
         raise ValueError("cache does not match these params (stale or from another net)")
     g = _as_batch(upstream_grad)
-    if g.shape != (cache.inputs[0].shape[0], params.out_dim):
+    if g.shape != (cache.acts[0].shape[0], params.out_dim):
         raise ValueError(f"upstream grad shape {g.shape} does not match forward output")
     grads = (out if out is not None else MlpGrads.empty_like(params)) if param_grads else None
     for i in range(len(params.layers) - 1, -1, -1):
-        gz = _activation_vjp(g, cache.preacts[i], params.layers[i])
+        gz = _activation_vjp(g, cache.acts[i + 1], params.layers[i])
         if grads is not None:
-            np.matmul(cache.inputs[i].T, gz, out=grads.weights[i])
+            np.matmul(cache.acts[i].T, gz, out=grads.weights[i])
             gz.sum(axis=0, out=grads.biases[i])
         if i > 0 or input_grad:
             g = gz @ params.weights[i].T

@@ -178,6 +178,7 @@ def serve(
             except socket.timeout:
                 continue
             with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no Nagle wait on a reply's tail
                 # generous idle timeout: clients legitimately go quiet during
                 # local training phases between requests
                 conn.settimeout(IDLE_TIMEOUT_S)

@@ -202,16 +202,19 @@ def encode_feedback_response(resp: FeedbackResponse) -> bytes:
     return w.getvalue()
 
 
-def decode_feedback_response(payload: bytes | bytearray) -> FeedbackResponse:
-    """The response of a payload; its matrices are read-only views of the payload."""
-    r = _Reader(payload)
+def _response_head(r: _Reader) -> tuple[np.ndarray, float, np.ndarray, bool]:
+    """A feedback response's softmax, regularizer value and gradient (views), and its gradient flag."""
     softmax = r.matrix(copy=False)
     reg_value = r.f64()
     reg_grad = r.matrix(copy=False)
-    ce_value = ce_grad = None
-    if r.u32():
-        ce_value = r.f64()
-        ce_grad = r.matrix(copy=False)
+    return softmax, reg_value, reg_grad, r.u32() != 0
+
+
+def decode_feedback_response(payload: bytes | bytearray) -> FeedbackResponse:
+    """The response of a payload; its matrices are read-only views of the payload."""
+    r = _Reader(payload)
+    softmax, reg_value, reg_grad, has_ce = _response_head(r)
+    ce_value, ce_grad = (r.f64(), r.matrix(copy=False)) if has_ce else (None, None)
     r.done()
     return FeedbackResponse(
         softmax=softmax if softmax.size else None,
@@ -223,12 +226,8 @@ def decode_feedback_response(payload: bytes | bytearray) -> FeedbackResponse:
 
 
 def carries_ce_grad(payload: bytes) -> bool:
-    """Whether a feedback-response payload carries the white-box gradient; reads headers only, copies nothing."""
-    r = _Reader(payload)
-    r._skip(8 * r.u32() * r.u32())  # the softmax rows
-    r.f64()
-    r._skip(8 * r.u32() * r.u32())  # the regularizer gradient
-    return r.u32() != 0
+    """Whether a feedback-response payload carries the white-box gradient; reads the head only, copies no matrix."""
+    return _response_head(_Reader(payload))[3]
 
 
 def encode_weight_request(scenario: str) -> bytes:

@@ -26,6 +26,8 @@ from azsl.server import serve, train_teacher
 
 from conftest import fast_config, record_frames, tiny_config
 
+pytestmark = pytest.mark.acceptance  # skipped by `pytest -m "not acceptance"`
+
 SEEDS = [101, 102, 103, 104, 105]
 _timings: dict[str, float] = {}
 

@@ -43,6 +43,14 @@ def _rows(log):
     return [(e.direction, e.kind, e.size, e.risk, e.scenario, e.payload_sha) for e in log.entries]
 
 
+def _has_peer(sock) -> bool:
+    try:
+        sock.getpeername()
+    except OSError:
+        return False  # a listening socket
+    return True
+
+
 def _moving_average(xs, k=10):
     xs = np.asarray(xs)
     if len(xs) < k:
@@ -131,7 +139,7 @@ class TestFeedback:
         # pre-activation and holds one layer's input and output at a time,
         # 2.0 + 1.0 MB for the widest, plus one block of the leaky ReLU; the
         # bound adds 10% to that (measured 3.2 MB on x86-64; a separate
-        # activation array per layer took 4.1 MB, a cached pass 9.1 MB)
+        # activation array per layer took 4.1 MB, a cached pass 6.0 MB)
         reg = fit_regularizer(*hard, "kl", alpha=1.0)
         teacher = TeacherModel(nn.mlp_init(nn.classifier_specs(64, 20, (128, 64)), nn.ROLE_TEACHER, 0), np.arange(20))
         rng = np.random.default_rng(0)
@@ -680,6 +688,32 @@ class TestServeLoop:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_both_ends_of_a_connection_disable_nagle(self, trained, monkeypatch):
+        # without TCP_NODELAY a large reply's last partial segment waits for
+        # the peer's delayed ACK (40 ms or more on Linux)
+        made = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(socket, "socket", Recorded)  # accept() builds its socket from this name too
+        _, stop, thread, port = self.start(trained)
+        try:
+            remote = TcpChannel("127.0.0.1", port)
+            remote.feedback(wire.FeedbackRequest(wire.SCENARIO_WHITE, np.ones((1, 10)), [0]))
+            connected = [s for s in made if s.fileno() != -1 and _has_peer(s)]
+            ends = {s.getsockname() for s in connected} | {s.getpeername() for s in connected}
+            nodelay = [s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for s in connected]
+            remote.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert remote.sock in connected and len(connected) == 2 and len(ends) == 2  # the client's and the server's end
+        assert all(nodelay)
 
     def test_weight_request_over_tcp(self, trained):
         _, _, teacher, _ = trained
