@@ -55,7 +55,7 @@ class RiskEntry:
     risk: str
     scenario: str
     direction: str
-    payload_sha: str = ""
+    payload_sha: str
 
 
 def payload_sha(payload: bytes) -> str:
@@ -78,16 +78,7 @@ class RiskLog:
         self._entries: list[RiskEntry] = []
         self._lock = threading.Lock()
 
-    def append(
-        self,
-        kind: str,
-        size: int,
-        risk: str,
-        scenario: str,
-        direction: str,
-        payload: bytes | None = None,
-    ) -> None:
-        sha = payload_sha(payload) if payload is not None else ""
+    def append(self, kind: str, size: int, risk: str, scenario: str, direction: str, payload: bytes) -> None:
         entry = RiskEntry(
             timestamp=time.time(),
             kind=kind,
@@ -95,7 +86,7 @@ class RiskLog:
             risk=risk,
             scenario=scenario,
             direction=direction,
-            payload_sha=sha,
+            payload_sha=payload_sha(payload),
         )
         with self._lock:
             self._entries.append(entry)
@@ -160,7 +151,7 @@ def _entry_fault(e: RiskEntry) -> str | None:
             return f"{name} has the wrong type: {value!r}"
     if e.size < 0:
         return f"negative size {e.size}"
-    if not re.fullmatch(r"([0-9a-f]{16})?", e.payload_sha):
+    if not re.fullmatch(r"[0-9a-f]{16}", e.payload_sha):
         return f"payload_sha is not 16 hex digits: {e.payload_sha!r}"
     if e.kind not in _TAGS:
         return f"unknown kind {e.kind!r}"

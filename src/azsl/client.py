@@ -182,27 +182,15 @@ def train_black(
     return gen, student, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_BLACK, step)
 
 
-def verify(batch: GenerationBatch, softmax: np.ndarray, class_space) -> VerifiedBatch:
-    """Keep rows whose teacher argmax equals the conditioning class.
+def verify(batch: GenerationBatch, softmax: np.ndarray, class_space) -> np.ndarray:
+    """The keep mask: the rows whose teacher argmax equals their conditioning class.
 
     class_space maps softmax columns back to global class ids: the teacher head
     covers only the seen classes under an inductive teacher.
     """
-    probs = np.asarray(softmax, dtype=np.float64)
-    keep = _verified_mask(batch, probs, class_space)
-    return VerifiedBatch(
-        features=batch.features[keep],
-        labels=batch.cond_labels[keep],
-        teacher_softmax=probs[keep],
-        kept_fraction=float(keep.mean()) if len(keep) else 0.0,
-    )
-
-
-def _verified_mask(batch: GenerationBatch, probs: np.ndarray, class_space) -> np.ndarray:
-    """verify's keep mask: the rows whose teacher argmax is their conditioning class."""
-    if probs.shape[0] != len(batch.cond_labels):
+    if softmax.shape[0] != len(batch.cond_labels):
         raise ValueError("softmax rows must align with the generated batch")
-    head = probs.argmax(axis=1)  # ties resolve to the lowest index
+    head = softmax.argmax(axis=1)  # ties resolve to the lowest index
     pred = np.asarray(class_space, dtype=np.int64)[head]
     return pred == batch.cond_labels
 
@@ -245,7 +233,7 @@ def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, 
         generated += len(batch.features)
         softmax = _request_softmax(channel, batch.features, batch.cond_labels)
         if cfg.verify:
-            rows = np.flatnonzero(_verified_mask(batch, softmax, classes))
+            rows = np.flatnonzero(verify(batch, softmax, classes))
         else:
             rows = np.arange(len(batch.features))
         labels = batch.cond_labels[rows]

@@ -27,7 +27,6 @@ class ExperimentConfig:
     scenario: str = "white"
     teacher_mode: str = MODE_TRANSDUCTIVE
     dataset_path: str | None = None
-    dataset_format: str | None = None
     synthetic: SyntheticSpec | None = None
     split_unseen: int | tuple[int, ...] | None = None  # None: classes - seen (synthetic), else 2
     split_ratio: float = 0.8
@@ -112,7 +111,6 @@ _KEYS: dict[str, tuple[str, callable]] = {
     "scenario": ("scenario", str),
     "teacher_mode": ("teacher_mode", str),
     "dataset.path": ("dataset_path", str),
-    "dataset.format": ("dataset_format", str),
     "dataset.synthetic": ("_synthetic_flag", _parse_bool),
     "dataset.synthetic.classes": ("synthetic.n_classes", int),
     "dataset.synthetic.seen": ("synthetic.seen_count", int),
@@ -209,8 +207,6 @@ def validate(cfg: ExperimentConfig, origin: str = "config") -> None:
         bad(f"teacher_mode must be one of {TEACHER_MODES}")
     if (cfg.dataset_path is None) == (cfg.synthetic is None):
         bad("exactly one dataset source required (dataset.path or dataset.synthetic)")
-    if cfg.dataset_format not in (None, "csv", "azb"):
-        bad("dataset.format must be csv or azb")
     if cfg.regularizer not in REG_KINDS:
         bad(f"regularizer must be one of {REG_KINDS}")
     if not (math.isfinite(cfg.alpha) and cfg.alpha >= 0):

@@ -268,6 +268,7 @@ def split_azsl(
 # File formats. csv: `label,f0,f1,...` plus a sibling `<stem>.sem.csv` with
 # `class,s0,s1,...`. azb: magic "AZB1", u32 LE {N, d_x, C, d_a}, then features
 # (N*d_x f64), labels (N u32), semantics (C*d_a f64) — bit-exact round trip.
+# The file name decides the format: a name ending in .azb is azb, any other csv.
 # ---------------------------------------------------------------------------
 
 
@@ -275,10 +276,9 @@ def _sem_path(path: Path) -> Path:
     return path.with_name(path.stem + ".sem.csv")
 
 
-def save_features(dataset: Dataset, path: str | Path, fmt: str | None = None) -> None:
+def save_features(dataset: Dataset, path: str | Path) -> None:
     path = Path(path)
-    fmt = fmt or ("azb" if path.suffix == ".azb" else "csv")
-    if fmt == "azb":
+    if path.suffix == ".azb":
         payload = bytearray()
         payload += AZB_MAGIC
         payload += struct.pack("<4I", dataset.n, dataset.d_x, dataset.n_classes, dataset.d_a)
@@ -287,8 +287,6 @@ def save_features(dataset: Dataset, path: str | Path, fmt: str | None = None) ->
         payload += dataset.semantics.vectors.astype("<f8").tobytes()
         path.write_bytes(bytes(payload))
         return
-    if fmt != "csv":
-        raise DataError(f"unknown format {fmt!r}")
     with path.open("w") as fh:
         fh.write("label," + ",".join(f"f{i}" for i in range(dataset.d_x)) + "\n")
         for row, lab in zip(dataset.features, dataset.labels):
@@ -380,22 +378,8 @@ def _load_azb(path: Path) -> Dataset:
     return Dataset(features=feats, labels=labels, semantics=SemanticTable(sem, source=SEM_ATTRIBUTE))
 
 
-def load_features(path: str | Path, fmt: str | None = None) -> Dataset:
+def load_features(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
-    fmt = fmt or ("azb" if path.suffix == ".azb" else "csv")
-    if fmt == "azb":
-        return _load_azb(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    raise DataError(f"unknown format {fmt!r}")
-
-
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    return (
-        a.features.shape == b.features.shape
-        and np.array_equal(a.features, b.features)
-        and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.semantics.vectors, b.semantics.vectors)
-    )
+    return _load_azb(path) if path.suffix == ".azb" else _load_csv(path)

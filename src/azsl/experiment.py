@@ -41,7 +41,7 @@ def resolve_data_seed(cfg: ExperimentConfig) -> int:
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.synthetic is not None:
         return make_synthetic(cfg.synthetic, derive_seed(resolve_data_seed(cfg), "dataset"))
-    return load_features(cfg.dataset_path, cfg.dataset_format)
+    return load_features(cfg.dataset_path)
 
 
 def _unseen(cfg: ExperimentConfig) -> int | tuple[int, ...]:
@@ -78,7 +78,6 @@ def side_key(cfg: ExperimentConfig) -> tuple[tuple[str, object], ...]:
     return (
         ("dataset.synthetic", None if cfg.synthetic is None else astuple(cfg.synthetic)),
         ("dataset.path", cfg.dataset_path),
-        ("dataset.format", cfg.dataset_format),
         ("data_seed", resolve_data_seed(cfg)),
         ("split.unseen", _unseen(cfg)),
         ("split.ratio", cfg.split_ratio),

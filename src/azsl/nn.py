@@ -2,10 +2,11 @@
 
 Everything runs in float64 numpy. Networks are plain parameter containers so
 training stays explicit, seedable, and bit-reproducible; there is no autograd
-graph, just hand-written backward passes verified against finite differences
-(see grad_check). The teacher, the student and the inductive classifier are
-all fitted by the one minibatch-Adam loop, fit_minibatch; only the generator
-loops, which step on channel feedback, live elsewhere.
+graph, just hand-written backward passes, which the tests check against
+finite differences (grad_check in tests/conftest.py). The teacher, the
+student and the inductive classifier are all fitted by the one minibatch-Adam
+loop, fit_minibatch; only the generator loops, which step on channel
+feedback, live elsewhere.
 
 Each network's parameters live in one flat float64 buffer: every layer's
 weights in order, then every layer's biases. Parameters, gradients and the
@@ -433,43 +434,3 @@ def ce_loss_on(labels: np.ndarray, n_classes: int):
     labels = np.asarray(labels, dtype=np.int64)
     _check_labels(labels, n_classes)
     return lambda logits, idx: _ce_into(softmax(logits), labels[idx])
-
-
-LossClosure = Callable[[MlpParams], tuple[float, MlpGrads]]
-
-
-def grad_check(
-    params: MlpParams,
-    loss_closure: LossClosure,
-    epsilon: float = 1e-5,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic grads and central finite differences.
-
-    Samples n_samples coordinates (or all of them when the net is smaller).
-    loss_closure must be deterministic in params.
-    """
-    _, analytic = loss_closure(params)
-    total = analytic.buffer.size
-    rng = np.random.default_rng(seed)
-    idx = np.arange(total) if total <= n_samples else rng.choice(total, size=n_samples, replace=False)
-
-    work = params.copy()
-    worst = 0.0
-    for i in idx:
-        orig = work.buffer[i]
-        work.buffer[i] = orig + epsilon
-        hi, _ = loss_closure(work)
-        work.buffer[i] = orig - epsilon
-        lo, _ = loss_closure(work)
-        work.buffer[i] = orig
-        numeric = (hi - lo) / (2.0 * epsilon)
-        a = analytic.buffer[i]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-        worst = max(worst, err)
-    return worst
-
-
-def params_allclose(a: MlpParams, b: MlpParams, rtol: float = 0.0, atol: float = 0.0) -> bool:
-    return a.layers == b.layers and np.allclose(a.buffer, b.buffer, rtol=rtol, atol=atol)

@@ -99,8 +99,6 @@ class _Writer:
         if m is None:
             m = np.zeros((0, 0))
         m = np.ascontiguousarray(m, dtype="<f8")
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
         self.u32(m.shape[0])
         self.u32(m.shape[1])
         self.parts.append(m)  # joined as it is: getvalue makes the one copy
@@ -142,18 +140,17 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack_from("<d", self.data, self._skip(8))[0]
 
-    def matrix(self, copy: bool = True) -> np.ndarray:
-        """The next matrix: an array of its own, or with copy=False a read-only view of the payload.
+    def matrix(self) -> np.ndarray:
+        """The next matrix, as a read-only view of the payload.
 
-        A view copies nothing and keeps the payload alive as long as it lives;
-        writing to it raises ValueError.
+        The view copies nothing and keeps the payload alive as long as it
+        lives; writing to it raises ValueError.
         """
         rows, cols = self.u32(), self.u32()
         if rows * cols * 8 > MAX_PAYLOAD:
             raise ProtocolError("matrix exceeds payload cap", code=ERR_BAD_FRAME)
         # one array object straight on the payload: no memoryview slice, no 1-D array to reshape
-        m = np.ndarray((rows, cols), dtype="<f8", buffer=self.data, offset=self._skip(rows * cols * 8))
-        return m.copy() if copy else m
+        return np.ndarray((rows, cols), dtype="<f8", buffer=self.data, offset=self._skip(rows * cols * 8))
 
     def u32_list(self) -> np.ndarray:
         n = self.u32()
@@ -184,7 +181,7 @@ def decode_feedback_request(payload: bytes | bytearray) -> FeedbackRequest:
     if code not in _SCENARIO_NAME:
         raise ProtocolError(f"unknown scenario code {code}")
     want = r.u32() != 0
-    batch = r.matrix(copy=False)
+    batch = r.matrix()
     labels = r.u32_list()
     r.done()
     return FeedbackRequest(scenario=_SCENARIO_NAME[code], batch=batch, cond_labels=labels, want_softmax=want)
@@ -204,9 +201,9 @@ def encode_feedback_response(resp: FeedbackResponse) -> bytes:
 
 def _response_head(r: _Reader) -> tuple[np.ndarray, float, np.ndarray, bool]:
     """A feedback response's softmax, regularizer value and gradient (views), and its gradient flag."""
-    softmax = r.matrix(copy=False)
+    softmax = r.matrix()
     reg_value = r.f64()
-    reg_grad = r.matrix(copy=False)
+    reg_grad = r.matrix()
     return softmax, reg_value, reg_grad, r.u32() != 0
 
 
@@ -214,7 +211,7 @@ def decode_feedback_response(payload: bytes | bytearray) -> FeedbackResponse:
     """The response of a payload; its matrices are read-only views of the payload."""
     r = _Reader(payload)
     softmax, reg_value, reg_grad, has_ce = _response_head(r)
-    ce_value, ce_grad = (r.f64(), r.matrix(copy=False)) if has_ce else (None, None)
+    ce_value, ce_grad = (r.f64(), r.matrix()) if has_ce else (None, None)
     r.done()
     return FeedbackResponse(
         softmax=softmax if softmax.size else None,
@@ -287,18 +284,10 @@ def decode_params(payload: bytes) -> nn.MlpParams:
         specs.append(nn.LayerSpec(in_dim, out_dim, _ACT_NAME[act], slope))
     weights, biases = [], []
     for spec in specs:
-        weights.append(r.matrix(copy=False))
+        weights.append(r.matrix())
         biases.append(r.f64_view(r.u32()))
     r.done()
     return nn.MlpParams(role=role, layers=specs, weights=weights, biases=biases, seed=seed)
-
-
-def params_blob_size(specs: list[nn.LayerSpec]) -> int:
-    """Exact encode_params size for a given layer chain."""
-    n_params = sum(s.in_dim * s.out_dim + s.out_dim for s in specs)
-    header = 4 + 8 + 4 + len(specs) * (4 + 4 + 4 + 8)
-    per_layer_framing = len(specs) * (4 + 4 + 4)  # matrix rows/cols + bias count
-    return header + per_layer_framing + 8 * n_params
 
 
 def encode_error(code: int, message: str) -> bytes:
@@ -319,11 +308,6 @@ def _header(kind: int, length: int) -> bytes:
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {length} bytes exceeds cap", code=ERR_BAD_FRAME)
     return MAGIC + bytes([VERSION, kind]) + struct.pack("<I", length)
-
-
-def frame(kind: int, payload: bytes) -> bytes:
-    """One frame as one bytes object (send_frame sends a frame without building it)."""
-    return _header(kind, len(payload)) + payload
 
 
 def send_frame(sock: socket.socket, kind: int, payload: bytes | bytearray) -> None:

@@ -4,11 +4,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from azsl import nn
+from azsl import nn, wire
 from azsl.config import ExperimentConfig
-from azsl.data import SyntheticSpec, make_synthetic, split_azsl
+from azsl.data import Dataset, SyntheticSpec, make_synthetic, split_azsl
 
 # filled by test_acceptance.report(); echoed after capture ends so the
 # per-criterion lines survive any -v/-q run
@@ -164,3 +165,57 @@ def record_frames(channel):
 
     channel._request = recording
     return sent, received
+
+
+def grad_check(params: nn.MlpParams, loss_closure, epsilon: float = 1e-5, n_samples: int = 200, seed: int = 0) -> float:
+    """Max relative error between analytic grads and central finite differences.
+
+    loss_closure(params) gives (loss value, nn.MlpGrads) and must be
+    deterministic in params. Samples n_samples coordinates (or all of them
+    when the net is smaller).
+    """
+    _, analytic = loss_closure(params)
+    total = analytic.buffer.size
+    rng = np.random.default_rng(seed)
+    idx = np.arange(total) if total <= n_samples else rng.choice(total, size=n_samples, replace=False)
+
+    work = params.copy()
+    worst = 0.0
+    for i in idx:
+        orig = work.buffer[i]
+        work.buffer[i] = orig + epsilon
+        hi, _ = loss_closure(work)
+        work.buffer[i] = orig - epsilon
+        lo, _ = loss_closure(work)
+        work.buffer[i] = orig
+        numeric = (hi - lo) / (2.0 * epsilon)
+        a = analytic.buffer[i]
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+        worst = max(worst, err)
+    return worst
+
+
+def params_allclose(a: nn.MlpParams, b: nn.MlpParams, rtol: float = 0.0, atol: float = 0.0) -> bool:
+    return a.layers == b.layers and np.allclose(a.buffer, b.buffer, rtol=rtol, atol=atol)
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    return (
+        a.features.shape == b.features.shape
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+        and np.array_equal(a.semantics.vectors, b.semantics.vectors)
+    )
+
+
+def params_blob_size(specs: list[nn.LayerSpec]) -> int:
+    """Exact wire.encode_params size for a given layer chain."""
+    n_params = sum(s.in_dim * s.out_dim + s.out_dim for s in specs)
+    header = 4 + 8 + 4 + len(specs) * (4 + 4 + 4 + 8)
+    per_layer_framing = len(specs) * (4 + 4 + 4)  # matrix rows/cols + bias count
+    return header + per_layer_framing + 8 * n_params
+
+
+def frame(kind: int, payload: bytes) -> bytes:
+    """One wire frame as one bytes object (wire.send_frame sends a frame without building it)."""
+    return wire._header(kind, len(payload)) + payload

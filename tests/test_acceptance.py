@@ -24,7 +24,7 @@ from azsl.experiment import (
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.server import serve, train_teacher
 
-from conftest import fast_config, record_frames, tiny_config
+from conftest import fast_config, grad_check, record_frames, tiny_config
 
 pytestmark = pytest.mark.acceptance  # skipped by `pytest -m "not acceptance"`
 
@@ -182,7 +182,7 @@ class TestCriterion2GradientCorrectness:
             grads, _ = nn.mlp_backward(s, ch, nn.softmax_vjp(probs, grad_probs))
             return mse, grads
 
-        err_student = nn.grad_check(student, student_closure, n_samples=200, seed=9)
+        err_student = grad_check(student, student_closure, n_samples=200, seed=9)
 
         # 3) + 4) both regularizer kinds, gradient w.r.t. the batch
         errs_reg = {}

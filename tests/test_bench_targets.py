@@ -166,6 +166,24 @@ def test_quota_and_student_counters_match_the_transcript(scenario):
     assert tracer.counts["student.steps"] == cfg.t_s * -(-kept // cfg.batch_size)
 
 
+@pytest.mark.parametrize("verify", [True, False])
+def test_each_quota_round_verifies_through_client_verify(verify):
+    # the client.verify span times verification; a quota that verified by
+    # another route would leave that span empty
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cfg = tiny_config(scenario="black", t_g=8, t_s=4, min_verified=60, retry_cap=2, verify=verify)
+    with spans.patched(tracer, spans.layer_targets()):
+        run_experiment(cfg)
+    rounds = int(tracer.counts["client.quota.rounds"])
+    parents = [tracer.spans[s[spans.PARENT]][spans.NAME] for s in tracer.spans if s[spans.NAME] == "client.verify"]
+    if verify:
+        assert rounds > 1
+        assert parents == ["phase.quota"] * rounds
+    else:
+        assert parents == []
+
+
 @pytest.mark.parametrize("scenario", ["white", "black"])
 def test_transcript_check_reads_the_bundle_config(scenario, tmp_path):
     # the benchmark's output checks read scenario, t_g and batch_size off

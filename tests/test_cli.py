@@ -174,6 +174,13 @@ class TestExitCodes:
         bad.write_text("nonsense = 1\n")
         assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
 
+    def test_dataset_format_is_an_unknown_key(self, tmp_path, capsys):
+        # the file name decides the format: .azb is azb, any other name csv
+        path = tmp_path / "exp.azsl"
+        path.write_text("dataset.path = feats.csv\ndataset.format = azb\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "exp.azsl:2: unknown key 'dataset.format'" in capsys.readouterr().err
+
     def test_runtime_error(self, tmp_path):
         assert cli.main(["audit", str(tmp_path / "missing.json")]) == cli.EXIT_RUNTIME
 
@@ -289,6 +296,7 @@ class TestAudit:
             ("timestamp", "now", 3, "timestamp has the wrong type"),
             ("payload_sha", None, 0, "payload_sha has the wrong type"),
             ("payload_sha", "xyz", 0, "payload_sha is not 16 hex digits"),
+            ("payload_sha", "", 2, "payload_sha is not 16 hex digits: ''"),
             ("kind", "gradient", 1, "unknown kind 'gradient'"),
             ("scenario", "grey", 0, "unknown scenario 'grey'"),
             ("risk", "high", 0, "a feedback_request entry is low risk and up, not 'high' and 'up'"),
@@ -297,8 +305,8 @@ class TestAudit:
             ("direction", "down", 2, "a feedback_request entry is low risk and up, not 'low' and 'down'"),
         ],
         ids=[
-            "str-sizes", "negative-size", "bool-size", "str-timestamp", "no-sha", "short-sha", "unknown-kind",
-            "unknown-scenario", "unknown-risk", "unknown-direction", "ce_grad-low", "request-down",
+            "str-sizes", "negative-size", "bool-size", "str-timestamp", "no-sha", "short-sha", "empty-sha",
+            "unknown-kind", "unknown-scenario", "unknown-risk", "unknown-direction", "ce_grad-low", "request-down",
         ],
     )
     def test_entry_that_no_log_could_write_is_corrupt_despite_its_digest(

@@ -26,7 +26,7 @@ from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.seeding import derive_seed
 from azsl.server import TeacherServer, train_teacher
-from conftest import peak_bytes
+from conftest import grad_check, params_allclose, peak_bytes
 
 
 D_X, D_A, NZ = 10, 4, 6
@@ -133,21 +133,15 @@ class TestVerify:
         return GenerationBatch(features=np.arange(len(labels) * 2, dtype=float).reshape(-1, 2), cond_labels=labels)
 
     def test_all_correct(self):
-        batch = self.make_batch([0, 1, 2])
-        softmax = np.eye(3)
-        vb = verify(batch, softmax, range(3))
-        assert vb.kept_fraction == 1.0
-        assert np.array_equal(vb.features, batch.features)
-        assert np.array_equal(vb.teacher_softmax, softmax)
+        keep = verify(self.make_batch([0, 1, 2]), np.eye(3), range(3))
+        assert keep.dtype == bool and keep.tolist() == [True, True, True]
 
     def test_all_misclassified(self):
-        batch = self.make_batch([0, 0, 0])
         softmax = np.tile([0.1, 0.9, 0.0], (3, 1))
-        vb = verify(batch, softmax, range(3))
-        assert len(vb) == 0 and vb.kept_fraction == 0.0
+        assert not verify(self.make_batch([0, 0, 0]), softmax, range(3)).any()
 
     def test_mixed_fixture_hand_enumerated(self):
-        # rows 0, 2, 4 agree with their conditioning class; order must survive
+        # rows 0, 2, 4 agree with their conditioning class
         batch = self.make_batch([0, 1, 2, 0, 1])
         softmax = np.array(
             [
@@ -158,23 +152,20 @@ class TestVerify:
                 [0.3, 0.4, 0.3],  # -> 1 == 1 keep
             ]
         )
-        vb = verify(batch, softmax, range(3))
-        assert vb.kept_fraction == pytest.approx(3 / 5)
-        assert np.array_equal(vb.labels, [0, 2, 1])
-        assert np.array_equal(vb.features, batch.features[[0, 2, 4]])
-        assert np.array_equal(vb.teacher_softmax, softmax[[0, 2, 4]])
+        assert verify(batch, softmax, range(3)).tolist() == [True, False, True, False, True]
 
     def test_tie_breaks_to_lowest_class(self):
-        batch = self.make_batch([0, 1])
         softmax = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        vb = verify(batch, softmax, range(3))  # both rows argmax -> class 0
-        assert np.array_equal(vb.labels, [0])
+        assert verify(self.make_batch([0, 1]), softmax, range(3)).tolist() == [True, False]  # both argmax -> 0
 
     def test_head_mapping_for_partial_class_space(self):
-        batch = self.make_batch([5, 7])
         softmax = np.array([[0.9, 0.1], [0.2, 0.8]])  # head columns are classes [5, 7]
-        vb = verify(batch, softmax, class_space=[5, 7])
-        assert vb.kept_fraction == 1.0
+        assert verify(self.make_batch([5, 7]), softmax, class_space=[5, 7]).all()
+        assert not verify(self.make_batch([0, 1]), softmax, class_space=[5, 7]).any()
+
+    def test_misaligned_softmax_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            verify(self.make_batch([0, 1]), np.eye(3), range(3))
 
 
 class TestWhiteTraining:
@@ -213,7 +204,7 @@ class TestWhiteTraining:
             r = reg_value_grad(reg, x, labels)[0]
             return ce + alpha * r, grads
 
-        assert nn.grad_check(gen, closure, n_samples=200, seed=5) < 1e-4
+        assert grad_check(gen, closure, n_samples=200, seed=5) < 1e-4
 
     def test_loss_trace_decreases(self, teacher_env):
         channel = make_channel(teacher_env)
@@ -266,7 +257,7 @@ class TestBlackTraining:
             value = mse + alpha * reg_value_grad(reg, x, labels)[0]
             return value, gen_grads
 
-        assert nn.grad_check(gen, gen_closure, n_samples=150, seed=6) < 1e-4
+        assert grad_check(gen, gen_closure, n_samples=150, seed=6) < 1e-4
 
         def student_closure(s):
             x, cache = client_mod._forward_generator(gen, z, sem_rows)
@@ -275,7 +266,7 @@ class TestBlackTraining:
             )
             return mse, stu_grads
 
-        assert nn.grad_check(student, student_closure, n_samples=150, seed=7) < 1e-4
+        assert grad_check(student, student_closure, n_samples=150, seed=7) < 1e-4
 
     def test_teacher_outputs_used_only_as_constants(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
@@ -374,7 +365,8 @@ def list_tally_quota(gen, channel, semantics, classes, cfg, class_space):
         total_generated += len(batch.features)
         softmax = client_mod._request_softmax(channel, batch.features, batch.cond_labels)
         if cfg.verify:
-            vb = verify(batch, softmax, class_space)
+            keep = verify(batch, softmax, class_space)
+            vb = VerifiedBatch(batch.features[keep], batch.cond_labels[keep], softmax[keep], float(keep.mean()))
         else:
             vb = VerifiedBatch(batch.features, batch.cond_labels, softmax, 1.0)
         for c in pending:
@@ -456,7 +448,7 @@ class TestStudentTraining:
         before = student.copy()
         trained, trace = train_student(student, vb, client_cfg(t_s=3, batch_size=12, lr=1e-3, seed=1))
         assert trace[0]["mse"] == pytest.approx(0.0, abs=1e-30)
-        assert nn.params_allclose(trained, before)
+        assert params_allclose(trained, before)
 
     def test_loss_decreases_early(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
@@ -481,7 +473,7 @@ class TestStudentTraining:
             grads, _ = nn.mlp_backward(s, cache, nn.softmax_vjp(probs, grad_probs))
             return mse, grads
 
-        assert nn.grad_check(student, closure, n_samples=200, seed=8) < 1e-4
+        assert grad_check(student, closure, n_samples=200, seed=8) < 1e-4
 
     def test_empty_verified_batch_rejected(self):
         student = nn.mlp_init(nn.classifier_specs(D_X, 4, (8,)), nn.ROLE_STUDENT, 10)
@@ -552,7 +544,7 @@ class TestRunAlgorithm1:
         assert (tmp_path / "trace.csv").exists()
         assert (tmp_path / "transcript.json").exists()
         back = wire.decode_params((tmp_path / "gen.azw").read_bytes())
-        assert nn.params_allclose(back, bundle.gen)
+        assert params_allclose(back, bundle.gen)
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert header == "phase,epoch,ce,reg,mse"
 

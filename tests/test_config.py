@@ -212,10 +212,10 @@ class TestCanonicalEmission:
         assert parse_config_text(emit_config(cfg)) == cfg
 
     def test_file_backed_emission(self):
-        cfg = ExperimentConfig(dataset_path="/d/x.csv", dataset_format="csv", split_unseen=(3, 7), data_seed=4)
+        cfg = ExperimentConfig(dataset_path="/d/x.csv", split_unseen=(3, 7), data_seed=4)
         assert emit_config(cfg) == (
             "# canonical experiment config\nscenario = white\nteacher_mode = transductive\n"
-            "dataset.path = /d/x.csv\ndataset.format = csv\nsplit.unseen = 3,7\nsplit.ratio = 0.8\n"
+            "dataset.path = /d/x.csv\nsplit.unseen = 3,7\nsplit.ratio = 0.8\n"
             "regularizer = kl\nalpha = 0.5\nnoise.dim = 20\ntrain.generator_epochs = 2000\n"
             "train.student_epochs = 2000\ntrain.batch_size = 64\ntrain.per_class = 400\ntrain.lr = 1e-05\n"
             "train.min_verified = 1\ntrain.retry_cap = 2\ntrain.verify = true\nteacher.epochs = 200\n"

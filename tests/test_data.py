@@ -9,14 +9,13 @@ from azsl.data import (
     Dataset,
     SemanticTable,
     SyntheticSpec,
-    datasets_equal,
     load_features,
     make_synthetic,
     save_features,
     split_azsl,
 )
 from azsl.seeding import rng_for
-from conftest import peak_bytes
+from conftest import datasets_equal, peak_bytes
 
 
 class TestSynthetic:

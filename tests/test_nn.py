@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from azsl import nn
-from conftest import peak_bytes
+from conftest import grad_check, params_allclose, peak_bytes
 
 
 def small_net(seed=0, role=nn.ROLE_TEACHER):
@@ -42,7 +42,7 @@ class TestInit:
         a = small_net(seed=42)
         b = small_net(seed=42)
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-        assert not nn.params_allclose(small_net(seed=1), small_net(seed=2))
+        assert not params_allclose(small_net(seed=1), small_net(seed=2))
 
     def test_chain_mismatch_rejected(self):
         with pytest.raises(ValueError, match="chain"):
@@ -277,7 +277,7 @@ class TestBackward:
             grads, _ = nn.mlp_backward(p, cache, grad_out)
             return value, grads
 
-        assert nn.grad_check(params, closure, n_samples=200, seed=0) < 1e-4
+        assert grad_check(params, closure, n_samples=200, seed=0) < 1e-4
 
         out, cache = nn.mlp_forward(params, batch)
         _, grad_out = nn.loss_mse(out, target)
@@ -463,7 +463,7 @@ class TestAdam:
         state = nn.AdamState.for_params(params, lr=1e-3)
         nn.adam_step(params, nn.MlpGrads.zeros_like(params), state)
         assert state.step == 1
-        assert nn.params_allclose(params, before)
+        assert params_allclose(params, before)
 
     def test_first_step_is_signed_lr(self):
         params = nn.mlp_init([nn.LayerSpec(1, 1, nn.ACT_IDENTITY)], nn.ROLE_CLASSIFIER, 0)
@@ -629,7 +629,7 @@ class TestGradCheck:
 
     def test_linear_regression_tight(self):
         params, closure = self.make_linear_regression()
-        assert nn.grad_check(params, closure, n_samples=200) < 1e-6
+        assert grad_check(params, closure, n_samples=200) < 1e-6
 
     def test_leaky_network(self):
         params = small_net(seed=13)
@@ -643,7 +643,7 @@ class TestGradCheck:
             grads, _ = nn.mlp_backward(p, cache, grad_logits)
             return value, grads
 
-        assert nn.grad_check(params, closure, n_samples=250, seed=3) < 1e-4
+        assert grad_check(params, closure, n_samples=250, seed=3) < 1e-4
 
     def test_detects_corrupted_gradient(self):
         params, closure = self.make_linear_regression()
@@ -653,7 +653,7 @@ class TestGradCheck:
             grads.weights[0][0, 0] *= 2.0
             return value, grads
 
-        assert nn.grad_check(params, corrupted, n_samples=200) > 1e-1
+        assert grad_check(params, corrupted, n_samples=200) > 1e-1
 
 
 # The fitting step as it was before the per-step checks moved out of it: test-local
@@ -944,7 +944,7 @@ class TestOneBuffer:
         assert all(a.base is dup.buffer for a in dup.weights + dup.biases)
         assert_same_bits(dup.buffer, params.buffer)
         dup.weights[0][0, 0] += 1.0
-        assert not nn.params_allclose(dup, params)
+        assert not params_allclose(dup, params)
 
     def test_wire_round_trip_keeps_the_buffer_bits(self):
         from azsl import wire

@@ -13,7 +13,7 @@ from azsl.channel import BaseChannel, InProcessChannel, TcpChannel
 from azsl.data import SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer
 from azsl.server import TeacherModel, TeacherServer, feedback, serve, train_teacher
-from conftest import peak_bytes, record_frames
+from conftest import frame, params_allclose, params_blob_size, peak_bytes, record_frames
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ class TestTrainTeacher:
         ds, split, _, _ = trained
         a = train_teacher(ds, split, epochs=3, batch_size=32, seed=9, hidden=(8,), lr=1e-3)
         b = train_teacher(ds, split, epochs=3, batch_size=32, seed=9, hidden=(8,), lr=1e-3)
-        assert nn.params_allclose(a.params, b.params)
+        assert params_allclose(a.params, b.params)
 
     def test_loss_trace_non_increasing(self, trained):
         _, _, teacher, _ = trained
@@ -265,7 +265,7 @@ class TestExportWeights:
         server = TeacherServer(teacher, reg, wire.SCENARIO_WHITE)
         kind, blob = server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(wire.SCENARIO_WHITE))
         assert (kind, blob) == (wire.KIND_WEIGHT_BLOB, wire.encode_params(teacher.params))
-        assert len(blob) == wire.params_blob_size(teacher.params.layers)
+        assert len(blob) == params_blob_size(teacher.params.layers)
         back = wire.decode_params(blob)
         x = np.abs(np.random.default_rng(1).normal(size=(3, 10)))
         assert np.array_equal(nn.mlp_forward(back, x)[0], nn.mlp_forward(teacher.params, x)[0])
@@ -381,7 +381,7 @@ class TestRiskLog:
         entries = server.log.entries
         log2 = audit.RiskLog()
         for e in entries:
-            log2.append(e.kind, e.size, e.risk, e.scenario, e.direction)
+            log2.append(e.kind, e.size, e.risk, e.scenario, e.direction, b"")
             log2._entries[-1] = audit.RiskEntry(
                 timestamp=0.0, kind=e.kind, size=e.size, risk=e.risk,
                 scenario=e.scenario, direction=e.direction, payload_sha=e.payload_sha,
@@ -721,7 +721,7 @@ class TestServeLoop:
         try:
             remote = TcpChannel("127.0.0.1", port)
             params = remote.fetch_weights()
-            assert nn.params_allclose(params, teacher.params)
+            assert params_allclose(params, teacher.params)
             remote.close()
         finally:
             stop.set()
@@ -762,7 +762,7 @@ class TestServeLoop:
         _, stop, thread, port = self.start(trained)
         with socket.create_connection(("127.0.0.1", port), timeout=10) as idle:
             req = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((1, 10)), [0])
-            idle.sendall(wire.frame(wire.KIND_FEEDBACK_REQUEST, wire.encode_feedback_request(req)))
+            idle.sendall(frame(wire.KIND_FEEDBACK_REQUEST, wire.encode_feedback_request(req)))
             assert wire.recv_frame(idle)[0] == wire.KIND_FEEDBACK_RESPONSE  # accepted, now between frames
             stop.set()
             thread.join(2)

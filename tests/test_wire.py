@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from azsl import nn, wire
-from conftest import peak_bytes
+from conftest import frame, params_blob_size, peak_bytes
 
 
 def sample_params():
@@ -67,7 +67,7 @@ class TestMessageRoundTrips:
     def test_params_blob_size_formula(self):
         params = sample_params()
         blob = wire.encode_params(params)
-        assert len(blob) == wire.params_blob_size(params.layers)
+        assert len(blob) == params_blob_size(params.layers)
         n_params = params.n_params()
         header = len(blob) - 8 * n_params
         assert len(blob) == header + 8 * n_params  # every weight is one f64
@@ -166,7 +166,7 @@ class TestFraming:
 
     def test_frame_round_trip(self):
         payload = b"hello payload"
-        kind, back = wire.read_frame(self.read_from(wire.frame(wire.KIND_ERROR, payload)))
+        kind, back = wire.read_frame(self.read_from(frame(wire.KIND_ERROR, payload)))
         assert kind == wire.KIND_ERROR
         assert back == payload
 
@@ -188,7 +188,7 @@ class TestFraming:
             wire.read_frame(self.read_from(blob))
         assert exc.value.code == wire.ERR_BAD_FRAME
         with pytest.raises(wire.ProtocolError):
-            wire.frame(wire.KIND_ERROR, b"\x00" * (wire.MAX_PAYLOAD + 1))
+            frame(wire.KIND_ERROR, b"\x00" * (wire.MAX_PAYLOAD + 1))
 
     def test_trailing_bytes_rejected(self):
         payload = wire.encode_weight_request(wire.SCENARIO_WHITE) + b"junk"
@@ -223,7 +223,7 @@ class TestRecvFrame:
     @pytest.mark.parametrize("cut", [5, 13], ids=["in-header", "in-payload"])
     def test_close_mid_frame_is_bad_frame(self, cut):
         a, b = self.pair()
-        b.sendall(wire.frame(wire.KIND_ERROR, b"0123456789")[:cut])
+        b.sendall(frame(wire.KIND_ERROR, b"0123456789")[:cut])
         b.close()
         with pytest.raises(wire.ProtocolError) as exc:
             wire.recv_frame(a)
@@ -232,7 +232,7 @@ class TestRecvFrame:
 
     def test_frame_sent_one_byte_at_a_time(self):
         a, b = self.pair()
-        blob = wire.frame(wire.KIND_FEEDBACK_REQUEST, bytes(range(40)))
+        blob = frame(wire.KIND_FEEDBACK_REQUEST, bytes(range(40)))
 
         def drip():
             for i in range(len(blob)):
@@ -250,7 +250,7 @@ class TestRecvFrame:
 
     def test_back_to_back_frames_then_close(self):
         a, b = self.pair()
-        b.sendall(wire.frame(wire.KIND_ERROR, b"one") + wire.frame(wire.KIND_WEIGHT_REQUEST, b""))
+        b.sendall(frame(wire.KIND_ERROR, b"one") + frame(wire.KIND_WEIGHT_REQUEST, b""))
         b.close()
         assert wire.recv_frame(a) == (wire.KIND_ERROR, b"one")
         assert wire.recv_frame(a) == (wire.KIND_WEIGHT_REQUEST, b"")
@@ -262,7 +262,7 @@ class TestRecvFrame:
         # reader that collected chunks and joined them peaked near twice it
         a, b = self.pair()
         payload = np.random.default_rng(8).bytes(1 << 20)
-        blob = wire.frame(wire.KIND_FEEDBACK_RESPONSE, payload)
+        blob = frame(wire.KIND_FEEDBACK_RESPONSE, payload)
         sender = threading.Thread(target=b.sendall, args=(blob,))
         sender.start()
         try:
@@ -280,7 +280,7 @@ class TestRecvFrame:
         rng = np.random.default_rng(9)
         req = wire.FeedbackRequest(wire.SCENARIO_BLACK, rng.normal(size=(10, 8)), np.arange(10) % 3)
         payload = wire.encode_feedback_request(req)
-        blob = wire.frame(wire.KIND_FEEDBACK_REQUEST, payload)
+        blob = frame(wire.KIND_FEEDBACK_REQUEST, payload)
 
         def pieces():
             for i in range(0, len(blob), 7):
@@ -301,7 +301,7 @@ class TestRecvFrame:
 
     def test_close_mid_payload_of_a_large_frame_is_bad_frame(self):
         a, b = self.pair()
-        blob = wire.frame(wire.KIND_FEEDBACK_RESPONSE, bytes(100_000))
+        blob = frame(wire.KIND_FEEDBACK_RESPONSE, bytes(100_000))
         sender = threading.Thread(target=lambda: (b.sendall(blob[:60_000]), b.close()))
         sender.start()
         try:
@@ -374,7 +374,7 @@ class TestSendFrame:
                 reader.join(timeout=10)
         assert not reader.is_alive()
         assert len(sender.sent) > 1 and sum(sender.sent) == 10 + len(payload)
-        assert bytes(got) == wire.frame(wire.KIND_FEEDBACK_REQUEST, payload)
+        assert bytes(got) == frame(wire.KIND_FEEDBACK_REQUEST, payload)
 
     def test_oversized_payload_is_refused_before_any_byte_is_sent(self):
         a, b = socket.socketpair()
