@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 import time
@@ -107,16 +108,21 @@ class RiskLog:
     def digest(self) -> str:
         return _digest(self.entries)
 
-    def to_json(self) -> str:
-        names = [f.name for f in fields(RiskEntry)]  # asdict would deep-copy every field
-        body = {
-            "digest": self.digest(),
-            "entries": [{name: getattr(e, name) for name in names} for e in self.entries],
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        """Write {"digest", "entries"} as indented JSON, whole or not at all.
+
+        The JSON streams into <name>.tmp, which then replaces `path`: no string
+        of the whole file is built, and an interrupted save leaves the old file.
+        """
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        entries = self.entries
+        names = [f.name for f in fields(RiskEntry)]  # asdict would deep-copy every field
+        body = {"digest": _digest(entries), "entries": [{name: getattr(e, name) for name in names} for e in entries]}
+        with tmp.open("w") as fh:
+            json.dump(body, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
 
 
 def load_transcript(path: str | Path) -> list[RiskEntry]:

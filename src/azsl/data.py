@@ -137,9 +137,14 @@ class SplitBundle:
     @property
     def teacher_classes(self) -> np.ndarray:
         """Sorted class ids the teacher is trained over (head column order)."""
-        if self.teacher_mode == MODE_INDUCTIVE:
-            return self.seen_classes
-        return np.asarray(sorted(np.concatenate([self.seen_classes, self.unseen_classes])), dtype=np.int64)
+        return teacher_classes(self.teacher_mode, self.seen_classes, self.unseen_classes)
+
+
+def teacher_classes(teacher_mode: str, seen: np.ndarray, unseen: np.ndarray) -> np.ndarray:
+    """The sorted class ids a teacher of this mode is trained over, from sorted seen and unseen ids."""
+    if teacher_mode == MODE_INDUCTIVE:
+        return seen
+    return np.sort(np.concatenate([seen, unseen]))
 
 
 @dataclass
@@ -173,9 +178,8 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     link_rng = np.random.default_rng(spec.link_seed)
     linkage = link_rng.standard_normal((spec.d_a, spec.d_x)) / np.sqrt(spec.d_a)
 
-    rng = rng_for(seed, "synthetic")
-    embeddings = rng.standard_normal((spec.n_classes, spec.d_a))
-    means = spec.separation * np.maximum(embeddings @ linkage, 0.0)
+    semantics, rng = synthetic_semantics(spec, seed)
+    means = spec.separation * np.maximum(semantics.vectors @ linkage, 0.0)
 
     n = spec.n_classes * spec.per_class
     labels = np.repeat(np.arange(spec.n_classes), spec.per_class)
@@ -189,9 +193,38 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     return Dataset(
         features=features,
         labels=labels,
-        semantics=SemanticTable(embeddings, source=SEM_SYNTHETIC),
+        semantics=semantics,
         class_names=[str(c) for c in range(spec.n_classes)],
     )
+
+
+def synthetic_semantics(spec: SyntheticSpec, seed: int) -> tuple[SemanticTable, np.random.Generator]:
+    """The class embeddings of make_synthetic(spec, seed), the first draw of its stream, and that stream."""
+    rng = rng_for(seed, "synthetic")
+    return SemanticTable(rng.standard_normal((spec.n_classes, spec.d_a)), source=SEM_SYNTHETIC), rng
+
+
+def class_split(
+    n_classes: int, unseen: int | list[int], seed: int
+) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """The sorted seen and unseen class ids of split_azsl, and its `split` stream after them.
+
+    A count of unseen classes is the stream's first draw; an explicit list draws nothing.
+    """
+    if n_classes < 2:
+        raise DataError("need at least 2 classes to split")
+    rng = rng_for(seed, "split")
+    if isinstance(unseen, (int, np.integer)):
+        if not 1 <= unseen < n_classes:
+            raise DataError("unseen count must be in [1, n_classes)")
+        unseen_classes = np.sort(rng.choice(n_classes, size=int(unseen), replace=False))
+    else:
+        unseen_classes = np.unique(np.asarray(unseen, dtype=np.int64))
+        if unseen_classes.size == 0 or unseen_classes.min() < 0 or unseen_classes.max() >= n_classes:
+            raise DataError("unseen class list out of range")
+        if unseen_classes.size >= n_classes:
+            raise DataError("at least one class must stay seen")
+    return np.setdiff1d(np.arange(n_classes), unseen_classes), unseen_classes, rng
 
 
 def _split_rows(rows: np.ndarray, train_ratio: float, rng: np.random.Generator):
@@ -219,21 +252,7 @@ def split_azsl(
         raise DataError(f"unknown teacher mode {teacher_mode!r}")
     if not 0.0 < unseen_train_ratio < 1.0:
         raise DataError("train ratio must be in (0, 1)")
-    if dataset.n_classes < 2:
-        raise DataError("need at least 2 classes to split")
-
-    rng = rng_for(seed, "split")
-    if isinstance(unseen, (int, np.integer)):
-        if not 1 <= unseen < dataset.n_classes:
-            raise DataError("unseen count must be in [1, n_classes)")
-        unseen_classes = np.sort(rng.choice(dataset.n_classes, size=int(unseen), replace=False))
-    else:
-        unseen_classes = np.unique(np.asarray(unseen, dtype=np.int64))
-        if unseen_classes.size == 0 or unseen_classes.min() < 0 or unseen_classes.max() >= dataset.n_classes:
-            raise DataError("unseen class list out of range")
-        if unseen_classes.size >= dataset.n_classes:
-            raise DataError("at least one class must stay seen")
-    seen_classes = np.setdiff1d(np.arange(dataset.n_classes), unseen_classes)
+    seen_classes, unseen_classes, rng = class_split(dataset.n_classes, unseen, seed)
 
     teacher_train, eval_seen, eval_unseen = [], [], []
     for c in seen_classes:

@@ -5,7 +5,9 @@ a stored canonical config reproduces its run byte-for-byte. Dataset/split
 randomness derives from data_seed (defaults to a child of the master seed) so
 runs can share data while varying training seeds. The data owner's side (the
 dataset, its split and the fitted teacher) is built once by build_side and can
-be handed to run_experiment: a sweep builds it once for all of its cells.
+be handed to run_experiment: a sweep builds it once for all of its cells. A
+client of a remote teacher trains on client_inputs, which builds no feature
+row, and builds the dataset and split only afterwards, to evaluate.
 """
 from __future__ import annotations
 
@@ -13,10 +15,22 @@ import threading
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .channel import InProcessChannel, TcpChannel
 from .client import ArtifactBundle, run_algorithm1
 from .config import ConfigError, ExperimentConfig, emit_config, validate
-from .data import Dataset, SplitBundle, load_features, make_synthetic, split_azsl
+from .data import (
+    Dataset,
+    SemanticTable,
+    SplitBundle,
+    class_split,
+    load_features,
+    make_synthetic,
+    split_azsl,
+    synthetic_semantics,
+    teacher_classes,
+)
 from .evaluate import EvalReport, eval_czsl, eval_gzsl, save_report
 from .regularizers import fit_regularizer
 from .seeding import derive_seed
@@ -59,6 +73,18 @@ def build_split(cfg: ExperimentConfig, dataset: Dataset) -> SplitBundle:
         unseen_train_ratio=cfg.split_ratio,
         seed=derive_seed(resolve_data_seed(cfg), "split"),
     )
+
+
+def client_inputs(cfg: ExperimentConfig) -> tuple[SemanticTable, int, np.ndarray]:
+    """The semantic table, d_x and teacher classes of a synthetic cfg's dataset and split, built without a row.
+
+    They are the first draws of the streams build_dataset and build_split
+    draw from. Every tcp config is synthetic: feature files stay with the server.
+    """
+    spec, data_seed = cfg.synthetic, resolve_data_seed(cfg)
+    semantics, _ = synthetic_semantics(spec, derive_seed(data_seed, "dataset"))
+    seen, unseen, _ = class_split(spec.n_classes, _unseen(cfg), derive_seed(data_seed, "split"))
+    return semantics, spec.d_x, teacher_classes(cfg.teacher_mode, seen, unseen)
 
 
 def fit_teacher(cfg: ExperimentConfig, dataset: Dataset, split: SplitBundle) -> TeacherModel:
@@ -111,12 +137,28 @@ class TeacherSide:
         if differ:
             raise ValueError(f"given side was built for another config ({', '.join(differ)} differ)")
 
+    def check_inputs(self, semantics: SemanticTable, d_x: int, classes: np.ndarray) -> None:
+        """ValueError unless a client trained on inputs equal to this side's semantic table, d_x and teacher classes."""
+        differ = [
+            name
+            for name, same in (
+                ("semantic table", np.array_equal(self.dataset.semantics.vectors, semantics.vectors)),
+                ("d_x", self.dataset.d_x == d_x),
+                ("teacher classes", np.array_equal(self.split.teacher_classes, classes)),
+            )
+            if not same
+        ]
+        if differ:
+            raise ValueError(f"the client trained on another {', '.join(differ)} than the data it is evaluated on")
+
 
 def build_side(cfg: ExperimentConfig) -> TeacherSide:
-    """Build the dataset and split of `cfg` and fit its teacher (not for channel = tcp).
+    """Build the dataset and split of `cfg` and, in process, fit its teacher.
 
-    Each part is built through this module's build_dataset, build_split and
-    train_teacher, the names the benchmark's tracer wraps.
+    For channel = tcp the side holds the rows and no teacher: a client builds it
+    only after training, to evaluate, and `azsl serve` fits its teacher in
+    build_server. Each part is built through this module's build_dataset,
+    build_split and train_teacher, the names the benchmark's tracer wraps.
     """
     dataset = build_dataset(cfg)
     split = build_split(cfg, dataset)
@@ -139,29 +181,37 @@ def run_experiment(
 ) -> RunResult:
     """Full pipeline: config checks (ConfigError), teacher side or remote connection, client training, both evals.
 
-    Without `side` the run builds its own with build_side. A given side must
-    have been built from cfg's values of every side_key field, else
-    ValueError before any training, so the run's outputs are those of a run
-    that builds its own. Either way the run gets its own server: its own
-    regularizer state and transcript.
+    In process, a run without `side` builds its own with build_side before
+    training. Over TCP the client trains on client_inputs, so no feature row
+    exists in this process until training ends; only then does a run without
+    `side` build one, to evaluate, and ValueError if that side disagrees with
+    what the client trained on. A given side must have been built from cfg's
+    values of every side_key field, else ValueError before any training, so
+    the run's outputs are those of a run that builds its own. Either way the
+    run gets its own server: its own regularizer state and transcript.
     """
     validate(cfg)
-    if side is None:
-        side = build_side(cfg)
-    else:
+    if side is not None:
         side.check(cfg)
-    dataset, split = side.dataset, side.split
 
     if cfg.channel == "tcp":
+        semantics, d_x, classes = client_inputs(cfg)
         channel = TcpChannel(*cfg.endpoint)
     else:
-        server = build_server(cfg, dataset, split, side.teacher)
-        channel = InProcessChannel(server)
+        if side is None:
+            side = build_side(cfg)
+        semantics, d_x, classes = side.dataset.semantics, side.dataset.d_x, side.split.teacher_classes
+        channel = InProcessChannel(build_server(cfg, side.dataset, side.split, side.teacher))
 
     try:
-        bundle = run_algorithm1(channel, dataset.semantics, cfg, dataset.d_x, split.teacher_classes)
+        bundle = run_algorithm1(channel, semantics, cfg, d_x, classes)
     finally:
         channel.close()
+    if cfg.channel == "tcp":
+        if side is None:
+            side = build_side(cfg)
+        side.check_inputs(semantics, d_x, classes)
+    dataset, split = side.dataset, side.split
 
     report_czsl = eval_czsl(bundle, split, dataset)
     report_gzsl = eval_gzsl(bundle, split, dataset)
@@ -194,7 +244,10 @@ def serve_experiment(
 ) -> TeacherServer:
     """Train the teacher-side state and answer frames until stopped.
 
-    The server transcript is flushed to <out>/server_transcript.json on exit.
+    The server is the data owner: it holds the whole dataset and split, the
+    teacher's training rows included, and a fitted teacher, whatever cfg's
+    channel says (build_server fits the teacher a tcp side leaves out). The
+    server transcript is flushed to <out>/server_transcript.json on exit.
     """
     validate(cfg)
     if cfg.endpoint is None:

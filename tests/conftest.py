@@ -2,6 +2,7 @@ import glob
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from azsl import nn, wire
 from azsl.config import ExperimentConfig
 from azsl.data import Dataset, SyntheticSpec, make_synthetic, split_azsl
+from azsl.experiment import serve_experiment
 
 # filled by test_acceptance.report(); echoed after capture ends so the
 # per-criterion lines survive any -v/-q run
@@ -142,6 +144,28 @@ def peak_bytes(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+@contextmanager
+def serving(cfg: ExperimentConfig):
+    """serve_experiment(cfg) in a thread: yields the bound port once the teacher is fitted, stops it on exit."""
+    stop, ready, bound = threading.Event(), threading.Event(), {}
+
+    def on_ready(addr):
+        bound["port"] = addr[1]
+        ready.set()
+
+    thread = threading.Thread(
+        target=serve_experiment, args=(cfg,), kwargs={"stop_event": stop, "ready": on_ready}, daemon=True
+    )
+    thread.start()
+    try:
+        assert ready.wait(120)
+        yield bound["port"]
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
 
 
 def random_net(specs, role=nn.ROLE_TEACHER, seed=0):

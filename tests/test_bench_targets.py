@@ -11,9 +11,11 @@ import pytest
 
 from azsl import audit, cli, experiment, wire
 from azsl.config import emit_config, parse_config_text, validate
+from azsl.data import Dataset, SplitBundle
+from azsl.evaluate import EvalReport
 from azsl.experiment import build_dataset, build_split, run_experiment
 
-from conftest import tiny_config
+from conftest import serving, tiny_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -211,3 +213,16 @@ def test_phase_targets_keep_one_cell_result_per_sweep_value(tmp_path):
     assert len(tracer.durations("sweep.cell")) == len(tracer.results) == 3
     assert [r.outdir.name for r in tracer.results] == ["cell_000", "cell_001", "cell_002"]
     assert all(r.dataset is tracer.results[0].dataset for r in tracer.results)
+
+
+def test_tcp_run_result_carries_the_evaluation_data(tmp_path):
+    # output_checks recomputes a TCP run's reports from RunResult.dataset and
+    # .split, which the client builds after training; a client that left the
+    # evaluation to the data owner would leave the benchmark nothing to check
+    with serving(tiny_config(scenario="black", endpoint=("127.0.0.1", 0), out=str(tmp_path / "server"))) as port:
+        result = run_experiment(
+            tiny_config(scenario="black", channel="tcp", endpoint=("127.0.0.1", port)), outdir=tmp_path / "run"
+        )
+    assert isinstance(result.dataset, Dataset) and isinstance(result.split, SplitBundle)
+    assert isinstance(result.report_czsl, EvalReport) and isinstance(result.report_gzsl, EvalReport)
+    assert _load("checks").check_reports(result.outdir, result.dataset, result.split) == []

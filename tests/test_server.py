@@ -4,6 +4,7 @@ import json
 import struct
 import socket
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,7 +364,7 @@ class TestRiskLog:
             log.record(wire.KIND_FEEDBACK_RESPONSE, with_grad[:10], wire.SCENARIO_WHITE)
         assert len(log.entries) == 6  # a response too short to tag is not logged
 
-    def test_to_json_is_the_asdict_form(self, trained):
+    def test_to_json_is_the_asdict_form(self, trained, tmp_path):
         server, channel = self.run_session(trained, wire.SCENARIO_WHITE, n=2)
         channel.fetch_weights()
         server.handle_payload(99, b"")
@@ -374,7 +375,53 @@ class TestRiskLog:
         assert kinds == {audit.KIND_FEEDBACK_REQUEST, audit.KIND_FEEDBACK_RESPONSE, audit.KIND_CE_GRAD,
                          audit.KIND_WEIGHT_REQUEST, audit.KIND_WEIGHT_BLOB, audit.KIND_ERROR}
         body = {"digest": log.digest(), "entries": [dataclasses.asdict(e) for e in log.entries]}
-        assert log.to_json() == json.dumps(body, indent=2, sort_keys=True)
+        log.save(tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+    def test_save_replaces_the_file_only_once_the_new_one_is_whole(self, tmp_path, monkeypatch):
+        # a save cut short (a second signal during `azsl serve`'s final flush)
+        # must leave the old transcript, not a truncated one
+        path = tmp_path / "t.json"
+        log = audit.RiskLog()
+        log.record(wire.KIND_FEEDBACK_REQUEST, b"old", wire.SCENARIO_BLACK)
+        log.save(path)
+        old = path.read_bytes()
+        log.record(wire.KIND_FEEDBACK_REQUEST, b"new", wire.SCENARIO_BLACK)
+
+        def cut_short(obj, fh, **kw):
+            fh.write(json.dumps(obj, **kw)[:40])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(audit.json, "dump", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            log.save(path)
+        assert path.read_bytes() == old
+        assert len(audit.load_transcript(path)) == 1
+
+        replaced = []
+        real_replace = audit.os.replace
+
+        def replace(src, dst):
+            replaced.append((Path(src).name, Path(src).read_text()))
+            real_replace(src, dst)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(audit.os, "replace", replace)
+        log.save(path)
+        assert replaced == [("t.json.tmp", path.read_text())]
+        assert len(audit.load_transcript(path)) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+    def test_save_streams_the_json(self, tmp_path):
+        # 1 200 entries, as a black-kl-tcp client's transcript: json.dumps of
+        # the log built about 2 MB of chunk strings and the whole text at once
+        log = audit.RiskLog()
+        for i in range(600):
+            log.record(wire.KIND_FEEDBACK_REQUEST, i.to_bytes(4, "little") * 10, wire.SCENARIO_BLACK)
+            log.record(wire.KIND_ERROR, i.to_bytes(4, "little"), wire.SCENARIO_BLACK)
+        _, peak = peak_bytes(log.save, tmp_path / "t.json")
+        assert len(audit.load_transcript(tmp_path / "t.json")) == 1200
+        assert peak < 1_000_000
 
     def test_digest_ignores_timestamps(self, trained):
         server, _ = self.run_session(trained, wire.SCENARIO_BLACK, n=3)
