@@ -15,7 +15,7 @@ from pathlib import Path
 from .audit import load_transcript, summarize
 from .config import ConfigError, ExperimentConfig, parse_config, with_overrides
 from .data import DataError, save_features
-from .experiment import TeacherSide, build_dataset, build_side, run_experiment, serve_experiment, side_key
+from .experiment import TeacherSide, build_dataset, run_experiment, serve_experiment, side_key
 from .wire import ProtocolError
 
 EXIT_OK = 0
@@ -88,12 +88,10 @@ def cmd_sweep(args) -> int:
     """Run the config once per value of one client-side knob (noise_dim or alpha).
 
     Cells share the base config's seeds (common random numbers), so two rows
-    differ only in the swept value. They also share one teacher side: in
-    process, the dataset, the split and the teacher are built once before the
-    first cell and handed to every cell. Over TCP the first cell trains before
-    any row exists and builds the dataset and split to evaluate; the later
-    cells are handed those. Each cell's config.azsl still reproduces that cell
-    byte for byte under `azsl run`.
+    differ only in the swept value. They also share one teacher side: the
+    first cell builds it as a run of its own would, and the later cells are
+    handed it. Each cell's config.azsl still reproduces that cell byte for
+    byte under `azsl run`.
     """
     cfg = _load_config(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -112,7 +110,7 @@ def cmd_sweep(args) -> int:
         cells.append((raw, with_overrides(cfg, out=str(outdir / f"cell_{i:03d}"), **overrides)))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["value,u,s,H"]
-    side = None if cfg.channel == "tcp" else build_side(cells[0][1])
+    side = None
     for raw, cell in cells:
         result = run_experiment(cell, outdir=cell.out, side=side)
         if side is None:

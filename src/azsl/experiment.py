@@ -52,9 +52,17 @@ def resolve_data_seed(cfg: ExperimentConfig) -> int:
     return cfg.data_seed if cfg.data_seed is not None else derive_seed(cfg.seed, "data")
 
 
+def _dataset_seed(cfg: ExperimentConfig) -> int:
+    return derive_seed(resolve_data_seed(cfg), "dataset")
+
+
+def _split_seed(cfg: ExperimentConfig) -> int:
+    return derive_seed(resolve_data_seed(cfg), "split")
+
+
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.synthetic is not None:
-        return make_synthetic(cfg.synthetic, derive_seed(resolve_data_seed(cfg), "dataset"))
+        return make_synthetic(cfg.synthetic, _dataset_seed(cfg))
     return load_features(cfg.dataset_path)
 
 
@@ -71,7 +79,7 @@ def build_split(cfg: ExperimentConfig, dataset: Dataset) -> SplitBundle:
         cfg.teacher_mode,
         unseen=_unseen(cfg),
         unseen_train_ratio=cfg.split_ratio,
-        seed=derive_seed(resolve_data_seed(cfg), "split"),
+        seed=_split_seed(cfg),
     )
 
 
@@ -81,9 +89,9 @@ def client_inputs(cfg: ExperimentConfig) -> tuple[SemanticTable, int, np.ndarray
     They are the first draws of the streams build_dataset and build_split
     draw from. Every tcp config is synthetic: feature files stay with the server.
     """
-    spec, data_seed = cfg.synthetic, resolve_data_seed(cfg)
-    semantics, _ = synthetic_semantics(spec, derive_seed(data_seed, "dataset"))
-    seen, unseen, _ = class_split(spec.n_classes, _unseen(cfg), derive_seed(data_seed, "split"))
+    spec = cfg.synthetic
+    semantics, _ = synthetic_semantics(spec, _dataset_seed(cfg))
+    seen, unseen, _ = class_split(spec.n_classes, _unseen(cfg), _split_seed(cfg))
     return semantics, spec.d_x, teacher_classes(cfg.teacher_mode, seen, unseen)
 
 
