@@ -78,6 +78,7 @@ class TcpChannel(BaseChannel):
 
     def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
         wire.send_frame(self.sock, kind, payload)
+        wire.poll_readable(self.sock)
         reply = wire.recv_frame(self.sock)
         if reply is None:
             raise wire.ProtocolError("server closed the connection", code=wire.ERR_BAD_FRAME)

@@ -22,6 +22,7 @@ from .regularizers import RegularizerState, reg_value_grad
 from .seeding import rng_for
 
 IDLE_TIMEOUT_S = 300.0  # a connection silent this long is dropped
+STOP_TICK_S = 0.05  # how often an idle server looks at its stop event
 
 
 @dataclass
@@ -168,7 +169,7 @@ def serve(
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind(endpoint)
     sock.listen(4)
-    sock.settimeout(0.2)
+    sock.settimeout(STOP_TICK_S)
     if ready is not None:
         ready(sock.getsockname())
     try:
@@ -185,7 +186,7 @@ def serve(
                 last_frame = time.monotonic()
                 while True:
                     # wait for a frame's first byte in short ticks, so that stop is seen while a client idles
-                    if not select.select([conn], [], [], 0.2)[0]:
+                    if not select.select([conn], [], [], STOP_TICK_S)[0]:
                         if stop_event.is_set() or time.monotonic() - last_frame > IDLE_TIMEOUT_S:
                             break
                         continue
@@ -209,5 +210,6 @@ def serve(
                     except OSError:
                         break  # client went away; next connection
                     last_frame = time.monotonic()
+                    wire.poll_readable(conn)  # the next request of a feedback loop follows within ms
     finally:
         sock.close()

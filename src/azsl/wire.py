@@ -7,8 +7,12 @@ exactly these encoders, so transport never changes a byte.
 """
 from __future__ import annotations
 
+import os
+import select
 import socket
 import struct
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,7 @@ from . import nn
 MAGIC = b"AZSP"
 VERSION = 1
 MAX_PAYLOAD = 64 * 1024 * 1024
+POLL_BUDGET_S = 0.005  # a feedback loop's next frame comes in 1-3 ms (p99 3.1 ms); a longer gap ends a phase
 
 KIND_FEEDBACK_REQUEST = 1
 KIND_FEEDBACK_RESPONSE = 2
@@ -361,3 +366,27 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytearray] | None:
     if not sock.recv(1, socket.MSG_PEEK):
         return None
     return read_frame(read_exact)
+
+
+def poll_readable(sock: socket.socket) -> bool:
+    """Poll sock by zero-timeout selects for up to POLL_BUDGET_S; True once a byte is readable.
+
+    Polls only with 2 CPUs allowed (on one, polling only delays the peer) and
+    no other thread in the process (/proc/self/task, else Python's count): a
+    polling loop holds up a Python thread's GIL turn and a BLAS thread's CPU.
+    Between polls it yields the CPU to any thread waiting for it, a peer's
+    BLAS pool among them.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    if cpus < 2 or threads != 1:
+        return False
+    deadline = time.perf_counter() + POLL_BUDGET_S
+    while not select.select([sock], [], [], 0)[0]:
+        if time.perf_counter() > deadline:
+            return False
+        os.sched_yield()
+    return True

@@ -1,15 +1,27 @@
 import glob
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
+# One BLAS thread, as the benchmark runs, unless the caller chose otherwise.
+# Set before numpy loads: a BLAS pool is a second OS thread of the process,
+# and wire.poll_readable polls only in a process that runs one thread.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 
 from azsl import nn, wire
-from azsl.config import ExperimentConfig
+from azsl.config import ExperimentConfig, emit_config
 from azsl.data import Dataset, SyntheticSpec, make_synthetic, split_azsl
 from azsl.experiment import serve_experiment
 
@@ -148,7 +160,13 @@ def peak_bytes(fn, *args, **kwargs):
 
 @contextmanager
 def serving(cfg: ExperimentConfig):
-    """serve_experiment(cfg) in a thread: yields the bound port once the teacher is fitted, stops it on exit."""
+    """serve_experiment(cfg) in a thread: yields the bound port once the teacher is fitted, stops it on exit.
+
+    With the server's thread alive, neither end polls its socket before a
+    blocking read (`wire.poll_readable` polls only in a process that runs one
+    thread): both stay on the blocking path. A test of the polling path
+    serves with `serve_process` instead.
+    """
     stop, ready, bound = threading.Event(), threading.Event(), {}
 
     def on_ready(addr):
@@ -166,6 +184,46 @@ def serving(cfg: ExperimentConfig):
         stop.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+def serve_cmd(path) -> subprocess.Popen:
+    """`azsl serve path` in a child process that imports this same azsl package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wire.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-m", "azsl.cli", "serve", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+
+
+@contextmanager
+def serve_process(cfg: ExperimentConfig):
+    """`azsl serve` of cfg in a child process: yields the bound port once the ready line is printed.
+
+    The config is written next to cfg.out as `<out>.serve.azsl`. On exit the
+    server gets SIGTERM, flushes <cfg.out>/server_transcript.json and must exit
+    0; one that is still running after an error is killed. Either way it is
+    waited for.
+    """
+    path = Path(f"{cfg.out}.serve.azsl")
+    path.write_text(emit_config(cfg))
+    proc = serve_cmd(path)
+    try:
+        assert select.select([proc.stdout], [], [], 120)[0], "no ready line within 120 s"
+        line = proc.stdout.readline().decode()
+        match = re.fullmatch(r"serving teacher on [\d.]+:(\d+) \(\w+\)\n", line)
+        if not match:
+            stderr = proc.stderr.read().decode() if proc.poll() is not None else ""
+            raise AssertionError(f"unexpected first line {line!r}; stderr: {stderr}")
+        yield int(match.group(1))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0, proc.stderr.read().decode()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def random_net(specs, role=nn.ROLE_TEACHER, seed=0):

@@ -1,18 +1,16 @@
 import json
 import os
 import socket
-import subprocess
-import sys
 import threading
 
 import pytest
 
-from azsl import audit, cli, experiment
+from azsl import audit, cli, experiment, wire
 from azsl.config import ConfigError, emit_config, parse_config, with_overrides
 from azsl.data import load_features
 from azsl.experiment import run_experiment, serve_experiment
 
-from conftest import record_frames, tiny_config
+from conftest import record_frames, serve_cmd, serve_process, tiny_config
 
 RUN_FILES = [
     "config.azsl",
@@ -23,16 +21,6 @@ RUN_FILES = [
     "report_czsl.txt",
     "report_gzsl.txt",
 ]
-
-
-def serve_cmd(path):
-    """`azsl serve path` in a child process that imports this same azsl package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.Popen(
-        [sys.executable, "-m", "azsl.cli", "serve", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
-    )
 
 
 def write_config(tmp_path, cfg, name="exp.azsl"):
@@ -521,33 +509,9 @@ class TestGenData:
 
 class TestServeCli:
     def test_sigterm_flushes_transcript(self, tmp_path):
-        import signal
-        import time
-
-        free = socket.socket()
-        free.bind(("127.0.0.1", 0))
-        port = free.getsockname()[1]
-        free.close()
-        cfg = tiny_config(endpoint=("127.0.0.1", port), out=str(tmp_path / "srv"))
-        path = write_config(tmp_path, cfg, "srv.azsl")
-        proc = serve_cmd(path)
-        try:
-            deadline = time.time() + 120
-            while time.time() < deadline:
-                try:
-                    socket.create_connection(("127.0.0.1", port), timeout=1).close()
-                    break
-                except OSError:
-                    if proc.poll() is not None:
-                        raise AssertionError(proc.stderr.read().decode())
-                    time.sleep(0.3)
-            else:
-                raise AssertionError("server never came up")
-            os.kill(proc.pid, signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+        cfg = tiny_config(endpoint=("127.0.0.1", 0), out=str(tmp_path / "srv"))
+        with serve_process(cfg):  # on exit: SIGTERM, then exit code 0 is required
+            pass
         assert (tmp_path / "srv" / "server_transcript.json").exists()
 
     def test_ready_line_means_port_accepts(self, tmp_path):
@@ -577,10 +541,7 @@ class TestServeCli:
                 proc.wait()
 
     @pytest.mark.parametrize("scenario", ["white", "black"])
-    def test_serve_then_remote_run_matches_local(self, tmp_path, scenario):
-        local_cfg = tiny_config(scenario=scenario, out=str(tmp_path / "local"))
-        run_experiment(local_cfg, outdir=local_cfg.out)
-
+    def test_serve_then_remote_run_matches_local(self, tmp_path, local_run, scenario):
         serve_cfg = tiny_config(scenario=scenario, endpoint=("127.0.0.1", 0), out=str(tmp_path / "server"))
         stop = threading.Event()
         ready = threading.Event()
@@ -604,19 +565,58 @@ class TestServeCli:
         finally:
             stop.set()
             thread.join(timeout=30)
-        for name in ["report_czsl.txt", "report_gzsl.txt", "gen.azw", "student.azw"]:
-            assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "local" / name).read_bytes()
-        # the serve loop flushed its own transcript on shutdown; both ends logged
-        # every frame alike, and as the in-process run's one log did
-        remote, server, local = (
-            json.loads(path.read_text())
-            for path in (
-                tmp_path / "remote" / "transcript.json",
-                tmp_path / "server" / "server_transcript.json",
-                tmp_path / "local" / "transcript.json",
+        assert_remote_matches_local(tmp_path, local_run(scenario))
+
+    @pytest.mark.parametrize("scenario", ["white", "black"])
+    def test_serve_process_then_polling_client_matches_local(self, tmp_path, monkeypatch, local_run, scenario):
+        # in-thread serving keeps both ends on the blocking path; here each end is alone in its process
+        caught, poll = [], wire.poll_readable
+        monkeypatch.setattr(wire, "poll_readable", lambda sock: caught.append(poll(sock)) or caught[-1])
+        serve_cfg = tiny_config(scenario=scenario, endpoint=("127.0.0.1", 0), out=str(tmp_path / "server"))
+        with serve_process(serve_cfg) as port:
+            assert threading.active_count() == len(os.listdir("/proc/self/task")) == 1  # no BLAS pool either
+            remote_cfg = tiny_config(
+                scenario=scenario, channel="tcp", endpoint=("127.0.0.1", port), out=str(tmp_path / "remote")
             )
+            run_experiment(remote_cfg, outdir=remote_cfg.out)
+        requests = len(json.loads((tmp_path / "remote" / "transcript.json").read_text())["entries"]) // 2
+        assert len(caught) == requests
+        # a poll returns True only once it has seen the reply arrive; on one CPU it must not poll at all
+        assert any(caught) == (len(os.sched_getaffinity(0)) >= 2)
+        assert_remote_matches_local(tmp_path, local_run(scenario))
+
+
+@pytest.fixture(scope="module")
+def local_run(tmp_path_factory):
+    """local_run(scenario): the directory of the in-process TINY run of that scenario, run once per module."""
+    runs = {}
+
+    def get(scenario):
+        if scenario not in runs:
+            runs[scenario] = tmp_path_factory.mktemp(f"local_{scenario}")
+            run_experiment(tiny_config(scenario=scenario, out=str(runs[scenario])), outdir=runs[scenario])
+        return runs[scenario]
+
+    return get
+
+
+def assert_remote_matches_local(tmp_path, local_dir):
+    """A TCP client's run in remote/ against the in-process run in local_dir, byte for byte.
+
+    server/ holds the transcript that the serve loop flushed on shutdown: both
+    ends logged every frame alike, and as the in-process run's one log did.
+    """
+    for name in ["report_czsl.txt", "report_gzsl.txt", "gen.azw", "student.azw", "trace.csv"]:
+        assert (tmp_path / "remote" / name).read_bytes() == (local_dir / name).read_bytes(), name
+    remote, server, local = (
+        json.loads(path.read_text())
+        for path in (
+            tmp_path / "remote" / "transcript.json",
+            tmp_path / "server" / "server_transcript.json",
+            local_dir / "transcript.json",
         )
-        untimed = [{k: v for k, v in e.items() if k != "timestamp"} for e in remote["entries"]]
-        assert len(untimed) > 2 * local_cfg.t_g  # every generator round, then the quota rounds
-        assert untimed == [{k: v for k, v in e.items() if k != "timestamp"} for e in server["entries"]]
-        assert remote["digest"] == server["digest"] == local["digest"]
+    )
+    untimed = [{k: v for k, v in e.items() if k != "timestamp"} for e in remote["entries"]]
+    assert len(untimed) > 2 * tiny_config().t_g  # every generator round, then the quota rounds
+    assert untimed == [{k: v for k, v in e.items() if k != "timestamp"} for e in server["entries"]]
+    assert remote["digest"] == server["digest"] == local["digest"]

@@ -630,6 +630,22 @@ class TestServeLoop:
         assert local_frames == remote_frames
         assert local.transcript.digest() == remote.transcript.digest()
 
+    def test_each_end_polls_before_each_frame_it_awaits(self, trained, monkeypatch):
+        # the client after each request it sends, the server after each reply
+        waits, poll = [], wire.poll_readable
+        monkeypatch.setattr(wire, "poll_readable", lambda sock: waits.append(sock.getsockname()[1]) or poll(sock))
+        server, stop, thread, port = self.start(trained)
+        try:
+            remote = TcpChannel("127.0.0.1", port)
+            for req in self.request_sequence(np.random.default_rng(12)):
+                remote.feedback(req)
+            remote.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(waits) == 12 and waits.count(port) == 6  # the server's end is bound to port
+
     @pytest.mark.parametrize("scenario", [W, B])
     def test_both_ends_log_every_exchange_alike(self, trained, scenario):
         server, stop, thread, port = self.start(trained, scenario)

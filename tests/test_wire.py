@@ -1,6 +1,11 @@
+import os
+import select
 import socket
+import subprocess
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -312,6 +317,134 @@ class TestRecvFrame:
             a.close()
         assert not sender.is_alive()
         assert exc.value.code == wire.ERR_BAD_FRAME
+
+
+class TestPollReadable:
+    """`wire.poll_readable`: it polls only as the one thread of its process with 2 CPUs, never past POLL_BUDGET_S."""
+
+    @pytest.fixture
+    def selects(self, monkeypatch):
+        """The timeout of every select.select call made meanwhile."""
+        timeouts, real = [], select.select
+
+        def counting(r, w, x, timeout=None):
+            timeouts.append(timeout)
+            return real(r, w, x, timeout)
+
+        monkeypatch.setattr(select, "select", counting)
+        return timeouts
+
+    @pytest.fixture
+    def pair(self):
+        a, b = socket.socketpair()
+        a.settimeout(10)
+        yield a, b
+        a.close()
+        b.close()
+
+    @pytest.fixture
+    def one_thread(self, monkeypatch):
+        """/proc/self/task lists one thread, whatever threads the test starts."""
+        real = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path=".": ["1"] if path == "/proc/self/task" else real(path))
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    @contextmanager
+    def another_thread():
+        release = threading.Event()
+        peer = threading.Thread(target=release.wait, args=(10,))
+        peer.start()
+        try:
+            yield
+        finally:
+            release.set()
+            peer.join(timeout=10)
+        assert not peer.is_alive()
+
+    @pytest.mark.parametrize("proc", [True, False], ids=["proc", "no-proc"])
+    def test_another_thread_alive_returns_at_once_without_polling(self, monkeypatch, two_cpus, selects, pair, proc):
+        if not proc:  # then Python's own thread count gates
+
+            def no_proc(path="."):
+                raise FileNotFoundError(path)
+
+            monkeypatch.setattr(os, "listdir", no_proc)
+        a, b = pair
+        b.sendall(b"x")  # a poll would see this byte and return True
+        with self.another_thread():
+            assert not wire.poll_readable(a)
+        assert selects == []
+
+    def test_a_blas_pool_returns_at_once_without_polling(self):
+        # a BLAS pool of 2 is a second OS thread next to the one Python thread
+        probe = (
+            "import os, socket, threading\n"
+            "import numpy\n"
+            "from azsl import wire\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "a, b = socket.socketpair()\n"
+            "b.sendall(b'x')\n"
+            "print(threading.active_count(), len(os.listdir('/proc/self/task')), wire.poll_readable(a))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wire.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        python_threads, threads, polled = out.stdout.split()
+        assert (python_threads, polled) == ("1", "False") and int(threads) >= 2, out.stderr
+
+    def test_one_cpu_allowed_returns_at_once_without_polling(self, monkeypatch, one_thread, selects, pair):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        a, b = pair
+        b.sendall(b"x")
+        assert not wire.poll_readable(a)
+        assert selects == []
+
+    @pytest.mark.parametrize("count,polls", [(None, False), (1, False), (2, True), (8, True)])
+    def test_without_sched_getaffinity_the_cpu_count_gates(self, monkeypatch, one_thread, selects, pair, count, polls):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        a, b = pair
+        b.sendall(b"x")
+        assert wire.poll_readable(a) == polls
+        assert selects == ([0] if polls else [])
+
+    def test_returns_as_soon_as_a_byte_is_readable(self, monkeypatch, one_thread, two_cpus, selects, pair):
+        monkeypatch.setattr(wire, "POLL_BUDGET_S", 30.0)
+        a, b = pair
+        sender = threading.Timer(0.05, b.sendall, args=(b"x",))
+        t0 = time.perf_counter()
+        sender.start()
+        try:
+            assert wire.poll_readable(a)
+        finally:
+            sender.join(timeout=10)
+        assert time.perf_counter() - t0 < 5.0  # far inside the 30 s budget
+        assert len(selects) > 1 and set(selects) == {0}
+        assert a.recv(1) == b"x"  # the poll consumed nothing
+
+    def test_silent_peer_gives_up_within_the_budget_then_the_blocking_read_gets_the_frame(
+        self, monkeypatch, one_thread, two_cpus, selects, pair
+    ):
+        yields, sched_yield = [], os.sched_yield
+        monkeypatch.setattr(os, "sched_yield", lambda: yields.append(sched_yield()))
+        a, b = pair
+        # sent long after the budget: a poll without its bound would return True on it
+        sender = threading.Timer(0.4, b.sendall, args=(frame(wire.KIND_ERROR, b"late"),))
+        t0 = time.perf_counter()
+        sender.start()
+        try:
+            assert not wire.poll_readable(a)
+            waited = time.perf_counter() - t0
+            assert wire.recv_frame(a) == (wire.KIND_ERROR, b"late")
+        finally:
+            sender.join(timeout=10)
+        assert wire.POLL_BUDGET_S <= waited < wire.POLL_BUDGET_S + 0.3
+        assert selects and set(selects) == {0}
+        assert len(yields) == len(selects) - 1  # the CPU is offered between every two polls
 
 
 class CountingSocket(socket.socket):
