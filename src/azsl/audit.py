@@ -2,9 +2,9 @@
 
 Each end of the wire records a frame where it crosses. `_DISCLOSURE` is the
 one place that says how a wire message is logged: its entry kind, risk and
-direction; a feedback response is tagged from its own bytes. Entries carry a
-wall-clock timestamp for forensics, but the digest covers only the
-deterministic fields so that seed-identical runs produce identical digests
+direction; a feedback response is tagged from its own bytes. Entries carry the
+wall-clock time their frame crossed, for forensics, but the digest covers only
+the deterministic fields so that seed-identical runs produce identical digests
 (and therefore byte-identical reports).
 """
 from __future__ import annotations
@@ -79,9 +79,11 @@ class RiskLog:
         self._entries: list[RiskEntry] = []
         self._lock = threading.Lock()
 
-    def append(self, kind: str, size: int, risk: str, scenario: str, direction: str, payload: bytes) -> None:
+    def append(self, kind: str, size: int, risk: str, scenario: str, direction: str, payload: bytes,
+               timestamp: float | None = None) -> None:
+        """Log one entry, stamped `timestamp` (when its frame crossed) or now."""
         entry = RiskEntry(
-            timestamp=time.time(),
+            timestamp=time.time() if timestamp is None else timestamp,
             kind=kind,
             size=int(size),
             risk=risk,
@@ -92,13 +94,13 @@ class RiskLog:
         with self._lock:
             self._entries.append(entry)
 
-    def record(self, wire_kind: int, payload: bytes, scenario: str) -> None:
+    def record(self, wire_kind: int, payload: bytes, scenario: str, timestamp: float | None = None) -> None:
         """Log one wire message as `_DISCLOSURE` tags it, a feedback response by its bytes."""
         kind, risk, direction = _DISCLOSURE[wire_kind]
         if wire_kind == wire.KIND_FEEDBACK_RESPONSE and wire.carries_ce_grad(payload):
             kind, risk = KIND_CE_GRAD, RISK_MID
         # positional: perfbench/spans.py reads the payload as args[6] of append
-        self.append(kind, len(payload), risk, scenario, direction, payload)
+        self.append(kind, len(payload), risk, scenario, direction, payload, timestamp)
 
     @property
     def entries(self) -> tuple[RiskEntry, ...]:

@@ -3,15 +3,16 @@
 Both channels move the same canonical payload bytes; the in-process channel
 literally encodes/decodes through the wire codecs so a TCP session and a local
 session are byte-for-byte interchangeable. Each end of a wire logs every
-message that crosses it, once, where it crosses: `BaseChannel._call` logs the
-request as it is sent and the reply as it arrives, before anything decodes it.
-A TCP client keeps its own transcript, tagged from the same bytes as the
-server's log; an in-process run has only the server's end, so its transcript
-is the server's log.
+message that crosses it, once: `BaseChannel._call` sends a request, then logs
+it and runs the caller's deferred work while the reply is in flight, and logs
+the reply as it arrives, before anything decodes it. A TCP client keeps its own
+transcript, tagged from the same bytes as the server's log; an in-process run
+has only the server's end, so its transcript is the server's log.
 """
 from __future__ import annotations
 
 import socket
+from typing import Callable
 
 from . import audit, nn, wire
 from .server import TeacherServer
@@ -23,16 +24,23 @@ class BaseChannel:
     def __init__(self, transcript: audit.RiskLog):
         self.transcript = transcript
 
-    def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
+    def _request(self, kind: int, payload: bytes, meanwhile: Callable[[], None]) -> tuple[int, bytes]:
+        """Send one request, run `meanwhile` while its reply is in flight, return the reply frame."""
         raise NotImplementedError
 
     def _log(self, kind: int, payload: bytes, scenario: str) -> None:
         self.transcript.record(kind, payload, scenario)
 
-    def _call(self, kind: int, payload: bytes, scenario: str, reply_kind: int) -> bytes:
-        """Log and send one request; log its reply, then raise on an error frame or return the payload."""
-        self._log(kind, payload, scenario)
-        out_kind, out_payload = self._request(kind, payload)
+    def _call(self, kind: int, payload: bytes, scenario: str, reply_kind: int, work=None) -> bytes:
+        """Send one request, and log it and run `work` while its reply is in flight;
+        log the reply, then raise on an error frame or return the payload."""
+
+        def meanwhile():
+            self._log(kind, payload, scenario)
+            if work is not None:
+                work()
+
+        out_kind, out_payload = self._request(kind, payload, meanwhile)
         if out_kind not in (reply_kind, wire.KIND_ERROR):
             raise wire.ProtocolError(f"unexpected response kind {out_kind}", code=wire.ERR_BAD_KIND)
         self._log(out_kind, out_payload, scenario)
@@ -41,9 +49,9 @@ class BaseChannel:
             raise wire.ProtocolError(message, code=code)
         return out_payload
 
-    def feedback(self, request: wire.FeedbackRequest) -> wire.FeedbackResponse:
+    def feedback(self, request: wire.FeedbackRequest, work: Callable[[], None] | None = None) -> wire.FeedbackResponse:
         payload = wire.encode_feedback_request(request)
-        reply = self._call(wire.KIND_FEEDBACK_REQUEST, payload, request.scenario, wire.KIND_FEEDBACK_RESPONSE)
+        reply = self._call(wire.KIND_FEEDBACK_REQUEST, payload, request.scenario, wire.KIND_FEEDBACK_RESPONSE, work)
         return wire.decode_feedback_response(reply)
 
     def fetch_weights(self, scenario: str = wire.SCENARIO_WHITE) -> nn.MlpParams:
@@ -61,8 +69,10 @@ class InProcessChannel(BaseChannel):
         super().__init__(server.log)
         self.server = server
 
-    def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
-        return self.server.handle_payload(kind, payload)
+    def _request(self, kind: int, payload: bytes, meanwhile: Callable[[], None]) -> tuple[int, bytes]:
+        reply = self.server.handle_payload(kind, payload)
+        meanwhile()
+        return reply
 
     def _log(self, kind: int, payload: bytes, scenario: str) -> None:
         pass  # the server logs every in-process message in the shared transcript
@@ -76,8 +86,9 @@ class TcpChannel(BaseChannel):
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no Nagle wait on a request's tail
 
-    def _request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
+    def _request(self, kind: int, payload: bytes, meanwhile: Callable[[], None]) -> tuple[int, bytes]:
         wire.send_frame(self.sock, kind, payload)
+        meanwhile()  # the server decodes and computes meanwhile
         wire.poll_readable(self.sock)
         reply = wire.recv_frame(self.sock)
         if reply is None:

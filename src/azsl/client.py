@@ -130,18 +130,35 @@ def _generator_rounds(
     gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig, scenario: str, step
 ) -> list[dict]:
     """The t_g feedback rounds of either scenario; `step(features, cache, resp)`
-    applies one round's response and returns its trace values."""
+    applies one round's response and returns its trace values and the work it
+    leaves for the next round's reply wait (or None). That wait also draws the
+    round after; neither touches what its round sent."""
     classes = np.asarray(sorted(classes), dtype=np.int64)
-    trace = []
-    for epoch in range(cfg.t_g):
+
+    def draw(epoch):
         rng = rng_for(cfg.client_seed, f"{scenario}-epoch", epoch)
         labels = classes[rng.integers(0, len(classes), size=cfg.batch_size)]
         z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
-        features, cache = _forward_generator(gen, z, semantics.rows_for(labels))
+        return labels, z, semantics.rows_for(labels)
+
+    trace, left, drawn = [], None, draw(0) if cfg.t_g else None
+    for epoch in range(cfg.t_g):
+        labels, z, sem_rows = drawn
+        features, cache = _forward_generator(gen, z, sem_rows)
+
+        def meanwhile(epoch=epoch, left=left):
+            nonlocal drawn
+            if left is not None:
+                left()
+            drawn = draw(epoch + 1) if epoch + 1 < cfg.t_g else None
+
         resp = channel.feedback(
-            wire.FeedbackRequest(scenario, features, labels, want_softmax=scenario == wire.SCENARIO_BLACK)
+            wire.FeedbackRequest(scenario, features, labels, want_softmax=scenario == wire.SCENARIO_BLACK), meanwhile
         )
-        trace.append({"phase": "generator", "epoch": epoch, **step(features, cache, resp), "reg": resp.reg_value})
+        values, left = step(features, cache, resp)
+        trace.append({"phase": "generator", "epoch": epoch, **values, "reg": resp.reg_value})
+    if left is not None:
+        left()
     return trace
 
 
@@ -153,7 +170,7 @@ def train_generator_white(
 
     def step(features, cache, resp):
         nn.adam_step(gen, white_batch_grads(gen, cache, resp, cfg.alpha), state)
-        return {"ce": resp.ce_value}
+        return {"ce": resp.ce_value}, None
 
     return gen, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_WHITE, step)
 
@@ -167,7 +184,9 @@ def train_black(
     cfg: ExperimentConfig,
 ) -> tuple[nn.MlpParams, nn.MlpParams, list[dict]]:
     """Black-box loop: only softmax + regularizer feedback; generator and student
-    update jointly with the teacher held out of backprop."""
+    update jointly with the teacher held out of backprop. A round's student step
+    runs in the next reply wait, as that request needs only the generator; the
+    last runs before this returns."""
     gen_state = nn.AdamState.for_params(gen, lr=cfg.lr)
     stu_state = nn.AdamState.for_params(student, lr=cfg.lr)
 
@@ -176,8 +195,7 @@ def train_black(
             gen, cache, student, features, resp.softmax, resp.reg_grad, cfg.alpha
         )
         nn.adam_step(gen, gen_grads, gen_state)
-        nn.adam_step(student, stu_grads, stu_state)
-        return {"mse": mse}
+        return {"mse": mse}, lambda: nn.adam_step(student, stu_grads, stu_state)
 
     return gen, student, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_BLACK, step)
 

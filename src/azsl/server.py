@@ -4,7 +4,8 @@ Real feature rows never leave this module: responses contain only softmax rows,
 scalars, and batch-shaped gradients. White-box requests additionally get the
 cross-entropy gradient *through* the teacher (weights stay server-side) and
 that is the only mid-risk feedback kind. `TeacherServer.handle_payload` alone
-applies the scenario policy and logs what crosses the server's end.
+applies the scenario policy and logs what crosses the server's end, once the
+reply is sent.
 """
 from __future__ import annotations
 
@@ -123,26 +124,27 @@ class TeacherServer:
         self.scenario = scenario
         self.log = audit.RiskLog()
 
-    def handle_payload(self, kind: int, payload: bytes) -> tuple[int, bytes]:
-        """Decode one request payload, apply the scenario policy, answer it; log the request and the reply.
+    def handle_payload(self, kind: int, payload: bytes, send: "callable | None" = None) -> tuple[int, bytes]:
+        """Decode one request payload, apply the scenario policy, answer it; pass the
+        reply to `send(kind, payload)` if given, then log the request and the reply.
 
-        Every entry of a decoded request's exchange, error replies included,
-        carries the request's scenario, as the client logs it; a payload that
-        does not decode gets the server's own.
+        Entries are stamped when the request decoded and when the reply was
+        encoded, and logged even if `send` raises. Every entry of a decoded
+        request's exchange, error replies included, carries the request's
+        scenario, as the client logs it; a payload that does not decode logs
+        only its error reply, under the server's own scenario.
         """
-        scenario = self.scenario
+        scenario, received = self.scenario, None
         try:
             if kind == wire.KIND_FEEDBACK_REQUEST:
                 request = wire.decode_feedback_request(payload)
-                scenario = request.scenario
-                self.log.record(kind, payload, scenario)
+                scenario, received = request.scenario, time.time()
                 if self.scenario == wire.SCENARIO_BLACK and scenario == wire.SCENARIO_WHITE:
                     raise wire.ProtocolError("white-box feedback refused: server is black-box only")
                 resp = feedback(self.teacher, self.reg_state, request)
                 reply = wire.KIND_FEEDBACK_RESPONSE, wire.encode_feedback_response(resp)
             elif kind == wire.KIND_WEIGHT_REQUEST:
-                scenario = wire.decode_weight_request(payload)
-                self.log.record(kind, payload, scenario)
+                scenario, received = wire.decode_weight_request(payload), time.time()
                 if wire.SCENARIO_BLACK in (self.scenario, scenario):
                     raise wire.ProtocolError("weight export refused outside the white-box scenario")
                 reply = wire.KIND_WEIGHT_BLOB, wire.encode_params(self.teacher.params)
@@ -152,7 +154,14 @@ class TeacherServer:
             reply = wire.KIND_ERROR, wire.encode_error(exc.code, str(exc))
         except Exception as exc:  # keep the loop alive; leak no internals
             reply = wire.KIND_ERROR, wire.encode_error(wire.ERR_SERVER, f"server error: {exc}")
-        self.log.record(*reply, scenario)
+        encoded = time.time()
+        try:
+            if send is not None:
+                send(*reply)
+        finally:
+            if received is not None:
+                self.log.record(kind, payload, scenario, received)
+            self.log.record(*reply, scenario, encoded)
         return reply
 
 
@@ -204,9 +213,8 @@ def serve(
                         break  # a frame stalled past the timeout, or a reset: drop this connection only
                     if frame is None:
                         break  # the client closed between frames
-                    out_kind, out_payload = server.handle_payload(*frame)
                     try:
-                        wire.send_frame(conn, out_kind, out_payload)
+                        server.handle_payload(*frame, send=lambda k, p: wire.send_frame(conn, k, p))
                     except OSError:
                         break  # client went away; next connection
                     last_frame = time.monotonic()

@@ -240,9 +240,9 @@ def record_frames(channel):
     received: list[tuple[int, bytes]] = []
     request = channel._request
 
-    def recording(kind, payload):
+    def recording(kind, payload, meanwhile):
         sent.append((kind, payload))
-        received.append(request(kind, payload))
+        received.append(request(kind, payload, meanwhile))
         return received[-1]
 
     channel._request = recording

@@ -24,7 +24,7 @@ from azsl.client import (
 from azsl.config import ExperimentConfig
 from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer, reg_value_grad
-from azsl.seeding import derive_seed
+from azsl.seeding import derive_seed, rng_for
 from azsl.server import TeacherServer, train_teacher
 from conftest import grad_check, params_allclose, peak_bytes
 
@@ -292,6 +292,72 @@ class TestBlackTraining:
         cfg = client_cfg(t_g=20, batch_size=16, alpha=1.0, lr=1e-3, seed=4, scenario=wire.SCENARIO_BLACK)
         train_black(gen, student, channel, semantics(), [0, 1, 2, 3], cfg)
         assert all(e.risk == audit.RISK_LOW for e in channel.transcript.entries)
+
+
+def sequential_rounds(gen, student, channel, sem, classes, cfg):
+    """The generator loop of either scenario as it ran before rounds overlapped:
+    draw, forward, round trip, then every update of the round, in that order."""
+    classes = np.asarray(sorted(classes), dtype=np.int64)
+    black = cfg.scenario == wire.SCENARIO_BLACK
+    gen_state = nn.AdamState.for_params(gen, lr=cfg.lr)
+    stu_state = nn.AdamState.for_params(student, lr=cfg.lr)
+    trace = []
+    for epoch in range(cfg.t_g):
+        rng = rng_for(cfg.client_seed, f"{cfg.scenario}-epoch", epoch)
+        labels = classes[rng.integers(0, len(classes), size=cfg.batch_size)]
+        z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
+        features, cache = client_mod._forward_generator(gen, z, sem.rows_for(labels))
+        resp = channel.feedback(wire.FeedbackRequest(cfg.scenario, features, labels, want_softmax=black))
+        if black:
+            mse, gen_grads, stu_grads = black_batch_grads(
+                gen, cache, student, features, resp.softmax, resp.reg_grad, cfg.alpha
+            )
+            nn.adam_step(gen, gen_grads, gen_state)
+            nn.adam_step(student, stu_grads, stu_state)
+            values = {"mse": mse}
+        else:
+            nn.adam_step(gen, client_mod.white_batch_grads(gen, cache, resp, cfg.alpha), gen_state)
+            values = {"ce": resp.ce_value}
+        trace.append({"phase": "generator", "epoch": epoch, **values, "reg": resp.reg_value})
+    return gen, student, trace
+
+
+class TestOverlappedRounds:
+    """The last round's student step and the next round's draws run while a reply is in flight, bit for bit."""
+
+    def nets(self):
+        return tiny_generator(seed=13), nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 7)
+
+    def train(self, channel, cfg, gen, student):
+        if cfg.scenario == wire.SCENARIO_BLACK:
+            return train_black(gen, student, channel, semantics(), [0, 1, 2, 3], cfg)
+        gen, trace = train_generator_white(gen, channel, semantics(), [0, 1, 2, 3], cfg)
+        return gen, student, trace
+
+    @pytest.mark.parametrize("scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
+    @pytest.mark.parametrize("t_g", [0, 1, 2, 7])
+    def test_same_as_the_sequential_loop(self, teacher_env, scenario, t_g):
+        cfg = client_cfg(t_g=t_g, batch_size=16, alpha=1.0, lr=1e-3, seed=5, scenario=scenario)
+        got_channel, want_channel = make_channel(teacher_env, scenario), make_channel(teacher_env, scenario)
+        gen, student, trace = self.train(got_channel, cfg, *self.nets())
+        want_gen, want_student, want_trace = sequential_rounds(
+            *self.nets(), want_channel, semantics(), [0, 1, 2, 3], cfg
+        )
+        assert np.array_equal(gen.buffer, want_gen.buffer)
+        assert np.array_equal(student.buffer, want_student.buffer)
+        assert trace == want_trace
+        assert got_channel.transcript.digest() == want_channel.transcript.digest()
+
+    def test_no_round_draws_nothing_and_leaves_no_step(self, teacher_env, monkeypatch):
+        calls = []
+        monkeypatch.setattr(client_mod, "rng_for", lambda *a: calls.append(("draw", *a)) or rng_for(*a))
+        monkeypatch.setattr(nn, "adam_step", lambda params, *a: calls.append(("adam", params.role)))
+        gen, student = self.nets()
+        before = student.buffer.copy()
+        cfg = client_cfg(t_g=0, scenario=wire.SCENARIO_BLACK)
+        _, student, trace = train_black(gen, student, make_channel(teacher_env, cfg.scenario), semantics(), [0, 1], cfg)
+        assert calls == [] and trace == []
+        assert np.array_equal(student.buffer, before)
 
 
 class TestQuota:

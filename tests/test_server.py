@@ -4,14 +4,16 @@ import json
 import struct
 import socket
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from azsl import audit, nn, wire
+from azsl import audit, client, nn, server as server_mod, wire
 from azsl.channel import BaseChannel, InProcessChannel, TcpChannel
-from azsl.data import SyntheticSpec, make_synthetic, split_azsl
+from azsl.config import ExperimentConfig
+from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer
 from azsl.server import TeacherModel, TeacherServer, feedback, serve, train_teacher
 from conftest import frame, params_allclose, params_blob_size, peak_bytes, record_frames
@@ -443,7 +445,8 @@ class _Scripted(BaseChannel):
         super().__init__(audit.RiskLog())
         self.reply = reply
 
-    def _request(self, kind, payload):
+    def _request(self, kind, payload, meanwhile):
+        meanwhile()
         return self.reply
 
 
@@ -489,6 +492,44 @@ SHA_NARROW_REQ, SHA_FOREIGN_REQ = "594b30f46aa9601e", "edca25f547c25259"
 SHA_WHITE_REFUSED, SHA_EXPORT_REFUSED = "7f0d80da15929a3f", "2b5b6fb1d9785cf7"
 SHA_COLUMNS, SHA_CLASS_SPACE = "be892c609849663d", "04361d47df3299ff"
 SHA_TRUNCATED, SHA_BAD_KIND = "ff97f2de0e36208d", "6fee82fb4f8b9550"
+
+
+class TestReplyBeforeLog:
+    """`handle_payload` hands the reply to `send` first, then logs the exchange's entries."""
+
+    def test_reply_is_sent_before_either_entry_is_logged(self, trained):
+        _, _, teacher, reg = trained
+        server = TeacherServer(teacher, reg, wire.SCENARIO_BLACK)
+        seen = []
+        req = wire.encode_feedback_request(wire.FeedbackRequest(B, np.full((2, 10), 0.5), [0, 1]))
+        kind, payload = server.handle_payload(
+            wire.KIND_FEEDBACK_REQUEST, req, send=lambda k, p: seen.append((k, p, len(server.log.entries)))
+        )
+        assert seen == [(kind, payload, 0)]
+        assert _rows(server.log) == [
+            (UP, FB_REQ, len(req), LOW, B, _sha(req)), (DOWN, FB_RESP, len(payload), LOW, B, _sha(payload)),
+        ]
+
+    def test_failed_send_still_logs_request_then_reply(self, trained):
+        _, _, teacher, reg = trained
+        server = TeacherServer(teacher, reg, wire.SCENARIO_BLACK)
+
+        def send(kind, payload):
+            raise BrokenPipeError("peer gone")
+
+        with pytest.raises(OSError, match="peer gone"):
+            server.handle_payload(wire.KIND_WEIGHT_REQUEST, wire.encode_weight_request(W), send=send)
+        assert [(e.direction, e.kind, e.scenario) for e in server.log.entries] == [(UP, W_REQ, W), (DOWN, ERR, W)]
+
+    @pytest.mark.parametrize("scenario", [W, B])
+    def test_undecodable_payload_logs_only_its_error_reply(self, trained, scenario):
+        _, _, teacher, reg = trained
+        server = TeacherServer(teacher, reg, scenario)
+        sent = []
+        truncated = wire.encode_feedback_request(wire.FeedbackRequest(W, np.ones((1, 10)), [0]))[:-3]
+        reply = server.handle_payload(wire.KIND_FEEDBACK_REQUEST, truncated, send=lambda *f: sent.append(f))
+        assert sent == [reply] and reply[0] == wire.KIND_ERROR
+        assert _rows(server.log) == [(DOWN, ERR, 19, LOW, scenario, SHA_TRUNCATED)]
 
 
 def _channel_calls(channel) -> list[int]:
@@ -645,6 +686,89 @@ class TestServeLoop:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert len(waits) == 12 and waits.count(port) == 6  # the server's end is bound to port
+
+    def test_each_round_works_while_its_reply_is_in_flight(self, trained, monkeypatch):
+        # per black-box round: send, log the request, the last round's student
+        # step and the next round's draws, poll, log the reply
+        main, events = threading.get_ident(), []
+
+        def wrap(owner, name, label):
+            real = getattr(owner, name)
+
+            def recording(*a):
+                if threading.get_ident() == main:  # the serving thread calls the same wire functions
+                    events.append(label(*a))
+                return real(*a)
+
+            monkeypatch.setattr(owner, name, recording)
+
+        wrap(wire, "send_frame", lambda sock, kind, payload: "send")
+        wrap(wire, "poll_readable", lambda sock: "poll")
+        wrap(client, "rng_for", lambda seed, tag, epoch: f"draw {epoch}")
+        wrap(nn, "adam_step", lambda params, grads, state: f"adam {params.role}")
+        gen = nn.mlp_init(client.generator_specs(6, 4, 10, (16,)), nn.ROLE_GENERATOR, 0)
+        student = nn.mlp_init(nn.classifier_specs(10, 4, (8,)), nn.ROLE_STUDENT, 1)
+        cfg = ExperimentConfig(noise_dim=6, t_g=3, batch_size=8, scenario=B)
+        _, stop, thread, port = self.start(trained, B)
+        try:
+            remote = TcpChannel("127.0.0.1", port)
+            wrap(remote.transcript, "record", lambda kind, payload, scenario: f"log {kind}")
+            client.train_black(gen, student, remote, SemanticTable(np.eye(4)), range(4), cfg)
+            remote.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        req, resp = f"log {wire.KIND_FEEDBACK_REQUEST}", f"log {wire.KIND_FEEDBACK_RESPONSE}"
+        assert events == [
+            "draw 0",
+            "send", req, "draw 1", "poll", resp, "adam generator",
+            "send", req, "adam student", "draw 2", "poll", resp, "adam generator",
+            "send", req, "adam student", "poll", resp, "adam generator",
+            "adam student",
+        ]
+
+    def test_entries_are_stamped_when_frames_cross(self, trained, monkeypatch):
+        # a slow answer shows as the gap between the request's and the reply's stamp, at both ends
+        slow = 0.02
+        real = server_mod.feedback
+        monkeypatch.setattr(server_mod, "feedback", lambda *a: time.sleep(slow) or real(*a))
+        server, stop, thread, port = self.start(trained, B)
+        try:
+            remote = TcpChannel("127.0.0.1", port)
+            remote.feedback(wire.FeedbackRequest(B, np.ones((2, 10)), [0, 1]))
+            remote.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        for log in (server.log, remote.transcript):
+            up, down = log.entries
+            assert (up.kind, down.kind) == (FB_REQ, FB_RESP)
+            assert down.timestamp - up.timestamp >= slow
+
+    def test_failed_reply_send_logs_request_then_reply(self, trained, monkeypatch):
+        main, real = threading.get_ident(), wire.send_frame
+
+        def send_frame(sock, kind, payload):
+            if threading.get_ident() != main:  # the serving thread's reply
+                raise ConnectionResetError("peer gone")
+            real(sock, kind, payload)
+
+        monkeypatch.setattr(wire, "send_frame", send_frame)
+        server, stop, thread, port = self.start(trained, B)
+        req = wire.FeedbackRequest(B, np.ones((1, 10)), [0])
+        try:
+            remote = TcpChannel("127.0.0.1", port)
+            with pytest.raises(wire.ProtocolError, match="closed"):
+                remote.feedback(req)
+            remote.close()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [(e.direction, e.kind, e.scenario) for e in server.log.entries] == [(UP, FB_REQ, B), (DOWN, FB_RESP, B)]
+        assert server.log.entries[0].payload_sha == _sha(wire.encode_feedback_request(req))
 
     @pytest.mark.parametrize("scenario", [W, B])
     def test_both_ends_log_every_exchange_alike(self, trained, scenario):
