@@ -31,7 +31,9 @@ class GenerationBatch:
 
 @dataclass
 class VerifiedBatch:
-    """Rows whose teacher-predicted class matches their conditioning class."""
+    """The quota's kept rows: generated features, their conditioning labels and
+    teacher softmax. Under verification these are the rows whose teacher argmax
+    matched their label; with it off, every generated row."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -228,68 +230,45 @@ def _request_softmax(channel, features: np.ndarray, labels: np.ndarray) -> np.nd
 def ensure_quota(gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig) -> QuotaResult:
     """Generate per_class_count rows per class, verify, and retry decimated classes.
 
-    The teacher head's columns are the sorted classes. Kept rows come out class
-    by class, round by round within a class. Classes still under quota after
-    the retry cap are reported, never padded.
+    A round generates rows for the classes still under quota and asks the
+    teacher for their softmax; it keeps its verified rows (every row when
+    cfg.verify is off) with their softmax and labels, and drops the rest before
+    the next round. The teacher head's columns are the sorted classes. Kept rows
+    come out class by class, round by round within a class. Classes still under
+    quota after the retry cap are reported, never padded.
     """
     classes = np.unique(np.asarray(classes, dtype=np.int64))
     if classes.size == 0:
         raise ValueError("empty class space")
     kept = np.zeros(len(classes), dtype=np.int64)
-    # per round: its generated features and softmax, the indices of its
-    # verified rows in them and those rows' labels
-    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    generated = 0
+    features, softmaxes, labels = [], [], []
+    generated = rounds = 0
     pending = classes
-
-    def another_round() -> bool:
-        return bool(pending.size) and len(rounds) <= cfg.retry_cap
-
-    while another_round():
-        noise_seed = derive_seed(cfg.noise_seed, "quota-round", len(rounds))
+    while pending.size and rounds <= cfg.retry_cap:
+        noise_seed = derive_seed(cfg.noise_seed, "quota-round", rounds)
         batch = generate(gen, semantics, pending, cfg.per_class_count, noise_seed)
-        generated += len(batch.features)
         softmax = _request_softmax(channel, batch.features, batch.cond_labels)
-        if cfg.verify:
-            rows = np.flatnonzero(verify(batch, softmax, classes))
-        else:
-            rows = np.arange(len(batch.features))
-        labels = batch.cond_labels[rows]
-        rounds.append((batch.features, softmax, rows, labels))
-        kept += np.bincount(np.searchsorted(classes, labels), minlength=len(classes))
+        keep = verify(batch, softmax, classes) if cfg.verify else slice(None)
+        features.append(batch.features[keep])
+        softmaxes.append(softmax[keep])
+        labels.append(batch.cond_labels[keep])
+        generated += len(batch.features)
+        del batch, softmax  # the round's unverified rows go before the next is generated
+        kept += np.bincount(np.searchsorted(classes, labels[-1]), minlength=len(classes))
         pending = classes[kept < cfg.min_verified]
-        if another_round():
-            # a retry follows: hold this round's verified rows only
-            rounds[-1] = (batch.features[rows], softmax[rows], np.arange(len(rows)), labels)
-        del batch, softmax  # a cut round's whole batch goes before the next is generated
+        rounds += 1
 
-    # Kept rows class by class, round by round within a class: the class order
-    # composed with each round's kept indices picks every output row's source,
-    # and each output array is gathered once from the generated rows.
-    labels = np.concatenate([round_labels for *_, round_labels in rounds])
+    labels = np.concatenate(labels)
     order = np.argsort(labels, kind="stable")
-    src_round = np.repeat(np.arange(len(rounds)), [len(rows) for _, _, rows, _ in rounds])[order]
-    src_row = np.concatenate([rows for _, _, rows, _ in rounds])[order]
     verified = VerifiedBatch(
-        features=_gather([features for features, _, _, _ in rounds], src_round, src_row),
+        features=np.concatenate(features)[order],
         labels=labels[order],
-        teacher_softmax=_gather([softmax for _, softmax, _, _ in rounds], src_round, src_row),
+        teacher_softmax=np.concatenate(softmaxes)[order],
         kept_fraction=len(labels) / generated,
     )
     short = kept < cfg.min_verified
     shortfall = dict(zip(classes[short].tolist(), kept[short].tolist()))
-    return QuotaResult(verified=verified, shortfall=shortfall, rounds=len(rounds))
-
-
-def _gather(parts: list[np.ndarray], src_part: np.ndarray, src_row: np.ndarray) -> np.ndarray:
-    """Row i is parts[src_part[i]][src_row[i]], each row copied once."""
-    if len(parts) == 1:
-        return parts[0][src_row]
-    out = np.empty((len(src_row), parts[0].shape[1]))
-    for p, part in enumerate(parts):
-        dest = np.flatnonzero(src_part == p)
-        out[dest] = part[src_row[dest]]
-    return out
+    return QuotaResult(verified=verified, shortfall=shortfall, rounds=rounds)
 
 
 def train_student(

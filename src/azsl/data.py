@@ -190,12 +190,7 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     blocks = features.reshape(spec.n_classes, spec.per_class, spec.d_x)
     blocks += means[:, None, :]
     np.maximum(features, 0.0, out=features)
-    return Dataset(
-        features=features,
-        labels=labels,
-        semantics=semantics,
-        class_names=[str(c) for c in range(spec.n_classes)],
-    )
+    return Dataset(features=features, labels=labels, semantics=semantics)
 
 
 def synthetic_semantics(spec: SyntheticSpec, seed: int) -> tuple[SemanticTable, np.random.Generator]:

@@ -383,10 +383,10 @@ class TestQuota:
     def test_a_retried_round_holds_only_its_kept_rows(self, teacher_env):
         # All-zero features: the first round keeps its 2000 rows of one class
         # and retries the other three classes (6000 rows a round) in vain.
-        # Each round that a retry follows is cut to its kept rows, so the
-        # retries add at most the kept rows (2000 x (10 + 4) f64, 224 KB) to
-        # the one-round peak; measured no more than the one round on x86-64.
-        # Holding every whole round added 1.3 MB at two retries.
+        # Every round keeps only its verified rows, so the retries add at most
+        # the kept rows (2000 x (10 + 4) f64, 224 KB) to the one-round peak;
+        # measured no more than the one round on x86-64. Holding every whole
+        # round added 1.3 MB at two retries.
         gen = tiny_generator(seed=13)
         for w in gen.weights:
             w[:] = 0.0
@@ -401,6 +401,24 @@ class TestQuota:
         assert len(three.verified) == 2000
         kept_bytes = three.verified.features.nbytes + three.verified.teacher_softmax.nbytes
         assert three_peak < one_peak + kept_bytes
+
+    @pytest.mark.parametrize("verify_rows", [True, False])
+    def test_one_round_peak_is_generate_plus_twice_the_kept_rows(self, teacher_env, verify_rows):
+        # The benchmark workloads' shape: one round of 8000 rows that keeps
+        # about half of them (all with verification off). Beyond generate's own
+        # peak, which holds the whole batch, the quota makes at most two more
+        # copies of the kept rows; measured 1.23x (verified) and 0.56x (all
+        # kept) the kept bytes above generate's peak on x86-64.
+        gen = trained_generator(teacher_env)
+        cfg = client_cfg(per_class_count=2000, min_verified=5, retry_cap=3, verify=verify_rows, seed=17)
+        channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
+        quota, peak = peak_bytes(ensure_quota, gen, channel, semantics(), [0, 1, 2, 3], cfg)
+        noise_seed = derive_seed(cfg.noise_seed, "quota-round", 0)
+        _, generate_peak = peak_bytes(generate, gen, semantics(), [0, 1, 2, 3], cfg.per_class_count, noise_seed)
+        assert quota.rounds == 1
+        assert (0.4 <= quota.verified.kept_fraction < 1.0) if verify_rows else quota.verified.kept_fraction == 1.0
+        kept_bytes = quota.verified.features.nbytes + quota.verified.teacher_softmax.nbytes
+        assert peak <= generate_peak + 2 * kept_bytes
 
     def test_retry_cap_zero_is_single_pass(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
@@ -467,16 +485,23 @@ def list_tally_quota(gen, channel, semantics, classes, cfg, class_space):
 
 
 class TestQuotaTally:
-    # a weak (untrained) generator, so that retries and shortfalls occur
+    # A weak (untrained) generator, so that retries and shortfalls occur; and a
+    # trained one whose single round keeps about half its rows under
+    # verification, the shape of every benchmark workload's quota.
     @pytest.mark.parametrize("verify_rows", [True, False])
-    @pytest.mark.parametrize("min_verified,retry_cap", [(1, 2), (15, 3), (40, 1), (0, 0)])
-    def test_matches_list_tally(self, teacher_env, verify_rows, min_verified, retry_cap):
+    @pytest.mark.parametrize(
+        "min_verified,retry_cap,trained",
+        [(1, 2, False), (15, 3, False), (40, 1, False), (0, 0, False), (2, 3, True)],
+        ids=["1-2", "15-3", "40-1", "0-0", "trained"],
+    )
+    def test_matches_list_tally(self, teacher_env, verify_rows, min_verified, retry_cap, trained):
         cfg = client_cfg(per_class_count=10, min_verified=min_verified, retry_cap=retry_cap,
                          verify=verify_rows, seed=17)
+        gen = trained_generator(teacher_env) if trained else tiny_generator(seed=18)
 
         def run(tally, **kw):
             channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
-            result = tally(tiny_generator(seed=18), channel, semantics(), [3, 1, 0, 2], cfg, **kw)
+            result = tally(gen, channel, semantics(), [3, 1, 0, 2], cfg, **kw)
             return result, channel.transcript.digest()
 
         (got, got_digest), (want, want_digest) = run(ensure_quota), run(list_tally_quota, class_space=np.arange(4))
@@ -490,6 +515,9 @@ class TestQuotaTally:
             assert got.rounds > 1  # the retry path ran
         if min_verified == 40:
             assert got.shortfall  # the shortfall path ran
+        if trained:
+            assert got.rounds == 1 and 0.4 <= got.verified.kept_fraction <= 1.0
+            assert (got.verified.kept_fraction < 1.0) == verify_rows
 
     def test_empty_class_list_rejected(self, teacher_env):
         channel = make_channel(teacher_env, wire.SCENARIO_BLACK)
