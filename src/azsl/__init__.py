@@ -19,7 +19,7 @@ from .client import (
 )
 from .config import ExperimentConfig, parse_config
 from .data import Dataset, SemanticTable, SplitBundle, SyntheticSpec, load_features, make_synthetic, save_features, split_azsl
-from .evaluate import EvalReport, eval_czsl, eval_gzsl, export_projection, harmonic_mean, per_class_top1, predict
+from .evaluate import EvalReport, eval_czsl, eval_gzsl, harmonic_mean, per_class_top1, predict
 from .experiment import TeacherSide, build_side, run_experiment, serve_experiment
 from .regularizers import RegularizerState, fit_regularizer, reg_value_grad
 from .server import TeacherModel, TeacherServer, feedback, train_teacher

@@ -4,8 +4,10 @@ Both channels move the same canonical payload bytes; the in-process channel
 literally encodes/decodes through the wire codecs so a TCP session and a local
 session are byte-for-byte interchangeable. Each end of a wire logs every
 message that crosses it, once: `BaseChannel._call` sends a request, then logs
-it and runs the caller's deferred work while the reply is in flight, and logs
-the reply as it arrives, before anything decodes it. A TCP client keeps its own
+it and runs the caller's deferred work while the reply is in flight (a
+generator round draws the next round there; a black-box one also steps the
+student and runs its forward pass on the features just sent), and logs the
+reply as it arrives, before anything decodes it. A TCP client keeps its own
 transcript, tagged from the same bytes as the server's log; an in-process run
 has only the server's end, so its transcript is the server's log.
 """

@@ -94,13 +94,13 @@ def generate(
 
 
 def white_batch_grads(
-    gen: nn.MlpParams, gen_cache: nn.ForwardCache, resp: wire.FeedbackResponse, alpha: float
+    gen: nn.MlpParams, gen_cache: nn.ForwardCache, resp: wire.FeedbackResponse, alpha: float, out=None
 ) -> nn.MlpGrads:
-    """Generator gradient for one white-box round: backprop ce_grad + alpha*reg_grad."""
+    """Generator gradient for one white-box round: backprop ce_grad + alpha*reg_grad (into out, if given)."""
     if resp.ce_grad is None:
         raise wire.ProtocolError("white-box training needs the ce gradient in the response")
     feature_grad = resp.ce_grad + alpha * resp.reg_grad
-    grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False)
+    grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False, out=out)
     return grads
 
 
@@ -108,33 +108,38 @@ def black_batch_grads(
     gen: nn.MlpParams,
     gen_cache: nn.ForwardCache,
     student: nn.MlpParams,
-    features: np.ndarray,
+    student_cache: nn.ForwardCache,
+    probs: np.ndarray,
     targets: np.ndarray,
     reg_grad: np.ndarray,
     alpha: float,
-) -> tuple[float, nn.MlpGrads, nn.MlpGrads]:
-    """Joint gradient for one black-box round.
+    out: nn.MlpGrads | None = None,
+) -> tuple[float, nn.MlpGrads, list[np.ndarray]]:
+    """One black-box round's MSE, generator grads (into out, if given) and the
+    student's per-layer gradients, for nn.backward_weights; probs is the
+    student's softmax of the round's features, from the forward pass that left
+    student_cache.
 
     The teacher softmax is a constant target: gradient reaches the features
     only through the student's input gradient and the regularizer.
     """
-    logits, cache = nn.mlp_forward(student, features)
-    probs = nn.softmax(logits)
     mse, grad_probs = nn.loss_mse(probs, targets)
-    grad_logits = nn.softmax_vjp(probs, grad_probs)
-    student_grads, input_grad = nn.mlp_backward(student, cache, grad_logits)
-    feature_grad = input_grad + alpha * reg_grad
-    gen_grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False)
-    return mse, gen_grads, student_grads
+    layer_grads = []
+    _, input_grad = nn.mlp_backward(
+        student, student_cache, nn.softmax_vjp(probs, grad_probs), param_grads=False, layer_grads=layer_grads
+    )
+    gen_grads, _ = nn.mlp_backward(gen, gen_cache, input_grad + alpha * reg_grad, input_grad=False, out=out)
+    return mse, gen_grads, layer_grads
 
 
 def _generator_rounds(
-    gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig, scenario: str, step
+    gen: nn.MlpParams, channel, semantics: SemanticTable, classes, cfg: ExperimentConfig, scenario: str, step,
+    wait=None,
 ) -> list[dict]:
-    """The t_g feedback rounds of either scenario; `step(features, cache, resp)`
-    applies one round's response and returns its trace values and the work it
-    leaves for the next round's reply wait (or None). That wait also draws the
-    round after; neither touches what its round sent."""
+    """The t_g feedback rounds of either scenario; `step(cache, resp)` applies one
+    round's response, given the generator's forward cache, and returns its trace
+    values. While a reply is in flight the client draws the next round, then
+    runs `wait(features)`, if given, on the features just sent (read only)."""
     classes = np.asarray(sorted(classes), dtype=np.int64)
 
     def draw(epoch):
@@ -143,24 +148,21 @@ def _generator_rounds(
         z = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
         return labels, z, semantics.rows_for(labels)
 
-    trace, left, drawn = [], None, draw(0) if cfg.t_g else None
+    trace, drawn = [], draw(0) if cfg.t_g else None
     for epoch in range(cfg.t_g):
         labels, z, sem_rows = drawn
         features, cache = _forward_generator(gen, z, sem_rows)
 
-        def meanwhile(epoch=epoch, left=left):
+        def meanwhile(epoch=epoch, features=features):
             nonlocal drawn
-            if left is not None:
-                left()
             drawn = draw(epoch + 1) if epoch + 1 < cfg.t_g else None
+            if wait is not None:
+                wait(features)
 
         resp = channel.feedback(
             wire.FeedbackRequest(scenario, features, labels, want_softmax=scenario == wire.SCENARIO_BLACK), meanwhile
         )
-        values, left = step(features, cache, resp)
-        trace.append({"phase": "generator", "epoch": epoch, **values, "reg": resp.reg_value})
-    if left is not None:
-        left()
+        trace.append({"phase": "generator", "epoch": epoch, **step(cache, resp), "reg": resp.reg_value})
     return trace
 
 
@@ -169,10 +171,11 @@ def train_generator_white(
 ) -> tuple[nn.MlpParams, list[dict]]:
     """White-box loop: upload a generated batch, download gradients, step the generator."""
     state = nn.AdamState.for_params(gen, lr=cfg.lr)
+    grads = nn.MlpGrads.empty_like(gen)  # rewritten by every round
 
-    def step(features, cache, resp):
-        nn.adam_step(gen, white_batch_grads(gen, cache, resp, cfg.alpha), state)
-        return {"ce": resp.ce_value}, None
+    def step(cache, resp):
+        nn.adam_step(gen, white_batch_grads(gen, cache, resp, cfg.alpha, out=grads), state)
+        return {"ce": resp.ce_value}
 
     return gen, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_WHITE, step)
 
@@ -186,20 +189,41 @@ def train_black(
     cfg: ExperimentConfig,
 ) -> tuple[nn.MlpParams, nn.MlpParams, list[dict]]:
     """Black-box loop: only softmax + regularizer feedback; generator and student
-    update jointly with the teacher held out of backprop. A round's student step
-    runs in the next reply wait, as that request needs only the generator; the
-    last runs before this returns."""
+    update jointly with the teacher held out of backprop. Between a reply and
+    the next request the client runs only what that request needs: the
+    student's loss gradient and input-gradient chain, the generator's backward
+    pass and Adam step, and the next generator forward pass. The next reply
+    wait computes the student's weight gradients from that chain's per-layer
+    gradients, steps the student, and runs it on the features just sent, as a
+    sequential loop would; the last student step runs before this returns."""
     gen_state = nn.AdamState.for_params(gen, lr=cfg.lr)
     stu_state = nn.AdamState.for_params(student, lr=cfg.lr)
+    gen_grads, stu_grads = nn.MlpGrads.empty_like(gen), nn.MlpGrads.empty_like(student)  # rewritten by every round
+    stu_cache = probs = layer_grads = None
 
-    def step(features, cache, resp):
-        mse, gen_grads, stu_grads = black_batch_grads(
-            gen, cache, student, features, resp.softmax, resp.reg_grad, cfg.alpha
+    def step_student():
+        nonlocal stu_cache, layer_grads
+        if layer_grads is not None:
+            nn.adam_step(student, nn.backward_weights(student, stu_cache, layer_grads, out=stu_grads), stu_state)
+        stu_cache = layer_grads = None
+
+    def wait(features):
+        nonlocal stu_cache, probs
+        step_student()
+        logits, stu_cache = nn.mlp_forward(student, features)
+        probs = nn.softmax(logits)
+
+    def step(cache, resp):
+        nonlocal layer_grads
+        mse, grads, layer_grads = black_batch_grads(
+            gen, cache, student, stu_cache, probs, resp.softmax, resp.reg_grad, cfg.alpha, out=gen_grads
         )
-        nn.adam_step(gen, gen_grads, gen_state)
-        return {"mse": mse}, lambda: nn.adam_step(student, stu_grads, stu_state)
+        nn.adam_step(gen, grads, gen_state)
+        return {"mse": mse}
 
-    return gen, student, _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_BLACK, step)
+    trace = _generator_rounds(gen, channel, semantics, classes, cfg, wire.SCENARIO_BLACK, step, wait)
+    step_student()
+    return gen, student, trace
 
 
 def verify(batch: GenerationBatch, softmax: np.ndarray, class_space) -> np.ndarray:

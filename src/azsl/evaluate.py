@@ -154,26 +154,3 @@ def render_report(report: EvalReport) -> str:
 def save_report(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text(render_report(report))
 
-
-def export_projection(features: np.ndarray, labels, path: str | Path) -> None:
-    """Top-2 PCA projection written as `label,pc1,pc2` csv for external plotting."""
-    x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2 or len(x) < 2:
-        raise ValueError("need at least 2 feature rows")
-    centered = x - x.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if svals[0] <= 1e-12:
-        raise ValueError("data has rank 0; nothing to project")
-    comps = vt[:2]
-    if comps.shape[0] < 2:  # single feature column: pad a zero direction
-        comps = np.vstack([comps, np.zeros_like(comps[0])])
-    for i in range(2):
-        j = np.argmax(np.abs(comps[i]))
-        if comps[i, j] < 0:
-            comps[i] = -comps[i]
-    proj = centered @ comps.T
-    lines = ["label,pc1,pc2"]
-    for lab, (a, b) in zip(labels, proj):
-        lines.append(f"{lab},{float(a)!r},{float(b)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -113,7 +113,7 @@ class MlpGrads:
     """Parameter gradients in the MlpParams layout of the net they were made for.
 
     weights and biases are tuples of views of buffer, weights first, then
-    biases. Made by zeros_like, empty_like and mlp_backward.
+    biases. Made by zeros_like, empty_like and backward_weights.
     """
 
     buffer: np.ndarray
@@ -245,6 +245,19 @@ def mlp_forward(
     return x, ForwardCache(acts=acts, layers=params.layers) if cache else None
 
 
+def backward_weights(
+    params: MlpParams, cache: ForwardCache, layer_grads: list[np.ndarray], out: MlpGrads | None = None
+) -> MlpGrads:
+    """mlp_backward's weight-gradient half: parameter grads (into out, if given)
+    from the cache's layer inputs and every layer's dL/d pre-activation. It reads
+    no weight, so the net may have stepped since its forward pass."""
+    grads = out if out is not None else MlpGrads.empty_like(params)
+    for i, gz in enumerate(layer_grads):
+        np.matmul(cache.acts[i].T, gz, out=grads.weights[i])
+        gz.sum(axis=0, out=grads.biases[i])
+    return grads
+
+
 def mlp_backward(
     params: MlpParams,
     cache: ForwardCache,
@@ -252,26 +265,28 @@ def mlp_backward(
     param_grads: bool = True,
     input_grad: bool = True,
     out: MlpGrads | None = None,
+    layer_grads: list | None = None,
 ) -> tuple[MlpGrads | None, np.ndarray | None]:
     """Backprop upstream_grad (dL/d output) to parameter grads and dL/d input.
 
     A part the caller does not ask for is not computed and comes back as None.
-    The parameter grads are written into out when it is given (and out is
-    returned), else into a fresh MlpGrads.
+    The input-gradient half puts every layer's dL/d pre-activation, first layer
+    first, into layer_grads (an empty list, if given); backward_weights turns
+    them into the parameter grads (into out, if given), here or, after
+    param_grads=False, later.
     """
     if cache.layers != params.layers:
         raise ValueError("cache does not match these params (stale or from another net)")
     g = _as_batch(upstream_grad)
     if g.shape != (cache.acts[0].shape[0], params.out_dim):
         raise ValueError(f"upstream grad shape {g.shape} does not match forward output")
-    grads = (out if out is not None else MlpGrads.empty_like(params)) if param_grads else None
+    layer_grads = [] if layer_grads is None else layer_grads
     for i in range(len(params.layers) - 1, -1, -1):
         gz = _activation_vjp(g, cache.acts[i + 1], params.layers[i])
-        if grads is not None:
-            np.matmul(cache.acts[i].T, gz, out=grads.weights[i])
-            gz.sum(axis=0, out=grads.biases[i])
+        layer_grads.insert(0, gz)
         if i > 0 or input_grad:
             g = gz @ params.weights[i].T
+    grads = backward_weights(params, cache, layer_grads, out) if param_grads else None
     return grads, g if input_grad else None
 
 

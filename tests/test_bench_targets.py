@@ -146,6 +146,39 @@ def test_each_run_opens_one_generator_phase_and_two_eval_phases(mode):
     assert len(evals) == 2 and predict_parents == evals
 
 
+def test_each_black_round_times_the_student_once_per_op_by_role():
+    # perfbench times nn per role by patching nn's module globals: a black
+    # round's student forward pass runs in its own reply wait (inside
+    # channel.roundtrip), its input chain through nn.mlp_backward right after
+    # the reply, and its Adam step in the next round's wait (the last one
+    # after the loop); the weight-gradient half is not a traced call
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cfg = tiny_config(scenario="black", t_g=5, t_s=2)
+    with spans.patched(tracer, spans.layer_targets()):
+        run_experiment(cfg)
+    names = [s[spans.NAME] for s in tracer.spans]
+    (phase,) = [i for i, name in enumerate(names) if name == "phase.generator"]
+
+    def inside_phase(span):
+        while span[spans.PARENT] >= 0:
+            if span[spans.PARENT] == phase:
+                return True
+            span = tracer.spans[span[spans.PARENT]]
+        return False
+
+    student = [
+        (s[spans.NAME], s[spans.ROUND], names[s[spans.PARENT]])
+        for s in tracer.spans if s[spans.NAME].endswith(".student") and inside_phase(s)
+    ]
+    forward, backward, adam = (f"nn.{op}.student" for op in spans.NN_OPS)
+    want = [(forward, 1, "channel.roundtrip"), (backward, 0, "phase.generator")]
+    for r in range(2, cfg.t_g + 1):
+        want += [(adam, r, "channel.roundtrip"), (forward, r, "channel.roundtrip"), (backward, 0, "phase.generator")]
+    want.append((adam, 0, "phase.generator"))
+    assert student == want
+
+
 @pytest.mark.parametrize("scenario", ["white", "black"])
 def test_quota_and_student_counters_match_the_transcript(scenario):
     # the tracer reads client.quota.* off ensure_quota's result and student.steps

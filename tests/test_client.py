@@ -218,6 +218,28 @@ class TestWhiteTraining:
         assert np.all(smoothed[1:] <= smoothed[:-1] * 1.05)
 
 
+def joint_grads(gen, gen_cache, student, features, targets, reg_grad, alpha):
+    """One black-box round's (mse, generator grads, student grads) from the
+    round's pieces as train_black runs them: student forward, black_batch_grads,
+    then the student's weight-gradient half."""
+    logits, student_cache = nn.mlp_forward(student, features)
+    mse, gen_grads, layer_grads = black_batch_grads(
+        gen, gen_cache, student, student_cache, nn.softmax(logits), targets, reg_grad, alpha
+    )
+    return mse, gen_grads, nn.backward_weights(student, student_cache, layer_grads)
+
+
+def whole_black_grads(gen, gen_cache, student, features, targets, reg_grad, alpha):
+    """black_batch_grads as it was, one whole student backward pass: the
+    sequential loop's reference."""
+    logits, cache = nn.mlp_forward(student, features)
+    probs = nn.softmax(logits)
+    mse, grad_probs = nn.loss_mse(probs, targets)
+    student_grads, input_grad = nn.mlp_backward(student, cache, nn.softmax_vjp(probs, grad_probs))
+    gen_grads, _ = nn.mlp_backward(gen, gen_cache, input_grad + alpha * reg_grad, input_grad=False)
+    return mse, gen_grads, student_grads
+
+
 class TestBlackTraining:
     def test_zero_updates_when_student_matches_targets(self, teacher_env):
         gen = tiny_generator(seed=9)
@@ -227,7 +249,7 @@ class TestBlackTraining:
         features, cache = client_mod._forward_generator(gen, z, sem_rows)
         logits, _ = nn.mlp_forward(student, features)
         targets = nn.softmax(logits)  # student already reproduces the targets exactly
-        mse, gen_grads, stu_grads = black_batch_grads(
+        mse, gen_grads, stu_grads = joint_grads(
             gen, cache, student, features, targets, np.zeros_like(features), alpha=0.0
         )
         assert mse == 0.0
@@ -251,7 +273,7 @@ class TestBlackTraining:
 
         def gen_closure(g):
             x, cache = client_mod._forward_generator(g, z, sem_rows)
-            mse, gen_grads, _ = black_batch_grads(
+            mse, gen_grads, _ = joint_grads(
                 g, cache, student, x, frozen_targets, reg_value_grad(reg, x, labels)[1], alpha
             )
             value = mse + alpha * reg_value_grad(reg, x, labels)[0]
@@ -261,7 +283,7 @@ class TestBlackTraining:
 
         def student_closure(s):
             x, cache = client_mod._forward_generator(gen, z, sem_rows)
-            mse, _, stu_grads = black_batch_grads(
+            mse, _, stu_grads = joint_grads(
                 gen, cache, s, x, frozen_targets, np.zeros_like(x), alpha=0.0
             )
             return mse, stu_grads
@@ -278,9 +300,9 @@ class TestBlackTraining:
         x, cache = client_mod._forward_generator(gen, z, sem_rows)
         resp = channel.feedback(wire.FeedbackRequest(wire.SCENARIO_BLACK, x, labels))
 
-        out_a = black_batch_grads(gen, cache, student, x, resp.softmax, resp.reg_grad, 0.3)
+        out_a = joint_grads(gen, cache, student, x, resp.softmax, resp.reg_grad, 0.3)
         literal = np.array(resp.softmax.tolist())  # equal literal values, fresh object
-        out_b = black_batch_grads(gen, cache, student, x, literal, resp.reg_grad, 0.3)
+        out_b = joint_grads(gen, cache, student, x, literal, resp.reg_grad, 0.3)
         assert out_a[0] == out_b[0]
         for ga, gb in zip(out_a[1].weights + out_a[2].weights, out_b[1].weights + out_b[2].weights):
             assert np.array_equal(ga, gb)
@@ -309,7 +331,7 @@ def sequential_rounds(gen, student, channel, sem, classes, cfg):
         features, cache = client_mod._forward_generator(gen, z, sem.rows_for(labels))
         resp = channel.feedback(wire.FeedbackRequest(cfg.scenario, features, labels, want_softmax=black))
         if black:
-            mse, gen_grads, stu_grads = black_batch_grads(
+            mse, gen_grads, stu_grads = whole_black_grads(
                 gen, cache, student, features, resp.softmax, resp.reg_grad, cfg.alpha
             )
             nn.adam_step(gen, gen_grads, gen_state)
@@ -323,7 +345,8 @@ def sequential_rounds(gen, student, channel, sem, classes, cfg):
 
 
 class TestOverlappedRounds:
-    """The last round's student step and the next round's draws run while a reply is in flight, bit for bit."""
+    """The next round's draws, and in a black-box round the last student step and
+    the next student forward pass, run while a reply is in flight, bit for bit."""
 
     def nets(self):
         return tiny_generator(seed=13), nn.mlp_init(nn.classifier_specs(D_X, 4, (16, 8)), nn.ROLE_STUDENT, 7)
@@ -347,6 +370,20 @@ class TestOverlappedRounds:
         assert np.array_equal(student.buffer, want_student.buffer)
         assert trace == want_trace
         assert got_channel.transcript.digest() == want_channel.transcript.digest()
+
+    @pytest.mark.parametrize("scenario", [wire.SCENARIO_WHITE, wire.SCENARIO_BLACK])
+    def test_gradient_buffers_are_allocated_once_per_loop(self, teacher_env, monkeypatch, scenario):
+        real, calls = nn.MlpGrads.empty_like, []
+        monkeypatch.setattr(nn.MlpGrads, "empty_like", lambda params: calls.append(params.role) or real(params))
+
+        def allocations(t_g):
+            calls.clear()
+            cfg = client_cfg(t_g=t_g, batch_size=16, alpha=1.0, lr=1e-3, seed=5, scenario=scenario)
+            self.train(make_channel(teacher_env, scenario), cfg, *self.nets())
+            return list(calls)
+
+        few = allocations(2)
+        assert few and allocations(20) == few
 
     def test_no_round_draws_nothing_and_leaves_no_step(self, teacher_env, monkeypatch):
         calls = []

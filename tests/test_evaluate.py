@@ -11,7 +11,6 @@ from azsl.data import Dataset, SemanticTable, SplitBundle, SyntheticSpec, make_s
 from azsl.evaluate import (
     eval_czsl,
     eval_gzsl,
-    export_projection,
     harmonic_mean,
     per_class_top1,
     predict,
@@ -330,49 +329,3 @@ class TestEvalProtocols:
         assert text == render_report(report)
         assert "u: 100.00" in text and "[confusion]" in text
 
-
-class TestProjection:
-    def test_axis_aligned_2d_identity(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = np.zeros((40, 2))
-        data[:, 0] = rng.normal(size=40) * 5
-        data[:, 1] = rng.normal(size=40)
-        data -= data.mean(axis=0)
-        # make the covariance exactly diagonal so the principal axes ARE the axes
-        data[:, 1] -= data[:, 0] * (data[:, 0] @ data[:, 1]) / (data[:, 0] @ data[:, 0])
-        path = tmp_path / "proj.csv"
-        export_projection(data, np.zeros(40, dtype=int), path)
-        rows = np.array(
-            [[float(v) for v in line.split(",")[1:]] for line in path.read_text().splitlines()[1:]]
-        )
-        for col in range(2):
-            assert np.allclose(rows[:, col], data[:, col], atol=1e-9) or np.allclose(
-                rows[:, col], -data[:, col], atol=1e-9
-            )
-
-    def test_duplicated_rows_duplicate_projections(self, tmp_path):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(10, 6))
-        doubled = np.vstack([data, data])
-        path = tmp_path / "proj.csv"
-        export_projection(doubled, np.zeros(20, dtype=int), path)
-        lines = path.read_text().splitlines()[1:]
-        assert lines[:10] == lines[10:]
-
-    def test_rank2_reconstruction(self):
-        rng = np.random.default_rng(2)
-        basis = rng.normal(size=(2, 9))
-        coeffs = rng.normal(size=(60, 2))
-        data = coeffs @ basis
-        centered = data - data.mean(axis=0)
-        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        recon = centered @ vt[:2].T @ vt[:2]
-        assert np.abs(recon - centered).max() < 1e-9
-
-    def test_rank0_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="rank 0"):
-            export_projection(np.ones((5, 3)), np.zeros(5, dtype=int), tmp_path / "p.csv")
-
-    def test_needs_two_rows(self, tmp_path):
-        with pytest.raises(ValueError, match="2 feature rows"):
-            export_projection(np.ones((1, 3)), [0], tmp_path / "p.csv")

@@ -442,6 +442,46 @@ class TestLeakyRelu:
             assert_same_bits(got, want)
 
 
+class TestBackwardHalves:
+    """mlp_backward's input half then backward_weights is mlp_backward, and mlp_backward as it was, bit for bit."""
+
+    def net_and_cache(self, seed):
+        specs = [
+            nn.LayerSpec(7, 12, nn.ACT_LEAKY_RELU, 0.2),
+            nn.LayerSpec(12, 9, nn.ACT_RELU),
+            nn.LayerSpec(9, 5, nn.ACT_IDENTITY),
+        ]
+        params = nn.mlp_init(specs, nn.ROLE_STUDENT, seed)
+        rng = np.random.default_rng(seed + 1)
+        batch = rng.normal(size=(16, 7))
+        batch[2] = 0.0  # pre-activations of exactly zero
+        batch[4] = -0.0
+        out, cache = nn.mlp_forward(params, batch)
+        upstream = rng.normal(size=out.shape)
+        upstream[3] = -0.0
+        upstream[6, ::2] = 0.0
+        return params, batch, cache, upstream
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_halves_composed_are_mlp_backward_as_it_was(self, seed):
+        params, batch, cache, upstream = self.net_and_cache(seed)
+        _, ref_inputs, ref_preacts = where_forward(params, batch)
+        ref_gw, ref_gb, ref_input = where_backward(params, ref_inputs, ref_preacts, upstream)
+        full_grads, full_input = nn.mlp_backward(params, cache, upstream)
+        layer_grads = []
+        no_grads, input_grad = nn.mlp_backward(params, cache, upstream, param_grads=False, layer_grads=layer_grads)
+        params.buffer += 1.0  # a step between the halves, as in a black-box round: the weight half reads no weight
+        out = nn.MlpGrads.empty_like(params)
+        assert nn.backward_weights(params, cache, layer_grads, out=out) is out
+        assert no_grads is None and len(layer_grads) == len(params.layers)
+        assert_same_bits(input_grad, ref_input)
+        assert_same_bits(full_input, ref_input)
+        for got, full, want in zip((*out.weights, *out.biases), (*full_grads.weights, *full_grads.biases),
+                                   ref_gw + ref_gb):
+            assert_same_bits(got, want)
+            assert_same_bits(full, want)
+
+
 def per_array_adam_step(params, grads, state):
     """adam_step as it was before the moments were flat: one pass per array."""
     state["step"] += 1

@@ -688,24 +688,29 @@ class TestServeLoop:
         assert len(waits) == 12 and waits.count(port) == 6  # the server's end is bound to port
 
     def test_each_round_works_while_its_reply_is_in_flight(self, trained, monkeypatch):
-        # per black-box round: send, log the request, the last round's student
-        # step and the next round's draws, poll, log the reply
+        # per black-box round: send, log the request, the next round's draws,
+        # the last round's student weight gradients and Adam step, this
+        # round's student forward pass, poll, log the reply; then only the
+        # generator's critical path: the student's input chain, the generator's
+        # backward pass and Adam step, the next generator forward pass
         main, events = threading.get_ident(), []
 
         def wrap(owner, name, label):
             real = getattr(owner, name)
 
-            def recording(*a):
+            def recording(*a, **kw):
                 if threading.get_ident() == main:  # the serving thread calls the same wire functions
                     events.append(label(*a))
-                return real(*a)
+                return real(*a, **kw)
 
             monkeypatch.setattr(owner, name, recording)
 
         wrap(wire, "send_frame", lambda sock, kind, payload: "send")
         wrap(wire, "poll_readable", lambda sock: "poll")
         wrap(client, "rng_for", lambda seed, tag, epoch: f"draw {epoch}")
-        wrap(nn, "adam_step", lambda params, grads, state: f"adam {params.role}")
+        for op, name in (("adam", "adam_step"), ("forward", "mlp_forward"), ("backward", "mlp_backward"),
+                         ("weights", "backward_weights")):
+            wrap(nn, name, lambda params, *a, op=op: f"{op} {params.role}")
         gen = nn.mlp_init(client.generator_specs(6, 4, 10, (16,)), nn.ROLE_GENERATOR, 0)
         student = nn.mlp_init(nn.classifier_specs(10, 4, (8,)), nn.ROLE_STUDENT, 1)
         cfg = ExperimentConfig(noise_dim=6, t_g=3, batch_size=8, scenario=B)
@@ -720,12 +725,14 @@ class TestServeLoop:
             thread.join(timeout=10)
         assert not thread.is_alive()
         req, resp = f"log {wire.KIND_FEEDBACK_REQUEST}", f"log {wire.KIND_FEEDBACK_RESPONSE}"
+        critical = ["backward student", "backward generator", "weights generator", "adam generator"]
+        student_step = ["weights student", "adam student"]
         assert events == [
-            "draw 0",
-            "send", req, "draw 1", "poll", resp, "adam generator",
-            "send", req, "adam student", "draw 2", "poll", resp, "adam generator",
-            "send", req, "adam student", "poll", resp, "adam generator",
-            "adam student",
+            "draw 0", "forward generator",
+            "send", req, "draw 1", "forward student", "poll", resp, *critical, "forward generator",
+            "send", req, "draw 2", *student_step, "forward student", "poll", resp, *critical, "forward generator",
+            "send", req, *student_step, "forward student", "poll", resp, *critical,
+            *student_step,
         ]
 
     def test_entries_are_stamped_when_frames_cross(self, trained, monkeypatch):
