@@ -1,19 +1,17 @@
 """Command-line entry point: run / serve / audit / sweep / gen-data.
 
 Exit codes: 0 success, 1 usage, 2 config, 3 runtime, 4 protocol.
-AZSL_SEED overrides the master seed of any config it is applied to.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 import threading
 from pathlib import Path
 
 from .audit import load_transcript, summarize
-from .config import ConfigError, ExperimentConfig, parse_config, with_overrides
+from .config import ConfigError, parse_config, with_overrides
 from .data import DataError, save_features
 from .experiment import TeacherSide, build_dataset, run_experiment, serve_experiment, side_key
 from .wire import ProtocolError
@@ -25,19 +23,8 @@ EXIT_RUNTIME = 3
 EXIT_PROTOCOL = 4
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    cfg = parse_config(path)
-    env_seed = os.environ.get("AZSL_SEED")
-    if env_seed is not None:
-        try:
-            cfg = with_overrides(cfg, seed=int(env_seed))
-        except ValueError:
-            raise ConfigError(f"AZSL_SEED must be an integer, got {env_seed!r}") from None
-    return cfg
-
-
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     result = run_experiment(cfg, outdir=cfg.out)
     print(f"run complete: {result.outdir}")
     print(f"czsl u: {result.report_czsl.u:.2f}")
@@ -51,7 +38,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     stop = threading.Event()
 
     def _stop(_sig, _frame):
@@ -93,7 +80,7 @@ def cmd_sweep(args) -> int:
     handed it. Each cell's config.azsl still reproduces that cell byte for
     byte under `azsl run`.
     """
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
@@ -125,7 +112,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.spec)
+    cfg = parse_config(args.spec)
     if cfg.synthetic is None:
         raise ConfigError("gen-data needs a synthetic dataset spec")
     dataset = build_dataset(cfg)

@@ -180,7 +180,7 @@ def build_server(
     """A fresh server (own regularizer state, own log) around `teacher`, fitted here when not given."""
     if teacher is None:
         teacher = fit_teacher(cfg, dataset, split)
-    reg = fit_regularizer(dataset, split, cfg.regularizer, cfg.alpha)
+    reg = fit_regularizer(dataset, split, cfg.regularizer)
     return TeacherServer(teacher, reg, cfg.scenario)
 
 

@@ -42,10 +42,10 @@ MMD_POOL_CAP = 512  # rows used for the bandwidth median
 
 @dataclass
 class RegularizerState:
-    """Frozen per-class statistics of the real features plus the weight alpha."""
+    """Frozen per-class statistics of the real features."""
 
     kind: str
-    alpha: float
+    alpha: float = 1.0  # unread: perfbench/checks.py still passes it positionally, as the second field
     # kl
     class_means: dict[int, np.ndarray] = field(default_factory=dict)
     class_vars: dict[int, np.ndarray] = field(default_factory=dict)
@@ -82,14 +82,12 @@ class RegularizerState:
         self.global_ref_cache = None if self.global_ref is None else _ref_cache(self.global_ref, h2)
 
 
-def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: float) -> RegularizerState:
+def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str) -> RegularizerState:
     """Fit per-class statistics over the teacher training rows."""
     if kind not in REG_KINDS:
         raise ValueError(f"unknown regularizer kind {kind!r}")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     if kind == REG_NONE:
-        return RegularizerState(kind=kind, alpha=alpha)
+        return RegularizerState(kind=kind)
     rows = split.teacher_train
     if rows.size == 0:
         raise ValueError("empty teacher training set")
@@ -110,7 +108,6 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
         train = dataset.features[rows]
         return RegularizerState(
             kind=kind,
-            alpha=alpha,
             class_means=class_means,
             class_vars=class_vars,
             global_mean=train.mean(axis=0),
@@ -128,7 +125,6 @@ def fit_regularizer(dataset: Dataset, split: SplitBundle, kind: str, alpha: floa
     bandwidth_sq = float(max(np.median(off_diag, overwrite_input=True), 1e-12)) if off_diag.size else 1.0
     return RegularizerState(
         kind=kind,
-        alpha=alpha,
         class_refs=class_refs,
         global_ref=dataset.features[rows[:MMD_REF_CAP]],
         bandwidth_sq=bandwidth_sq,

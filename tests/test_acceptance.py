@@ -187,7 +187,7 @@ class TestCriterion2GradientCorrectness:
         # 3) + 4) both regularizer kinds, gradient w.r.t. the batch
         errs_reg = {}
         for kind in ("kl", "mmd"):
-            state = fit_regularizer(ds, split, kind, alpha=1.0)
+            state = fit_regularizer(ds, split, kind)
             _, grad = reg_value_grad(state, batch, labels)
             errs_reg[kind] = fd_over_batch(
                 lambda b, st=state: reg_value_grad(st, b, labels)[0], grad, batch
@@ -208,13 +208,13 @@ class TestCriterion3RegularizerIdentities:
         ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=10, d_a=4, per_class=50), seed=52)
         split = split_azsl(ds, "transductive", unseen=1, seed=52)
 
-        kl = fit_regularizer(ds, split, "kl", alpha=1.0)
+        kl = fit_regularizer(ds, split, "kl")
         for c in range(4):
             rows = split.teacher_train[ds.labels[split.teacher_train] == c]
             value, _ = reg_value_grad(kl, ds.features[rows], np.full(len(rows), c))
             assert abs(value) <= 1e-9
 
-        mmd = fit_regularizer(ds, split, "mmd", alpha=1.0)
+        mmd = fit_regularizer(ds, split, "mmd")
         for c in range(4):
             ref = mmd.class_refs[c]
             value, _ = reg_value_grad(mmd, ref, np.full(len(ref), c))

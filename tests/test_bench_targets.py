@@ -1,12 +1,15 @@
-"""The benchmark traces azsl by patching its functions by name (perfbench/spans.py).
+"""The benchmark traces azsl by patching its functions by name (perfbench/spans.py)
+and calls some of them with fixed argument shapes (perfbench/checks.py).
 
-A rename under src/ should fail here, not in the middle of a traced benchmark run.
+A rename or a reorder under src/ should fail here, not in the middle of a
+benchmark run.
 """
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from azsl import audit, cli, experiment, wire
@@ -14,6 +17,7 @@ from azsl.config import emit_config, parse_config_text, validate
 from azsl.data import Dataset, SplitBundle
 from azsl.evaluate import EvalReport
 from azsl.experiment import build_dataset, build_split, run_experiment
+from azsl.regularizers import RegularizerState
 
 from conftest import serving, tiny_config
 
@@ -82,6 +86,16 @@ def test_audit_payload_is_append_sixth_argument():
     with spans.patched(tracer, [(audit.RiskLog, "append", "audit.append", dict(observe=spans._count_hashed))]):
         audit.RiskLog().record(wire.KIND_FEEDBACK_REQUEST, b"x" * 37, wire.SCENARIO_BLACK)
     assert tracer.counts["audit.bytes_hashed"] == 37
+
+
+def test_regularizer_states_build_as_the_benchmark_builds_them():
+    # perfbench/checks.py builds its states with kind and a weight as the two
+    # positional fields; a reordered field should fail here, not mid-benchmark
+    rng = np.random.default_rng(0)
+    kl = RegularizerState("kl", 1.0, class_means={0: rng.standard_normal(3)}, class_vars={0: np.ones(3)})
+    mmd = RegularizerState("mmd", 1.0, class_refs={0: rng.standard_normal((4, 3))}, bandwidth_sq=3.0)
+    assert (kl.kind, mmd.kind) == ("kl", "mmd")
+    assert _load("checks").check_regularizers(201) == []
 
 
 @pytest.mark.parametrize("scenario", ["white", "black"])

@@ -67,21 +67,18 @@ class TestRun:
         assert body["entries"], "transcript must not be empty"
         assert all(e["risk"] == "low" for e in body["entries"])
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg_a = tiny_config(seed=1, out=str(tmp_path / "a"))
-        cfg_b = tiny_config(seed=2, out=str(tmp_path / "b"))
+    def test_the_environment_does_not_seed_a_run(self, tmp_path, monkeypatch):
+        # the config file alone seeds a run: no environment variable, AZSL_SEED
+        # included, changes a byte of what it writes
+        path = write_config(tmp_path, tiny_config(out=str(tmp_path / "run")))
+        names = ["config.azsl", "gen.azw", "student.azw", "report_czsl.txt", "report_gzsl.txt"]
+        monkeypatch.delenv("AZSL_SEED", raising=False)
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
+        (tmp_path / "run").rename(tmp_path / "unset")
         monkeypatch.setenv("AZSL_SEED", "777")
-        assert cli.main(["run", str(write_config(tmp_path, cfg_a, "a.azsl"))]) == 0
-        assert cli.main(["run", str(write_config(tmp_path, cfg_b, "b.azsl"))]) == 0
-        assert (tmp_path / "a" / "report_gzsl.txt").read_bytes() == (
-            tmp_path / "b" / "report_gzsl.txt"
-        ).read_bytes()
-
-    def test_negative_env_seed_is_a_config_error(self, tmp_path, monkeypatch):
-        cfg = tiny_config(out=str(tmp_path / "run"))
-        monkeypatch.setenv("AZSL_SEED", "-1")
-        assert cli.main(["run", str(write_config(tmp_path, cfg))]) == cli.EXIT_CONFIG
-        assert not (tmp_path / "run").exists()
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), name
 
     def test_zero_hidden_size_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))

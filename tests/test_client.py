@@ -54,7 +54,7 @@ def teacher_env():
     )
     split = split_azsl(ds, "transductive", unseen=1, seed=31)
     teacher = train_teacher(ds, split, epochs=40, batch_size=32, seed=1, hidden=(32, 16), lr=1e-3)
-    reg = fit_regularizer(ds, split, "kl", alpha=1.0)
+    reg = fit_regularizer(ds, split, "kl")
     return ds, split, teacher, reg
 
 

@@ -2,10 +2,13 @@
 
 Pins ArtifactBundle.digest() and the SHA-256 of report_gzsl.txt for three TINY
 runs (white/KL, black/MMD, and inductive white/KL, the one that also covers
-the classifier fit). Floating-point results depend on the numpy and BLAS
-build, so the pins hold only for the build named below; on any other build the
-test skips and names both, instead of re-pinning. A change that moves these
-values on purpose changes the numerics and must say so.
+the classifier fit). A second pin holds the SHA-256 of each run's weight files
+and trace.csv alone, which a change of the feedback protocol (its frames, the
+transcript, the bundle digest) leaves where they are. Floating-point results
+depend on the numpy and BLAS build, so the pins hold only for the build named
+below; on any other build the test skips and names both, instead of
+re-pinning. A change that moves these values on purpose changes the numerics
+and must say so.
 """
 import hashlib
 
@@ -37,6 +40,26 @@ GOLDEN = {
 }
 
 
+WEIGHTS_AND_TRACE = {
+    "white-kl": {
+        "gen.azw": "81461901d985145d794b4ad14448838a9539e963886eda7e27117d143310202e",
+        "student.azw": "9f8f58bbd7e6e7a01ab9f8a4d63e6f9dbd4388e4954fa153e12cdb2d8c4bd34d",
+        "trace.csv": "0b254375c893d9bd281263669948b253be0c59f6b8f93ed474e4a4a5e2f02dc9",
+    },
+    "black-mmd": {
+        "gen.azw": "4fb094a6ec1d0f98b35648ba77a35e7cc21e2c08d341668642b11353e283a6b2",
+        "student.azw": "0c311b20b80c05a8f253ac9f068031d3dab4084e66f5393ce169d67113614838",
+        "trace.csv": "c63fa5ea65f9dddea7f8eeee595d1e1bf4a3b92da88e500ff2eb5e0182c47010",
+    },
+    "inductive-kl": {
+        "gen.azw": "9b72e0f3c42122e42e42bfdba177eb442effa516f593d0e8e2e5079ff5a6ce3e",
+        "student.azw": "8a56b39bdfcc7b0053ba7a9b7d7364f449d085d5daac63aa8bde32abdc1a79a1",
+        "classifier.azw": "e905482f552cb1b84af97feba1ee85d8864966d6b0249ce9be5735d7a1867c90",
+        "trace.csv": "b79c7b262fc46526b3c586bae74ef9bd4a16a9587c46044909870fff9c7c5743",
+    },
+}
+
+
 def _blas() -> str:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
@@ -52,12 +75,33 @@ def _require_pinned_build():
         )
 
 
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """Each golden run, made once for the two pins that read it."""
+    runs = {}
+
+    def run(name):
+        _require_pinned_build()
+        if name not in runs:
+            cfg = tiny_config(out=str(tmp_path_factory.mktemp(name)), **GOLDEN[name][0])
+            runs[name] = run_experiment(cfg, outdir=cfg.out)
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_digest_and_report(name, tmp_path):
-    _require_pinned_build()
-    overrides, digest, report_sha = GOLDEN[name]
-    cfg = tiny_config(out=str(tmp_path / name), **overrides)
-    result = run_experiment(cfg, outdir=cfg.out)
+def test_golden_digest_and_report(name, golden_runs):
+    _, digest, report_sha = GOLDEN[name]
+    result = golden_runs(name)
     report = (result.outdir / "report_gzsl.txt").read_bytes()
     assert result.bundle.digest() == digest
     assert hashlib.sha256(report).hexdigest() == report_sha, report.decode()
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS_AND_TRACE))
+def test_golden_weights_and_trace(name, golden_runs):
+    outdir = golden_runs(name).outdir
+    found = {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in WEIGHTS_AND_TRACE[name]}
+    assert found == WEIGHTS_AND_TRACE[name]
+    assert (outdir / "classifier.azw").exists() == ("classifier.azw" in found)

@@ -56,7 +56,7 @@ def full_train_split(dataset):
 class TestFit:
     def test_kl_stats_match_hand_computation(self):
         ds = fixture_dataset()
-        state = fit_regularizer(ds, full_train_split(ds), "kl", alpha=0.5)
+        state = fit_regularizer(ds, full_train_split(ds), "kl")
         rows = ds.features[:5]
         # plain-python mean/population-variance oracle
         mean = [sum(rows[:, d]) / 5 for d in range(2)]
@@ -66,7 +66,7 @@ class TestFit:
 
     def test_identical_rows_floor_variance(self):
         ds = fixture_dataset()
-        state = fit_regularizer(ds, full_train_split(ds), "kl", alpha=1.0)
+        state = fit_regularizer(ds, full_train_split(ds), "kl")
         assert np.all(state.class_vars[1] == VAR_FLOOR)
 
     def test_small_class_falls_back_to_global(self):
@@ -76,26 +76,21 @@ class TestFit:
             labels=np.array([0, 0, 0, 0, 0, 0, 1]),
             semantics=SemanticTable(np.array([[0.0], [1.0]])),
         )
-        state = fit_regularizer(ds, full_train_split(ds), "kl", alpha=1.0)
+        state = fit_regularizer(ds, full_train_split(ds), "kl")
         assert 1 not in state.class_means  # single row: no per-class stats
         value, grad = reg_value_grad(state, np.ones((3, 3)), [1, 1, 1])
         assert np.isfinite(value) and np.isfinite(grad).all()
 
     def test_mmd_reference_capped_and_bandwidth_positive(self):
         ds = make_synthetic(SyntheticSpec(n_classes=3, seen_count=2, d_x=4, d_a=3, per_class=300), seed=0)
-        state = fit_regularizer(ds, full_train_split_all(ds), "mmd", alpha=1.0)
+        state = fit_regularizer(ds, full_train_split_all(ds), "mmd")
         assert all(len(ref) <= MMD_REF_CAP for ref in state.class_refs.values())
         assert state.bandwidth_sq > 0
 
     def test_unknown_kind(self):
         ds = fixture_dataset()
         with pytest.raises(ValueError, match="kind"):
-            fit_regularizer(ds, full_train_split(ds), "wasserstein", alpha=1.0)
-
-    def test_negative_alpha(self):
-        ds = fixture_dataset()
-        with pytest.raises(ValueError, match="alpha"):
-            fit_regularizer(ds, full_train_split(ds), "kl", alpha=-0.1)
+            fit_regularizer(ds, full_train_split(ds), "wasserstein")
 
 
 def old_fit(dataset, split, kind):
@@ -150,13 +145,13 @@ class TestFitHoldsEachRowOnce:
             ds = make_synthetic(SyntheticSpec(n_classes=3, seen_count=2, d_x=4, d_a=3, per_class=300), seed=0)
             split = full_train_split_all(ds)
         means, variances, global_mean, global_var = old_fit(ds, split, "kl")
-        kl = fit_regularizer(ds, split, "kl", alpha=1.0)
+        kl = fit_regularizer(ds, split, "kl")
         assert list(kl.class_means) == list(means) and list(kl.class_vars) == list(variances)
         assert all(same_bytes(kl.class_means[c], means[c]) for c in means)
         assert all(same_bytes(kl.class_vars[c], variances[c]) for c in variances)
         assert same_bytes(kl.global_mean, global_mean) and same_bytes(kl.global_var, global_var)
         refs, global_ref, bandwidth_sq = old_fit(ds, split, "mmd")
-        mmd = fit_regularizer(ds, split, "mmd", alpha=1.0)
+        mmd = fit_regularizer(ds, split, "mmd")
         assert mmd.bandwidth_sq.hex() == bandwidth_sq.hex()
         assert list(mmd.class_refs) == list(refs)
         assert all(same_bytes(mmd.class_refs[c], refs[c]) for c in refs)
@@ -175,7 +170,7 @@ class TestFitHoldsEachRowOnce:
         # cross it (with all three the peak was 11.4 MB).
         ds, split = hard_spec_split()
         assert len(split.teacher_train) == 3200
-        state, peak = peak_bytes(fit_regularizer, ds, split, "mmd", alpha=1.0)
+        state, peak = peak_bytes(fit_regularizer, ds, split, "mmd")
         assert sum(len(r) for r in state.class_refs.values()) == 3200
         assert peak < 7.8e6
 
@@ -201,7 +196,7 @@ class TestKl:
         self.ds = make_synthetic(
             SyntheticSpec(n_classes=3, seen_count=2, d_x=5, d_a=3, per_class=40), seed=1
         )
-        self.state = fit_regularizer(self.ds, full_train_split_all(self.ds), "kl", alpha=1.0)
+        self.state = fit_regularizer(self.ds, full_train_split_all(self.ds), "kl")
 
     def test_identity_on_matching_statistics(self):
         # the fitted rows themselves have exactly the fitted statistics
@@ -244,7 +239,7 @@ class TestMmd:
         self.ds = make_synthetic(
             SyntheticSpec(n_classes=3, seen_count=2, d_x=5, d_a=3, per_class=30), seed=2
         )
-        self.state = fit_regularizer(self.ds, full_train_split_all(self.ds), "mmd", alpha=1.0)
+        self.state = fit_regularizer(self.ds, full_train_split_all(self.ds), "mmd")
 
     def test_self_mmd_is_zero(self):
         ref = self.state.class_refs[0]
@@ -327,17 +322,16 @@ class TestMmdCache:
         assert (grad == ref_grad).all()
 
     def test_fitted_state_with_global_fallback(self):
-        state = fit_regularizer(self.ds, self.split, "mmd", alpha=1.0)
+        state = fit_regularizer(self.ds, self.split, "mmd")
         assert 3 not in state.class_refs and state.global_ref is not None
         self.assert_matches_uncached(state)
 
     def test_directly_constructed_state(self):
         rng = np.random.default_rng(8)
         refs = {c: rng.standard_normal((9, 6)) for c in range(3)}
-        state = RegularizerState("mmd", 1.0, class_refs=refs, global_ref=rng.standard_normal((11, 6)),
-                                 bandwidth_sq=4.0)
+        state = RegularizerState("mmd", class_refs=refs, global_ref=rng.standard_normal((11, 6)), bandwidth_sq=4.0)
         self.assert_matches_uncached(state)
-        without_fallback = RegularizerState("mmd", 1.0, class_refs=refs, bandwidth_sq=4.0)
+        without_fallback = RegularizerState("mmd", class_refs=refs, bandwidth_sq=4.0)
         with pytest.raises(ValueError, match="no reference rows for class 3"):
             reg_value_grad(without_fallback, self.batch, self.labels)
 
@@ -355,7 +349,7 @@ class TestMmdCache:
 
         monkeypatch.setattr(regularizers, "_kernel", recording_kernel)
         monkeypatch.setattr(regularizers, "_sq_norms", recording_norms)
-        state = fit_regularizer(self.ds, self.split, "mmd", alpha=1.0)
+        state = fit_regularizer(self.ds, self.split, "mmd")
         refs = [*state.class_refs.values(), state.global_ref]
 
         def ref_self_kernels():
@@ -419,7 +413,7 @@ class TestSortedMmd:
             for c in range(n_classes - 1)
         }
         global_ref = np.maximum(rng.normal(size=(MMD_REF_CAP, d)), 0.0)
-        state = RegularizerState("mmd", 1.0, class_refs=refs, global_ref=global_ref,
+        state = RegularizerState("mmd", class_refs=refs, global_ref=global_ref,
                                  bandwidth_sq=float(rng.uniform(0.2, 2.0) * d))
         k_yy_means = {
             c: np.exp(-looped_sq_dists(r, r) / state.bandwidth_sq).mean()
@@ -460,7 +454,7 @@ class TestSortedMmd:
     def test_fitted_state(self):
         ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=6, d_a=3, per_class=300), seed=6)
         split = dataclasses.replace(full_train_split_all(ds), teacher_train=np.flatnonzero(ds.labels != 3))
-        state = fit_regularizer(ds, split, "mmd", alpha=1.0)
+        state = fit_regularizer(ds, split, "mmd")
         assert all(len(r) == MMD_REF_CAP for r in state.class_refs.values())
         k_yy_means = {c: np.exp(-looped_sq_dists(r, r) / state.bandwidth_sq).mean()
                       for c, r in [*state.class_refs.items(), (3, state.global_ref)]}
@@ -471,7 +465,7 @@ class TestSortedMmd:
 
 class TestNoneKind:
     def test_zero_value_and_grad(self):
-        state = RegularizerState(kind="none", alpha=0.0)
+        state = RegularizerState(kind="none")
         value, grad = reg_value_grad(state, np.ones((4, 3)), [0, 1, 0, 1])
         assert value == 0.0
         assert (grad == 0).all()
@@ -515,7 +509,7 @@ class TestBatchedKl:
     def state(self, classes=range(5), seed=0):
         rng = np.random.default_rng(seed)
         return RegularizerState(
-            "kl", 1.0,
+            "kl",
             class_means={c: rng.normal(size=self.D) for c in classes},
             class_vars={c: rng.uniform(0.05, 2.0, size=self.D) for c in classes},
             global_mean=rng.normal(size=self.D),
@@ -569,7 +563,7 @@ class TestBatchedKl:
 
     def test_fitted_state(self):
         ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=6, d_a=3, per_class=50), seed=6)
-        state = fit_regularizer(ds, full_train_split_all(ds), "kl", alpha=1.0)
+        state = fit_regularizer(ds, full_train_split_all(ds), "kl")
         rng = np.random.default_rng(6)
         self.assert_matches_loop(state, np.abs(rng.normal(size=(64, 6))), rng.integers(0, 4, size=64))
 
@@ -578,6 +572,6 @@ class TestEmptyBatch:
     @pytest.mark.parametrize("kind", ["kl", "mmd"])
     def test_zero_rows_is_a_clear_error(self, kind):
         ds = make_synthetic(SyntheticSpec(n_classes=3, seen_count=2, d_x=4, d_a=3, per_class=30), seed=0)
-        state = fit_regularizer(ds, full_train_split_all(ds), kind, alpha=1.0)
+        state = fit_regularizer(ds, full_train_split_all(ds), kind)
         with pytest.raises(ValueError, match="empty batch"):
             reg_value_grad(state, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))

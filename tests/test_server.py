@@ -27,7 +27,7 @@ def trained():
     )
     split = split_azsl(ds, "transductive", unseen=1, seed=21)
     teacher = train_teacher(ds, split, epochs=30, batch_size=32, seed=1, hidden=(32, 16), lr=1e-3)
-    reg = fit_regularizer(ds, split, "kl", alpha=1.0)
+    reg = fit_regularizer(ds, split, "kl")
     return ds, split, teacher, reg
 
 
@@ -143,7 +143,7 @@ class TestFeedback:
         # 2.0 + 1.0 MB for the widest, plus one block of the leaky ReLU; the
         # bound adds 10% to that (measured 3.2 MB on x86-64; a separate
         # activation array per layer took 4.1 MB, a cached pass 6.0 MB)
-        reg = fit_regularizer(*hard, "kl", alpha=1.0)
+        reg = fit_regularizer(*hard, "kl")
         teacher = TeacherModel(nn.mlp_init(nn.classifier_specs(64, 20, (128, 64)), nn.ROLE_TEACHER, 0), np.arange(20))
         rng = np.random.default_rng(0)
         rows = 2000
@@ -233,10 +233,10 @@ class TestFeedback:
         assert a == b
 
     def test_alpha_zero_reports_value_but_client_weighting_nullifies(self, trained):
-        ds, split, teacher, _ = trained
-        reg0 = fit_regularizer(ds, split, "kl", alpha=0.0)
+        # the server never weights its regularizer; only the client applies alpha
+        _, _, teacher, reg = trained
         req = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((2, 10)) * 3.0, [0, 0])
-        resp = feedback(teacher, reg0, req)
+        resp = feedback(teacher, reg, req)
         assert resp.reg_value > 0  # still reported
         assert np.abs(0.0 * resp.reg_grad).max() == 0.0  # weighted contribution vanishes
 
