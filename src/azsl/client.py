@@ -100,8 +100,8 @@ def white_batch_grads(
     if resp.ce_grad is None:
         raise wire.ProtocolError("white-box training needs the ce gradient in the response")
     feature_grad = resp.ce_grad + alpha * resp.reg_grad
-    grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False, out=out)
-    return grads
+    layer_grads, _ = nn.mlp_backward(gen, gen_cache, feature_grad, input_grad=False)
+    return nn.backward_weights(gen, gen_cache, layer_grads, out=out)
 
 
 def black_batch_grads(
@@ -116,20 +116,17 @@ def black_batch_grads(
     out: nn.MlpGrads | None = None,
 ) -> tuple[float, nn.MlpGrads, list[np.ndarray]]:
     """One black-box round's MSE, generator grads (into out, if given) and the
-    student's per-layer gradients, for nn.backward_weights; probs is the
-    student's softmax of the round's features, from the forward pass that left
-    student_cache.
+    student's per-layer gradients from nn.mlp_backward, which nn.backward_weights
+    turns into its weight grads; probs is the student's softmax of the round's
+    features, from the forward pass that left student_cache.
 
     The teacher softmax is a constant target: gradient reaches the features
     only through the student's input gradient and the regularizer.
     """
     mse, grad_probs = nn.loss_mse(probs, targets)
-    layer_grads = []
-    _, input_grad = nn.mlp_backward(
-        student, student_cache, nn.softmax_vjp(probs, grad_probs), param_grads=False, layer_grads=layer_grads
-    )
-    gen_grads, _ = nn.mlp_backward(gen, gen_cache, input_grad + alpha * reg_grad, input_grad=False, out=out)
-    return mse, gen_grads, layer_grads
+    layer_grads, input_grad = nn.mlp_backward(student, student_cache, nn.softmax_vjp(probs, grad_probs))
+    gen_layer_grads, _ = nn.mlp_backward(gen, gen_cache, input_grad + alpha * reg_grad, input_grad=False)
+    return mse, nn.backward_weights(gen, gen_cache, gen_layer_grads, out=out), layer_grads
 
 
 def _generator_rounds(
@@ -193,9 +190,10 @@ def train_black(
     the next request the client runs only what that request needs: the
     student's loss gradient and input-gradient chain, the generator's backward
     pass and Adam step, and the next generator forward pass. The next reply
-    wait computes the student's weight gradients from that chain's per-layer
-    gradients, steps the student, and runs it on the features just sent, as a
-    sequential loop would; the last student step runs before this returns."""
+    wait turns that chain's per-layer gradients into the student's weight
+    gradients (nn.backward_weights), steps the student, and runs it on the
+    features just sent, as a sequential loop would; the last student step runs
+    before this returns."""
     gen_state = nn.AdamState.for_params(gen, lr=cfg.lr)
     stu_state = nn.AdamState.for_params(student, lr=cfg.lr)
     gen_grads, stu_grads = nn.MlpGrads.empty_like(gen), nn.MlpGrads.empty_like(student)  # rewritten by every round

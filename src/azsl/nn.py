@@ -113,7 +113,7 @@ class MlpGrads:
     """Parameter gradients in the MlpParams layout of the net they were made for.
 
     weights and biases are tuples of views of buffer, weights first, then
-    biases. Made by zeros_like, empty_like and backward_weights.
+    biases. Made by zeros_like and empty_like; backward_weights fills them.
     """
 
     buffer: np.ndarray
@@ -135,7 +135,7 @@ class MlpGrads:
 
 @dataclass
 class ForwardCache:
-    """What mlp_backward reads: the batch, then every layer's activation, the output last.
+    """What the backward pass reads: the batch, then every layer's activation, the output last.
 
     Layer i reads its input from acts[i] and its slope from acts[i + 1]; no pre-activation is kept.
     """
@@ -248,9 +248,9 @@ def mlp_forward(
 def backward_weights(
     params: MlpParams, cache: ForwardCache, layer_grads: list[np.ndarray], out: MlpGrads | None = None
 ) -> MlpGrads:
-    """mlp_backward's weight-gradient half: parameter grads (into out, if given)
-    from the cache's layer inputs and every layer's dL/d pre-activation. It reads
-    no weight, so the net may have stepped since its forward pass."""
+    """Parameter grads (into out, if given) from the cache's layer inputs and
+    mlp_backward's per-layer gradients. It reads no weight, so the net may have
+    stepped since its forward pass."""
     grads = out if out is not None else MlpGrads.empty_like(params)
     for i, gz in enumerate(layer_grads):
         np.matmul(cache.acts[i].T, gz, out=grads.weights[i])
@@ -259,35 +259,25 @@ def backward_weights(
 
 
 def mlp_backward(
-    params: MlpParams,
-    cache: ForwardCache,
-    upstream_grad: np.ndarray,
-    param_grads: bool = True,
-    input_grad: bool = True,
-    out: MlpGrads | None = None,
-    layer_grads: list | None = None,
-) -> tuple[MlpGrads | None, np.ndarray | None]:
-    """Backprop upstream_grad (dL/d output) to parameter grads and dL/d input.
+    params: MlpParams, cache: ForwardCache, upstream_grad: np.ndarray, input_grad: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Backprop upstream_grad (dL/d output) to every layer's dL/d pre-activation,
+    first layer first, and dL/d input (None, and not computed, without input_grad).
 
-    A part the caller does not ask for is not computed and comes back as None.
-    The input-gradient half puts every layer's dL/d pre-activation, first layer
-    first, into layer_grads (an empty list, if given); backward_weights turns
-    them into the parameter grads (into out, if given), here or, after
-    param_grads=False, later.
+    backward_weights turns the per-layer gradients into parameter grads.
     """
     if cache.layers != params.layers:
         raise ValueError("cache does not match these params (stale or from another net)")
     g = _as_batch(upstream_grad)
     if g.shape != (cache.acts[0].shape[0], params.out_dim):
         raise ValueError(f"upstream grad shape {g.shape} does not match forward output")
-    layer_grads = [] if layer_grads is None else layer_grads
+    layer_grads = []
     for i in range(len(params.layers) - 1, -1, -1):
         gz = _activation_vjp(g, cache.acts[i + 1], params.layers[i])
         layer_grads.insert(0, gz)
         if i > 0 or input_grad:
             g = gz @ params.weights[i].T
-    grads = backward_weights(params, cache, layer_grads, out) if param_grads else None
-    return grads, g if input_grad else None
+    return layer_grads, g if input_grad else None
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -433,8 +423,8 @@ def fit_minibatch(
             idx = perm[start : start + batch_size]
             logits, cache = mlp_forward(params, X[idx])
             value, grad_logits = loss(logits, idx)
-            mlp_backward(params, cache, grad_logits, input_grad=False, out=grads)
-            adam_step(params, grads, state)
+            layer_grads, _ = mlp_backward(params, cache, grad_logits, input_grad=False)
+            adam_step(params, backward_weights(params, cache, layer_grads, out=grads), state)
             total += value * len(idx)
         history.append(total / n)
     return history

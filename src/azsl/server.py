@@ -102,7 +102,7 @@ def feedback(
     ce_value = ce_grad = None
     if white:
         ce_value, grad_logits = nn.loss_ce(probs, head_labels)
-        _, ce_grad = nn.mlp_backward(teacher.params, cache, grad_logits, param_grads=False)
+        _, ce_grad = nn.mlp_backward(teacher.params, cache, grad_logits)
 
     return wire.FeedbackResponse(
         softmax=probs if request.want_softmax else None,

@@ -249,6 +249,12 @@ def record_frames(channel):
     return sent, received
 
 
+def weight_grads(params: nn.MlpParams, cache: nn.ForwardCache, upstream: np.ndarray) -> nn.MlpGrads:
+    """A net's parameter grads for one upstream gradient: mlp_backward's per-layer
+    gradients, then backward_weights, as the fit loops run them."""
+    return nn.backward_weights(params, cache, nn.mlp_backward(params, cache, upstream, input_grad=False)[0])
+
+
 def grad_check(params: nn.MlpParams, loss_closure, epsilon: float = 1e-5, n_samples: int = 200, seed: int = 0) -> float:
     """Max relative error between analytic grads and central finite differences.
 

@@ -24,7 +24,7 @@ from azsl.experiment import (
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.server import serve, train_teacher
 
-from conftest import fast_config, grad_check, record_frames, tiny_config
+from conftest import fast_config, grad_check, record_frames, tiny_config, weight_grads
 
 pytestmark = pytest.mark.acceptance  # skipped by `pytest -m "not acceptance"`
 
@@ -179,8 +179,7 @@ class TestCriterion2GradientCorrectness:
             lg, ch = nn.mlp_forward(s, batch)
             probs = nn.softmax(lg)
             mse, grad_probs = nn.loss_mse(probs, targets)
-            grads, _ = nn.mlp_backward(s, ch, nn.softmax_vjp(probs, grad_probs))
-            return mse, grads
+            return mse, weight_grads(s, ch, nn.softmax_vjp(probs, grad_probs))
 
         err_student = grad_check(student, student_closure, n_samples=200, seed=9)
 

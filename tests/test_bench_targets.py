@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from azsl import audit, cli, experiment, wire
+from azsl import audit, cli, experiment, nn, wire
 from azsl.config import emit_config, parse_config_text, validate
 from azsl.data import Dataset, SplitBundle
 from azsl.evaluate import EvalReport
@@ -191,6 +191,27 @@ def test_each_black_round_times_the_student_once_per_op_by_role():
         want += [(adam, r, "channel.roundtrip"), (forward, r, "channel.roundtrip"), (backward, 0, "phase.generator")]
     want.append((adam, 0, "phase.generator"))
     assert student == want
+
+
+@pytest.mark.parametrize("scenario", ["white", "black"])
+def test_weight_gradients_are_computed_outside_every_backward_span(scenario, monkeypatch):
+    # perfbench's nn.backward.<role> times nn.mlp_backward, the input half; a
+    # fit or generator loop whose weight half ran inside it would fold
+    # nn.backward_weights into that reading
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    real, seen = nn.backward_weights, []
+
+    def recording(params, *args, **kwargs):
+        seen.append((params.role, tracer.spans[tracer._stack[-1]][spans.NAME] if tracer._stack else ""))
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward_weights", recording)
+    with spans.patched(tracer, spans.layer_targets()):
+        run_experiment(tiny_config(scenario=scenario, t_g=4, t_s=2))
+    roles = {"teacher", "generator", "student"}
+    assert {role for role, _ in seen} == roles
+    assert [(role, span) for role, span in seen if span.startswith("nn.backward.")] == []
 
 
 @pytest.mark.parametrize("scenario", ["white", "black"])

@@ -26,7 +26,7 @@ from azsl.data import SemanticTable, SyntheticSpec, make_synthetic, split_azsl
 from azsl.regularizers import fit_regularizer, reg_value_grad
 from azsl.seeding import derive_seed, rng_for
 from azsl.server import TeacherServer, train_teacher
-from conftest import grad_check, params_allclose, peak_bytes
+from conftest import grad_check, params_allclose, peak_bytes, weight_grads
 
 
 D_X, D_A, NZ = 10, 4, 6
@@ -235,9 +235,9 @@ def whole_black_grads(gen, gen_cache, student, features, targets, reg_grad, alph
     logits, cache = nn.mlp_forward(student, features)
     probs = nn.softmax(logits)
     mse, grad_probs = nn.loss_mse(probs, targets)
-    student_grads, input_grad = nn.mlp_backward(student, cache, nn.softmax_vjp(probs, grad_probs))
-    gen_grads, _ = nn.mlp_backward(gen, gen_cache, input_grad + alpha * reg_grad, input_grad=False)
-    return mse, gen_grads, student_grads
+    student_layers, input_grad = nn.mlp_backward(student, cache, nn.softmax_vjp(probs, grad_probs))
+    student_grads = nn.backward_weights(student, cache, student_layers)
+    return mse, weight_grads(gen, gen_cache, input_grad + alpha * reg_grad), student_grads
 
 
 class TestBlackTraining:
@@ -601,8 +601,7 @@ class TestStudentTraining:
             logits, cache = nn.mlp_forward(s, x)
             probs = nn.softmax(logits)
             mse, grad_probs = nn.loss_mse(probs, targets)
-            grads, _ = nn.mlp_backward(s, cache, nn.softmax_vjp(probs, grad_probs))
-            return mse, grads
+            return mse, weight_grads(s, cache, nn.softmax_vjp(probs, grad_probs))
 
         assert grad_check(student, closure, n_samples=200, seed=8) < 1e-4
 

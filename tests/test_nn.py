@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from azsl import nn
-from conftest import grad_check, params_allclose, peak_bytes
+from conftest import grad_check, params_allclose, peak_bytes, weight_grads
 
 
 def small_net(seed=0, role=nn.ROLE_TEACHER):
@@ -252,7 +252,8 @@ class TestBackward:
         params = small_net()
         batch = np.random.default_rng(0).normal(size=(4, 5))
         out, cache = nn.mlp_forward(params, batch)
-        grads, input_grad = nn.mlp_backward(params, cache, np.zeros_like(out))
+        layer_grads, input_grad = nn.mlp_backward(params, cache, np.zeros_like(out))
+        grads = nn.backward_weights(params, cache, layer_grads)
         assert all((g == 0).all() for g in grads.weights + grads.biases)
         assert (input_grad == 0).all()
 
@@ -261,7 +262,8 @@ class TestBackward:
         batch = np.random.default_rng(1).normal(size=(5, 4))
         _, cache = nn.mlp_forward(params, batch)
         upstream = np.random.default_rng(2).normal(size=(5, 3))
-        grads, input_grad = nn.mlp_backward(params, cache, upstream)
+        layer_grads, input_grad = nn.mlp_backward(params, cache, upstream)
+        grads = nn.backward_weights(params, cache, layer_grads)
         assert np.array_equal(input_grad, upstream @ params.weights[0].T)
         assert np.allclose(grads.weights[0], batch.T @ upstream, atol=1e-14)
 
@@ -274,8 +276,7 @@ class TestBackward:
         def closure(p):
             out, cache = nn.mlp_forward(p, batch)
             value, grad_out = nn.loss_mse(out, target)
-            grads, _ = nn.mlp_backward(p, cache, grad_out)
-            return value, grads
+            return value, weight_grads(p, cache, grad_out)
 
         assert grad_check(params, closure, n_samples=200, seed=0) < 1e-4
 
@@ -302,30 +303,10 @@ class TestBackward:
         with pytest.raises(ValueError, match="cache"):
             nn.mlp_backward(params, cache, np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("make", [
-        lambda: small_net(seed=21),
-        lambda: nn.mlp_init(
-            [nn.LayerSpec(6, 9, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(9, 4, nn.ACT_RELU)], nn.ROLE_GENERATOR, 22
-        ),
-    ])
-    def test_partial_backward_equals_full(self, make):
-        params = make()
-        rng = np.random.default_rng(23)
-        out, cache = nn.mlp_forward(params, rng.normal(size=(11, params.in_dim)))
-        upstream = rng.normal(size=out.shape)
-        full_grads, full_input = nn.mlp_backward(params, cache, upstream)
-        grads, no_input = nn.mlp_backward(params, cache, upstream, input_grad=False)
-        no_grads, input_grad = nn.mlp_backward(params, cache, upstream, param_grads=False)
-        assert no_input is None and no_grads is None
-        assert np.array_equal(input_grad, full_input)
-        for a, b in zip(grads.weights + grads.biases, full_grads.weights + full_grads.biases):
-            assert np.array_equal(a, b)
-        assert np.array_equal(grads.buffer, full_grads.buffer)
-
     def test_grads_are_views_of_one_flat_buffer(self):
         params = small_net(seed=24)
         out, cache = nn.mlp_forward(params, np.ones((3, 5)))
-        grads, _ = nn.mlp_backward(params, cache, np.ones_like(out))
+        grads = weight_grads(params, cache, np.ones_like(out))
         arrays = grads.weights + grads.biases
         assert all(a.base is grads.buffer for a in arrays)
         assert np.array_equal(grads.buffer, np.concatenate([a.ravel() for a in arrays]))
@@ -436,21 +417,44 @@ class TestLeakyRelu:
             assert_same_bits(a, ref_a)
         upstream = rng.normal(size=out.shape)
         upstream[3] = -0.0
-        grads, input_grad = nn.mlp_backward(params, cache, upstream)
+        layer_grads, input_grad = nn.mlp_backward(params, cache, upstream)
+        grads = nn.backward_weights(params, cache, layer_grads)
         ref_gw, ref_gb, ref_input = where_backward(params, ref_inputs, ref_preacts, upstream)
         for got, want in zip((*grads.weights, *grads.biases, input_grad), ref_gw + ref_gb + [ref_input]):
             assert_same_bits(got, want)
 
 
-class TestBackwardHalves:
-    """mlp_backward's input half then backward_weights is mlp_backward, and mlp_backward as it was, bit for bit."""
+def combined_backward(params, cache, upstream_grad, input_grad=True):
+    """mlp_backward as it was when it also made the parameter grads: the
+    per-layer chain, then the weight half, in one call."""
+    g = upstream_grad
+    layer_grads = []
+    for i in range(len(params.layers) - 1, -1, -1):
+        gz = nn._activation_vjp(g, cache.acts[i + 1], params.layers[i])
+        layer_grads.insert(0, gz)
+        if i > 0 or input_grad:
+            g = gz @ params.weights[i].T
+    grads = nn.MlpGrads.empty_like(params)
+    for i, gz in enumerate(layer_grads):
+        np.matmul(cache.acts[i].T, gz, out=grads.weights[i])
+        gz.sum(axis=0, out=grads.biases[i])
+    return grads, g if input_grad else None
 
-    def net_and_cache(self, seed):
-        specs = [
+
+class TestBackwardHalves:
+    """backward_weights of mlp_backward's per-layer gradients is the combined pass and the np.where form, bit for bit."""
+
+    NETS = {
+        "leaky-relu-identity": [
             nn.LayerSpec(7, 12, nn.ACT_LEAKY_RELU, 0.2),
             nn.LayerSpec(12, 9, nn.ACT_RELU),
             nn.LayerSpec(9, 5, nn.ACT_IDENTITY),
-        ]
+        ],
+        "generator": [nn.LayerSpec(7, 16, nn.ACT_LEAKY_RELU, 0.2), nn.LayerSpec(16, 5, nn.ACT_RELU)],
+        "linear": [nn.LayerSpec(7, 5, nn.ACT_IDENTITY)],
+    }
+
+    def net_and_cache(self, specs, seed):
         params = nn.mlp_init(specs, nn.ROLE_STUDENT, seed)
         rng = np.random.default_rng(seed + 1)
         batch = rng.normal(size=(16, 7))
@@ -462,24 +466,30 @@ class TestBackwardHalves:
         upstream[6, ::2] = 0.0
         return params, batch, cache, upstream
 
+    @pytest.mark.parametrize("input_grad", [True, False])
     @pytest.mark.parametrize("seed", [41, 42])
-    def test_halves_composed_are_mlp_backward_as_it_was(self, seed):
-        params, batch, cache, upstream = self.net_and_cache(seed)
+    @pytest.mark.parametrize("net", list(NETS))
+    def test_weights_of_the_layer_grads_are_the_combined_pass_and_the_where_form(self, net, seed, input_grad):
+        params, batch, cache, upstream = self.net_and_cache(self.NETS[net], seed)
         _, ref_inputs, ref_preacts = where_forward(params, batch)
         ref_gw, ref_gb, ref_input = where_backward(params, ref_inputs, ref_preacts, upstream)
-        full_grads, full_input = nn.mlp_backward(params, cache, upstream)
-        layer_grads = []
-        no_grads, input_grad = nn.mlp_backward(params, cache, upstream, param_grads=False, layer_grads=layer_grads)
+        combined, combined_input = combined_backward(params, cache, upstream, input_grad)
+        layer_grads, got_input = nn.mlp_backward(params, cache, upstream, input_grad)
+        assert len(layer_grads) == len(params.layers)
+        grads = nn.backward_weights(params, cache, layer_grads)
         params.buffer += 1.0  # a step between the halves, as in a black-box round: the weight half reads no weight
-        out = nn.MlpGrads.empty_like(params)
+        out = nn.MlpGrads(np.full(params.n_params(), np.nan), params.layers)
         assert nn.backward_weights(params, cache, layer_grads, out=out) is out
-        assert no_grads is None and len(layer_grads) == len(params.layers)
-        assert_same_bits(input_grad, ref_input)
-        assert_same_bits(full_input, ref_input)
-        for got, full, want in zip((*out.weights, *out.biases), (*full_grads.weights, *full_grads.biases),
-                                   ref_gw + ref_gb):
-            assert_same_bits(got, want)
-            assert_same_bits(full, want)
+        for got in (grads, out):
+            for g, c, want in zip((*got.weights, *got.biases), (*combined.weights, *combined.biases),
+                                  ref_gw + ref_gb, strict=True):
+                assert_same_bits(g, c)
+                assert_same_bits(g, want)
+        if input_grad:
+            assert_same_bits(got_input, combined_input)
+            assert_same_bits(got_input, ref_input)
+        else:
+            assert got_input is None and combined_input is None
 
 
 def per_array_adam_step(params, grads, state):
@@ -569,7 +579,7 @@ class TestAdam:
         rng = np.random.default_rng(32)
         for _ in range(200):
             out, cache = nn.mlp_forward(params, np.abs(rng.normal(size=(8, params.in_dim))))
-            grads, _ = nn.mlp_backward(params, cache, rng.normal(size=out.shape), input_grad=False)
+            grads = weight_grads(params, cache, rng.normal(size=out.shape))
             per_array_adam_step(expect, grads, ref_state)
             nn.adam_step(params, grads, state)
         for a, b in zip(params.weights + params.biases, expect.weights + expect.biases):
@@ -642,8 +652,7 @@ class TestFitMinibatch:
                 logits, cache = nn.mlp_forward(expect, verified.features[idx])
                 probs = nn.softmax(logits)
                 mse, grad_probs = nn.loss_mse(probs, t)
-                grads, _ = nn.mlp_backward(expect, cache, nn.softmax_vjp(probs, grad_probs))
-                nn.adam_step(expect, grads, state)
+                nn.adam_step(expect, weight_grads(expect, cache, nn.softmax_vjp(probs, grad_probs)), state)
                 epoch_mse += mse * len(idx)
             expect_trace.append({"phase": "student", "epoch": epoch, "mse": epoch_mse / n})
 
@@ -662,8 +671,7 @@ class TestGradCheck:
         def closure(p):
             out, cache = nn.mlp_forward(p, x)
             value, grad_out = nn.loss_mse(out, y)
-            grads, _ = nn.mlp_backward(p, cache, grad_out)
-            return value, grads
+            return value, weight_grads(p, cache, grad_out)
 
         return params, closure
 
@@ -680,8 +688,7 @@ class TestGradCheck:
         def closure(p):
             out, cache = nn.mlp_forward(p, x)
             value, grad_logits = nn.loss_ce(nn.softmax(out), labels)
-            grads, _ = nn.mlp_backward(p, cache, grad_logits)
-            return value, grads
+            return value, weight_grads(p, cache, grad_logits)
 
         assert grad_check(params, closure, n_samples=250, seed=3) < 1e-4
 
@@ -777,8 +784,7 @@ def parent_fit_minibatch(params, X, loss, epochs, batch_size, order, lr):
             idx = perm[start : start + batch_size]
             logits, cache = nn.mlp_forward(params, X[idx])
             terms, grad_logits = loss(logits, idx)
-            grads, _ = nn.mlp_backward(params, cache, grad_logits, input_grad=False)
-            parent_adam_step(params, grads, state)
+            parent_adam_step(params, weight_grads(params, cache, grad_logits), state)
             sums = sums or [0.0] * len(terms)
             for k, value in enumerate(terms):
                 sums[k] += value * len(idx)
@@ -809,11 +815,11 @@ class TestLeanFitStep:
             x = rng.normal(size=(64, 64))
             upstream = rng.normal(size=(64, 15))
             _, cache = nn.mlp_forward(params, x)
-            assert nn.mlp_backward(params, cache, upstream, input_grad=False, out=grads)[0] is grads
+            layer_grads, _ = nn.mlp_backward(params, cache, upstream, input_grad=False)
+            assert nn.backward_weights(params, cache, layer_grads, out=grads) is grads
             nn.adam_step(params, grads, state)
             _, ref_cache = nn.mlp_forward(expect, x)
-            ref_grads, _ = nn.mlp_backward(expect, ref_cache, upstream, input_grad=False)
-            parent_adam_step(expect, ref_grads, ref_state)
+            parent_adam_step(expect, weight_grads(expect, ref_cache, upstream), ref_state)
         assert state.step == 400
         assert_params_same_bits(params, expect)
         assert_same_bits(state.m, ref_state.m)
@@ -913,20 +919,8 @@ class TestLeanFitGuards:
         with pytest.raises(TypeError):
             params.layers[-1] = nn.LayerSpec(6, 4)
         assert params.out_dim == 3 and nn.mlp_forward(params, np.ones((2, 5)))[0].shape == (2, 3)
-        grads, _ = nn.mlp_backward(params, cache, np.zeros((2, 3)))
+        grads = weight_grads(params, cache, np.zeros((2, 3)))
         assert grads.buffer.size == params.buffer.size
-
-    def test_backward_into_out_returns_out_with_fresh_values(self):
-        params = small_net(seed=45)
-        rng = np.random.default_rng(46)
-        out_buf = nn.MlpGrads.empty_like(params)
-        _, cache = nn.mlp_forward(params, rng.normal(size=(6, 5)))
-        upstream = rng.normal(size=(6, 3))
-        got, input_grad = nn.mlp_backward(params, cache, upstream, out=out_buf)
-        want, want_input = nn.mlp_backward(params, cache, upstream)
-        assert got is out_buf
-        assert_same_bits(got.buffer, want.buffer)
-        assert_same_bits(input_grad, want_input)
 
     def test_wrong_shape_raises_after_good_steps(self):
         params = small_net(seed=47)

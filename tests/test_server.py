@@ -232,13 +232,14 @@ class TestFeedback:
         b = wire.encode_feedback_response(feedback(teacher, reg, req))
         assert a == b
 
-    def test_alpha_zero_reports_value_but_client_weighting_nullifies(self, trained):
+    def test_reports_a_positive_regularizer_value_unweighted(self, trained):
         # the server never weights its regularizer; only the client applies alpha
         _, _, teacher, reg = trained
         req = wire.FeedbackRequest(wire.SCENARIO_BLACK, np.ones((2, 10)) * 3.0, [0, 0])
         resp = feedback(teacher, reg, req)
-        assert resp.reg_value > 0  # still reported
-        assert np.abs(0.0 * resp.reg_grad).max() == 0.0  # weighted contribution vanishes
+        value, grad = server_mod.reg_value_grad(reg, req.batch, req.cond_labels)
+        assert resp.reg_value == value > 0
+        assert np.array_equal(resp.reg_grad, grad)
 
     def test_no_real_row_leaks_into_response_bytes(self, trained):
         ds, _, teacher, reg = trained
