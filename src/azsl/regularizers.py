@@ -15,15 +15,22 @@ axis are each class's own sums bit for bit, so the value and the gradient are
 those of a loop over the classes. (For d = 1 numpy sums a single column
 pairwise, so there they can differ from such a loop in the last bit.)
 
-MMD sorts the batch by class once and takes the squared row norms of all rows
-at once (each row's sum is its own, so a class's slice holds the same bits).
-The kernel matmuls stay per class with the operands rows @ rows.T and
-rows @ ref.T, because a kernel batched across classes would make the BLAS sum
-in a different order; the elementwise steps around them run in place in the
-same order, so every value and gradient bit is the per-class loop's.
+MMD takes the squared row norms of the whole batch once (each row's sum is its
+own) and evaluates the classes in blocks: sorted by reference-set size, then
+row count, then id, each block of one reference size and at most
+MMD_BLOCK_ROWS rows (a larger class is a block alone), so a quota-sized batch
+holds the kernels of one block at a time. Only rows @ ref.T and k_xy @ ref stay
+per class, written with out= into slices of the block's buffers. Classes of
+one size form a stack, and rows @ rows.T, k_xx @ rows and the row sums and
+totals of its kernels are one call per stack: numpy makes each slice's own
+BLAS call and pairwise sum, so nothing is padded and no sum changes order
+(padding classes to one shape would). The elementwise steps run once per block
+in the per-class order, and the values are added in class order, so every
+value and gradient bit is the per-class loop's.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +45,7 @@ REG_KINDS = (REG_NONE, REG_KL, REG_MMD)
 VAR_FLOOR = 1e-6
 MMD_REF_CAP = 256  # rows kept per class
 MMD_POOL_CAP = 512  # rows used for the bandwidth median
+MMD_BLOCK_ROWS = 256  # rows of classes evaluated at once; a larger class is a block alone
 
 
 @dataclass
@@ -135,30 +143,29 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return (a * a).sum(axis=1)
 
 
-def _sq_dists(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
-    """max(||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, 0) in one buffer; a_sq is a column, b_sq a row.
+def _sq_dists(prod: np.ndarray, norm_sums: np.ndarray) -> np.ndarray:
+    """max(a_sq + b_sq - 2.0 * (a @ b.T), 0.0) in place over prod = a @ b.T; norm_sums holds a_sq + b_sq.
 
-    The steps are those of max(a_sq + b_sq - 2.0 * (a @ b.T), 0.0), in that
-    order (2.0 * x == x * 2.0), so the result is the same bit for bit.
+    The steps are the expression's, in its order (2.0 * x == x * 2.0), one
+    entry at a time, so the result is the same bit for bit however the entries
+    are laid out: one matrix, a stack of them or one flat buffer of several.
     """
-    sq = a @ b.T
-    sq *= 2.0
-    np.subtract(a_sq + b_sq, sq, out=sq)
-    return np.maximum(sq, 0.0, out=sq)
+    prod *= 2.0
+    np.subtract(norm_sums, prod, out=prod)
+    return np.maximum(prod, 0.0, out=prod)
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _sq_dists(a, _sq_norms(a)[:, None], b, _sq_norms(b)[None, :])
-
-
-def _kernel(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray, h2: float) -> np.ndarray:
-    """k(a_i, b_j) = exp(-||a_i - b_j||^2 / h2), bit for bit np.exp(-sq / h2), in place.
+def _kernel(sq: np.ndarray, h2: float) -> np.ndarray:
+    """k = exp(-sq / h2) in place over squared distances, bit for bit np.exp(-sq / h2).
 
     sq / -h2 == -sq / h2 exactly: IEEE division rounds symmetrically in sign.
     """
-    k = _sq_dists(a, a_sq, b, b_sq)
-    k /= -h2
-    return np.exp(k, out=k)
+    sq /= -h2
+    return np.exp(sq, out=sq)
+
+
+def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _sq_dists(a @ b.T, _sq_norms(a)[:, None] + _sq_norms(b)[None, :])
 
 
 def _kl_class(
@@ -204,37 +211,89 @@ def _kl_class(
 def _ref_cache(ref: np.ndarray, h2: float) -> tuple[np.ndarray, np.ndarray, np.float64]:
     """What MMD needs of a reference set on every request: (ref, row norms as a row, mean k(ref, ref))."""
     ref_sq = _sq_norms(ref)[None, :]
-    return ref, ref_sq, _kernel(ref, ref_sq.T, ref, ref_sq, h2).mean()
+    return ref, ref_sq, _kernel(_sq_dists(ref @ ref.T, ref_sq.T + ref_sq), h2).mean()
+
+
+def _mmd_blocks(sizes: list[int], counts: list[int]):
+    """(first, end) class ranges of one reference size and at most MMD_BLOCK_ROWS rows, in order."""
+    first, rows = 0, 0
+    for i, (m, n) in enumerate(zip(sizes, counts)):
+        if i > first and (m != sizes[first] or rows + n > MMD_BLOCK_ROWS):
+            yield first, i
+            first, rows = i, 0
+        rows += n
+    yield first, len(counts)
 
 
 def _mmd_class(
-    rows: np.ndarray, rows_sq: np.ndarray, ref: np.ndarray, ref_sq: np.ndarray, h2: float, k_yy_mean: float
-) -> float:
-    """Biased (V-statistic) squared MMD with k(x,y)=exp(-||x-y||^2/h2); always >= 0.
+    rows: np.ndarray, rows_sq: np.ndarray, counts: list[int], caches: list[tuple], h2: float
+) -> np.ndarray:
+    """Biased (V-statistic) squared MMD of every class in one block, k(x,y)=exp(-||x-y||^2/h2); each >= 0.
 
-    rows_sq holds the squared norms of rows; ref_sq and k_yy_mean come from
-    _ref_cache(ref, h2). Returns the value and overwrites rows with its
-    gradient w.r.t. rows, so a batch needs no second buffer for it.
+    rows holds the block's classes one after another, counts[i] rows of class
+    i, with equal counts adjacent; rows_sq holds their squared norms. caches[i]
+    is _ref_cache(ref, h2) of class i's reference set, and all of them have
+    the same size m. Returns each class's value and overwrites rows with the
+    gradient of its class's value w.r.t. its rows, so a batch needs no second
+    buffer for it.
     """
-    n, m = len(rows), len(ref)
-    rows_sq_col = rows_sq[:, None]
-    k_xx = _kernel(rows, rows_sq_col, rows, rows_sq[None, :], h2)
-    k_xy = _kernel(rows, rows_sq_col, ref, ref_sq, h2)
-    # k.sum() / k.size is what k.mean() computes
-    value = k_xx.sum() / k_xx.size + k_yy_mean - 2.0 * (k_xy.sum() / k_xy.size)
+    n_rows, d, m = *rows.shape, len(caches[0][0])
+    n = np.array(counts)
+    ends = np.cumsum(n).tolist()
+    starts = [0, *ends[:-1]]
+    n_xx = int((n * n).sum())
+    size = n_xx + n_rows * m
+    # One buffer per block: every class's k_xx, then the block's k_xy as one
+    # (rows, m) matrix, then their norm sums. As one allocation it stays in the
+    # heap from call to call; two halves went back to the OS and faulted in anew.
+    work = np.empty(size + max(size, 2 * n_rows * d))
+    k, norm_sums = work[:size], work[size:2 * size]
+    k_xy, norms_xy = k[n_xx:].reshape(n_rows, m), norm_sums[n_xx:].reshape(n_rows, m)
+    for (ref, _, _), start, end in zip(caches, starts, ends):
+        np.matmul(rows[start:end], ref.T, out=k_xy[start:end])
+    ref_sq = np.stack([ref_sq for _, ref_sq, _ in caches])  # (classes, 1, m)
+    # the g classes of one size c as a stack: (first class, their rows' span, rows (g, c, d), k_xx (g, c, c))
+    stacks, first, at = [], 0, 0
+    for c, run in itertools.groupby(counts):
+        g = len(list(run))
+        span, kernels = slice(starts[first], starts[first] + g * c), slice(at, at + g * c * c)
+        x, k_xx = rows[span].reshape(g, c, d), k[kernels].reshape(g, c, c)
+        np.matmul(x, x.transpose(0, 2, 1), out=k_xx)
+        x_sq = rows_sq[span].reshape(g, c, 1)
+        np.add(x_sq, x_sq.transpose(0, 2, 1), out=norm_sums[kernels].reshape(g, c, c))
+        np.add(x_sq, ref_sq[first:first + g], out=norms_xy[span].reshape(g, c, m))
+        stacks.append((first, span, x, k_xx))
+        first, at = first + g, at + g * c * c
+    _kernel(_sq_dists(k, norm_sums), h2)
+
+    # each row's k_xx sum, each class's k_xx and k_xy totals (k.sum() / k.size
+    # is what k.mean() computes)
+    xx_rows, xx_sums, xy_sums = np.empty(n_rows), np.empty(len(counts)), np.empty(len(counts))
+    for first, span, _, k_xx in stacks:
+        g, c = k_xx.shape[:2]
+        k_xx.sum(axis=2, out=xx_rows[span].reshape(g, c))
+        k_xx.reshape(g, c * c).sum(axis=1, out=xx_sums[first:first + g])
+        k_xy[span].reshape(g, c * m).sum(axis=1, out=xy_sums[first:first + g])
+    k_yy_mean = np.array([k_yy_mean for _, _, k_yy_mean in caches])
+    values = xx_sums / (n * n) + k_yy_mean - 2.0 * (xy_sums / (n * m))
 
     # d/dx_i of sum_ab k(x_a,x_b): both index slots hit row i, so
     # grad_i = -4/h2 [ (sum_j k_ij) x_i - (K rows)_i ] / n^2, likewise for K_xy.
-    # Everything that reads rows runs before rows is overwritten.
-    cross = k_xy.sum(axis=1, keepdims=True) * rows
-    cross -= k_xy @ ref
-    cross *= 4.0 / (n * m * h2)
-    k_rows = k_xx @ rows
-    grad = np.multiply(k_xx.sum(axis=1, keepdims=True), rows, out=rows)
-    grad -= k_rows
-    grad *= -4.0 / (n * n * h2)
+    # Everything that reads rows runs before rows is overwritten. The norm sums
+    # are spent, and their space holds the gradient's two (rows, d) terms.
+    products, cross = work[size:size + 2 * n_rows * d].reshape(2, n_rows, d)
+    for (ref, _, _), start, end in zip(caches, starts, ends):
+        np.matmul(k_xy[start:end], ref, out=products[start:end])
+    np.multiply(k_xy.sum(axis=1, keepdims=True), rows, out=cross)
+    cross -= products
+    cross *= np.repeat(4.0 / (n * m * h2), counts)[:, None]
+    for _, span, x, k_xx in stacks:
+        np.matmul(k_xx, x, out=products[span].reshape(x.shape))
+    grad = np.multiply(xx_rows[:, None], rows, out=rows)
+    grad -= products
+    grad *= np.repeat(-4.0 / (n * n * h2), counts)[:, None]
     grad += cross
-    return float(value)
+    return values
 
 
 def reg_value_grad(
@@ -260,25 +319,37 @@ def reg_value_grad(
                 raise ValueError(f"no statistics for class {c} and no global fallback")
             table_rows.append(row)
         values, grad = _kl_class(batch, inverse, counts, state.kl_mu[table_rows], state.kl_var[table_rows])
-        values = values.tolist()
     else:
-        # each class's rows as one contiguous slice, in batch order;
-        # _mmd_class turns each slice into that class's gradient
-        order = np.argsort(inverse, kind="stable")
-        rows = batch[order]
-        rows_sq = _sq_norms(rows)
-        ends = np.cumsum(counts).tolist()
-        values = []
-        for c, start, end in zip(classes.tolist(), [0, *ends], ends):
+        caches = []
+        for c in classes.tolist():
             cache = state.class_ref_cache.get(c, state.global_ref_cache)
             if cache is None:
                 raise ValueError(f"no reference rows for class {c} and no global fallback")
-            ref, ref_sq, k_yy_mean = cache
-            values.append(_mmd_class(rows[start:end], rows_sq[start:end], ref, ref_sq, state.bandwidth_sq, k_yy_mean))
+            caches.append(cache)
+        sizes = np.array([len(ref) for ref, _, _ in caches])
+        # classes by reference size, then row count, then id; each class's rows
+        # one contiguous run of that order, in batch order
+        by_size = np.lexsort((classes, counts, sizes))
+        rank = np.empty_like(by_size)
+        rank[by_size] = np.arange(len(by_size))
+        order = np.argsort(rank[inverse], kind="stable")
+        batch_sq = _sq_norms(batch)
+        sizes, counts = sizes[by_size].tolist(), counts[by_size].tolist()
+        by_size = by_size.tolist()
+        values = np.empty(len(classes))
         grad = np.empty_like(batch)
-        grad[order] = rows
+        row = 0
+        for first, end in _mmd_blocks(sizes, counts):
+            idx = order[row:row + sum(counts[first:end])]
+            rows = batch[idx]
+            block_classes = by_size[first:end]
+            values[block_classes] = _mmd_class(
+                rows, batch_sq[idx], counts[first:end], [caches[i] for i in block_classes], state.bandwidth_sq
+            )
+            grad[idx] = rows
+            row += len(idx)
     total = 0.0
-    for value_c in values:  # class order, as Python floats
+    for value_c in values.tolist():  # class order, as Python floats
         total += value_c
     k = len(classes)
     grad /= k

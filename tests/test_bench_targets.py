@@ -214,6 +214,20 @@ def test_weight_gradients_are_computed_outside_every_backward_span(scenario, mon
     assert [(role, span) for role, span in seen if span.startswith("nn.backward.")] == []
 
 
+def test_every_mmd_value_grad_span_times_the_block_kernel():
+    # perfbench's reg.mmd_class times regularizers._mmd_class, patched by name;
+    # an MMD branch that reached its kernels by another route, leaving that
+    # name unused, would time nothing there
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.patched(tracer, spans.layer_targets()):
+        run_experiment(tiny_config(scenario="black", regularizer="mmd", t_g=4, t_s=2))
+    value_grads = [i for i, s in enumerate(tracer.spans) if s[spans.NAME] == "reg.value_grad"]
+    kernel_parents = [s[spans.PARENT] for s in tracer.spans if s[spans.NAME] == "reg.mmd_class"]
+    assert len(value_grads) > 4
+    assert set(kernel_parents) == set(value_grads)
+
+
 @pytest.mark.parametrize("scenario", ["white", "black"])
 def test_quota_and_student_counters_match_the_transcript(scenario):
     # the tracer reads client.quota.* off ensure_quota's result and student.steps

@@ -336,12 +336,12 @@ class TestMmdCache:
             reg_value_grad(without_fallback, self.batch, self.labels)
 
     def test_reference_kernel_built_once_per_set(self, monkeypatch):
-        pairs, normed = [], []
+        kernels, normed = [], []
         kernel, sq_norms = regularizers._kernel, regularizers._sq_norms
 
-        def recording_kernel(a, a_sq, b, b_sq, h2):
-            pairs.append((a, b))
-            return kernel(a, a_sq, b, b_sq, h2)
+        def recording_kernel(sq, h2):
+            kernels.append(sq.shape)
+            return kernel(sq, h2)
 
         def recording_norms(a):
             normed.append(a)
@@ -352,20 +352,23 @@ class TestMmdCache:
         state = fit_regularizer(self.ds, self.split, "mmd")
         refs = [*state.class_refs.values(), state.global_ref]
 
-        def ref_self_kernels():
-            return sum(1 for a, b in pairs if a is b and any(a is r for r in refs))
-
         def ref_norms():
             return sum(1 for a in normed if any(a is r for r in refs))
 
-        assert ref_self_kernels() == len(refs)
+        # at fit time, one m x m self-kernel per reference set and nothing else
+        assert sorted(kernels) == sorted((len(r), len(r)) for r in refs)
         assert ref_norms() == len(refs)
-        fitted_pairs, fitted_norms = len(pairs), len(normed)
+        fitted_kernels, fitted_norms = len(kernels), len(normed)
         for _ in range(3):
             reg_value_grad(state, self.batch, self.labels)
-        assert len(pairs) == fitted_pairs + 3 * 2 * 4  # k_xx and k_xy per class per request
-        assert len(normed) == fitted_norms + 3  # the whole batch once per request
-        assert ref_self_kernels() == len(refs)
+        # a request's kernels hold each class's n x n and n x m entries only:
+        # no reference set meets itself again
+        sizes = [len(state.class_refs.get(c, state.global_ref)) for c in self.labels.tolist()]
+        n = np.bincount(self.labels)
+        per_request = int((n * n).sum()) + sum(sizes)  # sum over rows of (n + m)
+        assert sum(int(np.prod(shape)) for shape in kernels[fitted_kernels:]) == 3 * per_request
+        request_norms = normed[fitted_norms:]
+        assert len(request_norms) == 3 and all(a is self.batch for a in request_norms)  # the batch once per request
         assert ref_norms() == len(refs)
 
 
@@ -406,10 +409,10 @@ class TestSortedMmd:
 
     REF_SIZES = (256, 100, 37, 7, 2, 1)
 
-    def state(self, d, rng, n_classes):
-        """Per-class refs of mixed sizes up to MMD_REF_CAP; the last class falls back to global_ref."""
+    def state(self, d, rng, n_classes, ref_sizes=REF_SIZES):
+        """Per-class refs of the given sizes, in turn; the last class falls back to a MMD_REF_CAP-row global_ref."""
         refs = {
-            c: np.maximum(rng.normal(size=(self.REF_SIZES[c % len(self.REF_SIZES)], d)), 0.0)
+            c: np.maximum(rng.normal(size=(ref_sizes[c % len(ref_sizes)], d)), 0.0)
             for c in range(n_classes - 1)
         }
         global_ref = np.maximum(rng.normal(size=(MMD_REF_CAP, d)), 0.0)
@@ -451,6 +454,25 @@ class TestSortedMmd:
         self.assert_matches_loop(state, k_yy_means, batch, np.array([4, 0, 3, 1, 2]))
         self.assert_matches_loop(state, k_yy_means, np.zeros((3, 6)), np.array([1, 1, 4]))
 
+    @pytest.mark.parametrize("counts, blocks", [
+        # 56 + 100 + 100 rows fill a block exactly; the 101-row class starts the next
+        ({3: 56, 2: 100, 0: 100, 1: 101}, [256, 101]),
+        # a class larger than a block is a block alone
+        ({0: 300, 1: 3, 2: 3}, [6, 300]),
+        # class 4 falls back to global_ref: a second reference size starts a block
+        ({0: 5, 1: 5, 2: 9, 4: 5}, [19, 5]),
+    ], ids=["straddle", "over-a-block", "fallback-mix"])
+    def test_block_boundaries(self, counts, blocks, monkeypatch):
+        rng = np.random.default_rng(14)
+        state, k_yy_means = self.state(5, rng, 5, ref_sizes=(160,))
+        seen, kernel = [], regularizers._mmd_class
+        monkeypatch.setattr(regularizers, "_mmd_class", lambda rows, *a: seen.append(len(rows)) or kernel(rows, *a))
+        labels = rng.permutation(np.repeat(list(counts), list(counts.values())))
+        batch = np.maximum(rng.normal(size=(len(labels), 5)) * 2.0, 0.0)
+        batch[rng.integers(len(labels), size=3)] = 0.0
+        self.assert_matches_loop(state, k_yy_means, batch, labels)
+        assert seen == blocks
+
     def test_fitted_state(self):
         ds = make_synthetic(SyntheticSpec(n_classes=4, seen_count=3, d_x=6, d_a=3, per_class=300), seed=6)
         split = dataclasses.replace(full_train_split_all(ds), teacher_train=np.flatnonzero(ds.labels != 3))
@@ -461,6 +483,47 @@ class TestSortedMmd:
         rng = np.random.default_rng(13)
         batch = np.maximum(rng.normal(size=(64, 6)) * 5.0, 0.0)
         self.assert_matches_loop(state, k_yy_means, batch, rng.integers(0, 4, size=64))
+
+
+def test_quota_sized_mmd_request_holds_one_block_of_kernels_at_a_time():
+    # black-mmd's quota request: 2000 rows over 20 classes with 160-row reference
+    # sets. Blocks of MMD_BLOCK_ROWS rows keep the kernels to a fraction of the
+    # batch; the request's whole k_xy alone would be 2.5 times its bytes.
+    rng = np.random.default_rng(15)
+    refs = {c: np.maximum(rng.normal(size=(160, 64)), 0.0) for c in range(20)}
+    state = RegularizerState("mmd", class_refs=refs, bandwidth_sq=64.0)
+    batch = np.maximum(rng.normal(size=(2000, 64)), 0.0)
+    _, peak = peak_bytes(reg_value_grad, state, batch, rng.integers(0, 20, size=2000))
+    assert peak <= 2.5 * batch.nbytes
+
+
+def test_stacked_and_sliced_matmuls_are_the_per_class_products():
+    # _mmd_class stacks classes of one size into (g, n, d) matmuls and row and
+    # total sums, and writes per-class products into slices of a block buffer.
+    # Its bits equal a per-class loop's only while numpy makes each slice's
+    # own BLAS call and pairwise sum, which a numpy or BLAS upgrade could change.
+    rng = np.random.default_rng(16)
+    for n in range(1, 10):
+        for d in (1, 2, 64):
+            for g in (1, 3):
+                x = np.maximum(rng.normal(size=(g, n, d)), 0.0)
+                k = np.exp(-rng.uniform(0.0, 3.0, size=(g, n, n)))
+                gram, k_rows = x @ x.transpose(0, 2, 1), k @ x
+                row_sums, totals = k.sum(axis=2), k.reshape(g, n * n).sum(axis=1)
+                for i in range(g):
+                    where = f"n={n} d={d} slice {i} of {g}"
+                    assert (gram[i] == x[i] @ x[i].T).all(), f"stacked A @ A.T (syrk) differs from 2-D: {where}"
+                    assert (k_rows[i] == k[i] @ x[i]).all(), f"stacked (n x n) @ (n x d) differs from 2-D: {where}"
+                    assert (row_sums[i] == k[i].sum(axis=1)).all(), f"stacked row sums differ: {where}"
+                    assert totals[i] == k[i].sum(), f"stacked totals differ: {where}"
+            for m in (1, 7, 160):
+                rows, ref = np.maximum(rng.normal(size=(n, d)), 0.0), rng.normal(size=(m, d))
+                block, products = np.full((n + 5, m), np.nan), np.full((n + 5, d), np.nan)
+                np.matmul(rows, ref.T, out=block[2:2 + n])
+                where = f"n={n} d={d} m={m}"
+                assert (block[2:2 + n] == rows @ ref.T).all(), f"rows @ ref.T into a block slice differs: {where}"
+                np.matmul(block[2:2 + n], ref, out=products[2:2 + n])
+                assert (products[2:2 + n] == block[2:2 + n] @ ref).all(), f"k_xy @ ref into a slice differs: {where}"
 
 
 class TestNoneKind:
